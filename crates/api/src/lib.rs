@@ -23,7 +23,7 @@
 //!   that cannot run correctly, structured [`ConfigWarning`]s for legal
 //!   ones where a knob has no effect.
 //! * [`Artifact`] — the unified result: solution, per-round per-site byte
-//!   accounting, simulated network time, and one serde-able JSON schema
+//!   accounting, simulated network time, and one JSON schema
 //!   ([`ARTIFACT_SCHEMA`]) shared by the CLI, benches and sweep tables.
 //! * [`Sweep`] — cartesian parameter grids (`k × t × transport × …`)
 //!   expanded into jobs and executed on scoped threads, plus
@@ -49,10 +49,10 @@
 //! assert_eq!(back.centers, artifact.centers);
 //! ```
 //!
-//! The legacy free functions (`run_distributed_median` & co.) still work
-//! and are what this crate calls under the hood — job-driven runs are
-//! byte-identical to them — but new code should come through [`Job`];
-//! the facade re-exports of those functions are deprecated.
+//! The legacy free functions (`run_distributed_median` & co.) are what
+//! this crate calls under the hood — job-driven runs are byte-identical
+//! to them — but new code should come through [`Job`]; the functions
+//! stay at their crate paths (`dpc_core`, `dpc_uncertain`).
 
 pub mod artifact;
 pub mod data;

@@ -7,64 +7,22 @@ use crate::job::{JobBuilder, ValidJob};
 use dpc_codec::Encoding;
 use dpc_coordinator::TransportKind;
 use dpc_obs::{Counter, Event, RecorderHandle};
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// One sweep axis: a parameter name and its values.
-#[derive(Clone, Debug)]
-enum Axis {
-    K(Vec<usize>),
-    T(Vec<usize>),
-    Eps(Vec<f64>),
-    Sites(Vec<usize>),
-    Seed(Vec<u64>),
-    Transport(Vec<TransportKind>),
-    SyncEvery(Vec<u64>),
-    Block(Vec<usize>),
-    Encoding(Vec<Encoding>),
+/// One sweep axis: a parameter name, its length, and how cell `idx`
+/// sets the parameter on a job.
+#[derive(Clone)]
+struct Axis {
+    name: &'static str,
+    len: usize,
+    apply: Arc<dyn Fn(JobBuilder, usize) -> JobBuilder + Send + Sync>,
 }
 
-impl Axis {
-    fn name(&self) -> &'static str {
-        match self {
-            Axis::K(_) => "k",
-            Axis::T(_) => "t",
-            Axis::Eps(_) => "eps",
-            Axis::Sites(_) => "sites",
-            Axis::Seed(_) => "seed",
-            Axis::Transport(_) => "transport",
-            Axis::SyncEvery(_) => "sync_every",
-            Axis::Block(_) => "block",
-            Axis::Encoding(_) => "encoding",
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Axis::K(v) => v.len(),
-            Axis::T(v) => v.len(),
-            Axis::Eps(v) => v.len(),
-            Axis::Sites(v) => v.len(),
-            Axis::Seed(v) => v.len(),
-            Axis::Transport(v) => v.len(),
-            Axis::SyncEvery(v) => v.len(),
-            Axis::Block(v) => v.len(),
-            Axis::Encoding(v) => v.len(),
-        }
-    }
-
-    fn apply(&self, b: JobBuilder, idx: usize) -> JobBuilder {
-        match self {
-            Axis::K(v) => b.k(v[idx]),
-            Axis::T(v) => b.t(v[idx]),
-            Axis::Eps(v) => b.eps(v[idx]),
-            Axis::Sites(v) => b.sites(v[idx]),
-            Axis::Seed(v) => b.seed(v[idx]),
-            Axis::Transport(v) => b.transport(v[idx]),
-            Axis::SyncEvery(v) => b.sync_every(v[idx]),
-            Axis::Block(v) => b.block(v[idx]),
-            Axis::Encoding(v) => b.encoding(v[idx]),
-        }
+impl fmt::Debug for Axis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]", self.name, self.len)
     }
 }
 
@@ -112,59 +70,67 @@ impl Sweep {
         }
     }
 
-    /// Adds a `k` axis.
-    pub fn k(mut self, values: &[usize]) -> Self {
-        self.axes.push(Axis::K(values.to_vec()));
+    /// Adds an axis named `name` whose cell `idx` calls `set` with
+    /// `values[idx]`.
+    fn axis<T: Clone + Send + Sync + 'static>(
+        mut self,
+        name: &'static str,
+        values: &[T],
+        set: fn(JobBuilder, T) -> JobBuilder,
+    ) -> Self {
+        let values = values.to_vec();
+        self.axes.push(Axis {
+            name,
+            len: values.len(),
+            apply: Arc::new(move |b, idx| set(b, values[idx].clone())),
+        });
         self
+    }
+
+    /// Adds a `k` axis.
+    pub fn k(self, values: &[usize]) -> Self {
+        self.axis("k", values, JobBuilder::k)
     }
 
     /// Adds a `t` axis.
-    pub fn t(mut self, values: &[usize]) -> Self {
-        self.axes.push(Axis::T(values.to_vec()));
-        self
+    pub fn t(self, values: &[usize]) -> Self {
+        self.axis("t", values, JobBuilder::t)
     }
 
     /// Adds an `eps` axis.
-    pub fn eps(mut self, values: &[f64]) -> Self {
-        self.axes.push(Axis::Eps(values.to_vec()));
-        self
+    pub fn eps(self, values: &[f64]) -> Self {
+        self.axis("eps", values, JobBuilder::eps)
     }
 
     /// Adds a site-count axis.
-    pub fn sites(mut self, values: &[usize]) -> Self {
-        self.axes.push(Axis::Sites(values.to_vec()));
-        self
+    pub fn sites(self, values: &[usize]) -> Self {
+        self.axis("sites", values, JobBuilder::sites)
     }
 
     /// Adds a seed axis (repetition with different partitions).
-    pub fn seeds(mut self, values: &[u64]) -> Self {
-        self.axes.push(Axis::Seed(values.to_vec()));
-        self
+    pub fn seeds(self, values: &[u64]) -> Self {
+        self.axis("seed", values, JobBuilder::seed)
     }
 
     /// Adds a transport-backend axis.
-    pub fn transports(mut self, values: &[TransportKind]) -> Self {
-        self.axes.push(Axis::Transport(values.to_vec()));
-        self
+    pub fn transports(self, values: &[TransportKind]) -> Self {
+        self.axis("transport", values, JobBuilder::transport)
     }
 
     /// Adds a sync-cadence axis (continuous jobs).
-    pub fn sync_every(mut self, values: &[u64]) -> Self {
-        self.axes.push(Axis::SyncEvery(values.to_vec()));
-        self
+    pub fn sync_every(self, values: &[u64]) -> Self {
+        self.axis("sync_every", values, JobBuilder::sync_every)
     }
 
     /// Adds a block-size axis (streaming jobs).
-    pub fn blocks(mut self, values: &[usize]) -> Self {
-        self.axes.push(Axis::Block(values.to_vec()));
-        self
+    pub fn blocks(self, values: &[usize]) -> Self {
+        self.axis("block", values, JobBuilder::block)
     }
 
     /// Adds a wire-codec axis: the same job at every encoding, tracing
     /// out the bytes ⇄ quality frontier in one grid.
-    pub fn encodings(mut self, values: &[Encoding]) -> Self {
-        self.axes.push(Axis::Encoding(values.to_vec()));
-        self
+    pub fn encodings(self, values: &[Encoding]) -> Self {
+        self.axis("encoding", values, JobBuilder::encoding)
     }
 
     /// Caps the number of cells executing concurrently.
@@ -185,7 +151,7 @@ impl Sweep {
 
     /// Number of grid cells (product of axis lengths; 1 with no axes).
     pub fn cells(&self) -> usize {
-        self.axes.iter().map(Axis::len).product()
+        self.axes.iter().map(|a| a.len).product()
     }
 
     /// Expands the grid into validated jobs, row-major.
@@ -194,8 +160,8 @@ impl Sweep {
     /// the grid fails fast instead of after hours of sweeping.
     pub fn jobs(&self) -> Result<Vec<ValidJob>, ConfigError> {
         for axis in &self.axes {
-            if axis.len() == 0 {
-                return Err(ConfigError::EmptySweepAxis { axis: axis.name() });
+            if axis.len == 0 {
+                return Err(ConfigError::EmptySweepAxis { axis: axis.name });
             }
         }
         let cells = self.cells();
@@ -206,10 +172,10 @@ impl Sweep {
             let mut rem = cell;
             let mut radix = cells;
             for axis in &self.axes {
-                radix /= axis.len();
+                radix /= axis.len;
                 let idx = rem / radix;
                 rem %= radix;
-                b = axis.apply(b, idx);
+                b = (axis.apply)(b, idx);
             }
             jobs.push(b.validate()?);
         }

@@ -98,34 +98,6 @@ fn scalar_gonzalez_relax(ps: &PointSet, ids: &[usize], steps: usize) -> f64 {
     best.iter().sum()
 }
 
-/// Forces the pre-fusion traversal shape — bulk relax pass followed by a
-/// separate farthest scan — by claiming the relax kernel prunes. At low
-/// dimension the kernel cannot actually prune, so this pins the cost of
-/// the second sweep that the fused serial path removes.
-struct SplitRelax<'a>(EuclideanMetric<'a>);
-
-impl Metric for SplitRelax<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        self.0.dist(i, j)
-    }
-    fn relax_min_prunes(&self) -> bool {
-        true
-    }
-    fn relax_min_block(
-        &self,
-        c: usize,
-        ids: &[usize],
-        best_d: &mut [f64],
-        best_pos: &mut [usize],
-        mark: usize,
-    ) {
-        self.0.relax_min_block(c, ids, best_d, best_pos, mark)
-    }
-}
-
 fn bench_gonzalez_relax(c: &mut Criterion) {
     let mut g = c.benchmark_group("gonzalez_prefix16");
     g.sample_size(10);
@@ -138,10 +110,6 @@ fn bench_gonzalez_relax(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("bulk", dim), &dim, |b, _| {
             b.iter(|| gonzalez(&m, &ids, CLUSTERS, 0));
-        });
-        g.bench_with_input(BenchmarkId::new("bulk_split", dim), &dim, |b, _| {
-            let split = SplitRelax(EuclideanMetric::new(&ps));
-            b.iter(|| gonzalez(&split, &ids, CLUSTERS, 0));
         });
         g.bench_with_input(BenchmarkId::new("bulk_threads", dim), &dim, |b, _| {
             b.iter(|| gonzalez_with(&m, &ids, CLUSTERS, 0, ThreadBudget::available()));

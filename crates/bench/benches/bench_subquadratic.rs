@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpc::prelude::*;
 // Benches measure the raw protocol paths, so they import the legacy
-// entry points at their non-deprecated crate-level paths.
+// entry points at their crate-level paths.
 use dpc::core::subquadratic_median;
 
 fn bench_subquadratic(c: &mut Criterion) {

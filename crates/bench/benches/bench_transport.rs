@@ -137,7 +137,7 @@ fn bench_backends(c: &mut Criterion) {
 fn bench_algo1_backends(c: &mut Criterion) {
     use dpc::prelude::*;
     // Benches measure the raw protocol paths, so they import the legacy
-    // entry points at their non-deprecated crate-level paths.
+    // entry points at their crate-level paths.
     use dpc::core::run_distributed_median;
     let mix = gaussian_mixture(MixtureSpec {
         clusters: 4,

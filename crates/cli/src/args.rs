@@ -1,167 +1,49 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
+//!
+//! One table, `FLAGS`, declares every option once: its name, the
+//! commands that take it, how `sweep` treats it, and the [`JobBuilder`]
+//! setter it calls. Parsing builds the job straight from that table. A
+//! setter runs only when its flag was given, so the defaults, the range
+//! checks and the no-effect warnings all stay in `dpc::api`.
 
-use dpc::api::TraceFormat;
-use dpc::codec::Encoding;
-use dpc::coordinator::TransportKind;
+use dpc::prelude::*;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Which protocol to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Command {
-    /// Distributed `(k,(1+ε)t)`-median (Algorithm 1).
-    Median,
-    /// Distributed `(k,(1+ε)t)`-means.
-    Means,
-    /// Distributed `(k,t)`-center (Algorithm 2).
-    Center,
-    /// Uncertain `(k,t)`-median via the compressed graph (Algorithm 3).
-    UncertainMedian,
-    /// Centralized subquadratic `(k,2t)`-median (Theorem 3.10).
-    Subquadratic,
-    /// Streaming engine over rows in arrival order (`dpc_stream`).
-    Stream,
-    /// A cartesian parameter sweep over one of the batch protocols (see
-    /// [`SweepSpec`]).
-    Sweep,
-}
-
-impl Command {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "median" => Ok(Command::Median),
-            "means" => Ok(Command::Means),
-            "center" => Ok(Command::Center),
-            "uncertain-median" => Ok(Command::UncertainMedian),
-            "subquadratic" => Ok(Command::Subquadratic),
-            "stream" => Ok(Command::Stream),
-            other => Err(ParseError(format!("unknown command '{other}'"))),
-        }
-    }
-}
-
-/// Objective selector for the `stream` subcommand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamObjective {
-    /// Sum of distances.
-    Median,
-    /// Sum of squared distances.
-    Means,
-    /// Maximum distance.
-    Center,
-}
-
-impl StreamObjective {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "median" => Ok(StreamObjective::Median),
-            "means" => Ok(StreamObjective::Means),
-            "center" => Ok(StreamObjective::Center),
-            other => Err(ParseError(format!(
-                "unknown objective '{other}' (median|means|center)"
-            ))),
-        }
-    }
-}
-
-/// The parameter grid behind `dpc sweep`.
-///
-/// Each list is one sweep axis; the grid is their cartesian product and
-/// every cell becomes one `dpc::api::Job` executed in parallel.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepSpec {
-    /// The protocol swept (median, means or center).
-    pub protocol: Command,
-    /// `k` values.
-    pub k: Vec<usize>,
-    /// `t` values.
-    pub t: Vec<usize>,
-    /// ε values.
-    pub eps: Vec<f64>,
-    /// Site counts.
-    pub sites: Vec<usize>,
-    /// Transport backends.
-    pub transports: Vec<TransportKind>,
-    /// Wire codecs (the bytes ⇄ quality frontier axis).
-    pub encodings: Vec<Encoding>,
-    /// Concurrent cells (0 = one per CPU).
-    pub parallelism: usize,
-}
-
-impl SweepSpec {
-    fn new(protocol: Command) -> Self {
-        Self {
-            protocol,
-            k: vec![5],
-            t: vec![0],
-            eps: vec![1.0],
-            sites: vec![4],
-            transports: vec![TransportKind::Channel],
-            encodings: vec![Encoding::Raw],
-            parallelism: 0,
-        }
-    }
-}
-
-/// Parsed invocation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Options {
-    /// Protocol to run.
-    pub command: Command,
-    /// Input CSV path.
+/// A parsed invocation.
+#[derive(Debug)]
+pub struct Invocation {
+    /// Input CSV path or `blobs:` spec.
     pub input: String,
-    /// Number of centers.
-    pub k: usize,
-    /// Outlier budget.
-    pub t: usize,
-    /// Number of simulated sites.
-    pub sites: usize,
-    /// Outlier relaxation ε.
-    pub eps: f64,
-    /// Partition seed.
-    pub seed: u64,
-    /// Use the 1-round variant (center/median only).
-    pub one_round: bool,
-    /// Counts-only δ-variant (median/means; 0 disables).
-    pub delta: f64,
-    /// Emit machine-readable JSON instead of text.
+    /// Emit JSON instead of text.
     pub json: bool,
-    /// Transport backend the distributed protocols execute on.
-    pub transport: TransportKind,
-    /// Wire codec protocol messages travel through (`raw` = off).
-    pub encoding: Encoding,
-    /// Simulated one-way per-message link latency.
-    pub latency: Duration,
-    /// Simulated link bandwidth in bytes/sec (infinite = off).
-    pub bandwidth: f64,
-    /// `stream`: points buffered per block before summarization.
-    pub block: usize,
-    /// `stream`: sliding-window length in points (0 = insertion-only).
-    pub window: u64,
-    /// `stream`: fleet-wide points between continuous-mode syncs
-    /// (0 = single-machine streaming, no protocol).
-    pub sync_every: u64,
-    /// `stream`: which objective the engine optimizes.
-    pub objective: StreamObjective,
-    /// Bulk-kernel thread budget inside the solvers (1 = serial).
-    pub threads: usize,
-    /// Per-attempt dropout probability injected into protocol rounds.
-    pub dropout: f64,
-    /// Seed behind the injected faults (independent of `--seed`).
-    pub fault_seed: u64,
-    /// Per-attempt timeout charged when a site fails to answer.
-    pub timeout: Option<Duration>,
-    /// Extra delivery attempts after a failed one.
-    pub retries: u32,
-    /// Structured-trace output path (`--trace`; off by default).
-    pub trace: Option<String>,
-    /// Trace serialization (`--trace-format`; `None` = flag not given,
-    /// which the API treats as JSONL).
-    pub trace_format: Option<TraceFormat>,
-    /// Append the aggregated metrics digest to the output (`--metrics`).
-    pub metrics: bool,
-    /// `sweep`: the parameter grid (set only for [`Command::Sweep`]).
-    pub sweep: Option<SweepSpec>,
+    /// The (dataless) job to run; for `sweep`, the base of every cell.
+    pub builder: JobBuilder,
+    /// `sweep`: the grid laid over the base job.
+    pub grid: Option<Grid>,
+}
+
+/// The parsed `sweep` grid: its axes and `--parallelism`, ready to lay
+/// over any base job (the input data joins the base after preflight).
+pub struct Grid(Vec<GridStep>);
+
+type GridStep = Box<dyn Fn(Sweep) -> Sweep>;
+
+impl Grid {
+    /// The sweep over `base`, axes nested in table order (the last axis
+    /// varies fastest).
+    pub(crate) fn over(&self, base: JobBuilder) -> Sweep {
+        self.0
+            .iter()
+            .fold(Sweep::grid(base), |sweep, step| step(sweep))
+    }
+}
+
+impl fmt::Debug for Grid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Grid({} steps)", self.0.len())
+    }
 }
 
 /// A human-readable parse failure.
@@ -265,298 +147,406 @@ synthetic input:
   (point commands and sweep only; uncertain-median still needs a CSV)
 ";
 
-fn default_options(command: Command) -> Options {
-    Options {
-        command,
-        input: String::new(),
-        k: 5,
-        t: 0,
-        sites: 4,
-        eps: 1.0,
-        seed: 42,
-        one_round: false,
-        delta: 0.0,
-        json: false,
-        block: 256,
-        window: 0,
-        sync_every: 0,
-        objective: StreamObjective::Median,
-        transport: TransportKind::Channel,
-        encoding: Encoding::Raw,
-        latency: Duration::ZERO,
-        bandwidth: f64::INFINITY,
-        threads: 1,
-        dropout: 0.0,
-        fault_seed: 0,
-        timeout: None,
-        retries: 0,
-        trace: None,
-        trace_format: None,
-        metrics: false,
-        sweep: None,
+/// The job commands.
+const JOBS: &[&str] = &[
+    "median",
+    "means",
+    "center",
+    "uncertain-median",
+    "subquadratic",
+    "stream",
+];
+/// The protocols with a 1-round variant, which are also the ones `sweep`
+/// takes.
+const BATCH: &[&str] = &["median", "means", "center"];
+
+/// The CLI's `k` and `t` defaults (the API has none: they are arguments
+/// of every job constructor).
+const K: usize = 5;
+const T: usize = 0;
+
+/// How `sweep` treats a flag.
+enum InSweep {
+    /// A grid step: a comma-list axis, or `--parallelism`.
+    Step(fn(&Arg<'_>) -> Result<GridStep, ParseError>),
+    /// One value, set on the base job.
+    Base,
+    /// Not a sweep option.
+    Rejected,
+}
+
+use InSweep::{Base, Rejected, Step};
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// Takes no value.
+    switch: bool,
+    /// The job commands that take the flag.
+    jobs: &'static [&'static str],
+    sweep: InSweep,
+    /// Applies the given value to the job under construction.
+    set: fn(JobBuilder, &Arg<'_>) -> Result<JobBuilder, ParseError>,
+}
+
+const fn flag(
+    name: &'static str,
+    jobs: &'static [&'static str],
+    sweep: InSweep,
+    set: fn(JobBuilder, &Arg<'_>) -> Result<JobBuilder, ParseError>,
+) -> Flag {
+    Flag {
+        name,
+        switch: false,
+        jobs,
+        sweep,
+        set,
     }
+}
+
+const fn switch(
+    name: &'static str,
+    jobs: &'static [&'static str],
+    sweep: InSweep,
+    set: fn(JobBuilder, &Arg<'_>) -> Result<JobBuilder, ParseError>,
+) -> Flag {
+    Flag {
+        switch: true,
+        ..flag(name, jobs, sweep, set)
+    }
+}
+
+/// The setter of the flags the parser consumes itself: `--json` picks
+/// the output, `--one-round` the job kind, `--parallelism` sizes the
+/// sweep's worker pool.
+fn consumed(b: JobBuilder, _: &Arg<'_>) -> Result<JobBuilder, ParseError> {
+    Ok(b)
+}
+
+/// A setter: `set!(k, num)` parses the value with `Arg::num` and calls
+/// `JobBuilder::k`.
+macro_rules! set {
+    ($setter:ident, $parse:ident) => {
+        |b, a| Ok(b.$setter(a.$parse()?))
+    };
+}
+
+/// A sweep axis: `axis!(k, num)` parses a comma list with `Arg::num` and
+/// adds it through `Sweep::k`.
+macro_rules! axis {
+    ($add:ident, $parse:ident) => {
+        Step(|a| a.axis(Sweep::$add, |e| e.$parse()))
+    };
+}
+
+/// Every option, in the order setters run and sweep axes nest.
+const FLAGS: &[Flag] = &[
+    flag("--k", JOBS, axis!(k, num), set!(k, num)),
+    flag("--t", JOBS, axis!(t, num), set!(t, num)),
+    flag("--eps", JOBS, axis!(eps, float), set!(eps, float)),
+    flag("--sites", JOBS, axis!(sites, num), set!(sites, num)),
+    flag(
+        "--transport",
+        JOBS,
+        axis!(transports, transport),
+        set!(transport, transport),
+    ),
+    flag(
+        "--encoding",
+        JOBS,
+        axis!(encodings, encoding),
+        set!(encoding, encoding),
+    ),
+    flag("--seed", JOBS, Base, set!(seed, num)),
+    flag("--delta", JOBS, Base, set!(delta, float)),
+    flag("--threads", JOBS, Base, set!(threads, positive)),
+    flag("--latency", JOBS, Base, set!(link, link)),
+    flag("--bandwidth", JOBS, Base, set!(link, link)),
+    switch("--one-round", BATCH, Base, consumed),
+    switch("--json", JOBS, Base, consumed),
+    flag("--dropout", JOBS, Rejected, set!(dropout, float)),
+    flag("--fault-seed", JOBS, Rejected, set!(fault_seed, num)),
+    flag("--timeout", JOBS, Rejected, set!(timeout, duration)),
+    flag("--retries", JOBS, Rejected, set!(retries, num)),
+    flag("--trace", JOBS, Rejected, |b, a| Ok(b.trace(a.value))),
+    flag(
+        "--trace-format",
+        JOBS,
+        Rejected,
+        set!(trace_format, trace_format),
+    ),
+    switch("--metrics", JOBS, Rejected, |b, _| Ok(b.metrics(true))),
+    flag("--block", JOBS, Rejected, set!(block, num)),
+    flag("--window", JOBS, Rejected, set!(window, num)),
+    flag("--sync-every", JOBS, Rejected, set!(sync_every, num)),
+    flag("--objective", JOBS, Rejected, set!(objective, objective)),
+    flag("--parallelism", &[], Step(|a| a.parallelism()), consumed),
+];
+
+/// The flags an invocation gave: one value per table row (`""` for a
+/// given switch).
+struct Given<'a>(Vec<Option<&'a str>>);
+
+impl Given<'_> {
+    fn arg(&self, name: &str) -> Option<Arg<'_>> {
+        let row = FLAGS.iter().position(|f| f.name == name)?;
+        self.0[row].map(|value| Arg {
+            flag: FLAGS[row].name,
+            value,
+            given: self,
+        })
+    }
+
+    /// True when a numeric flag was given a value above zero.
+    fn positive(&self, name: &str) -> Result<bool, ParseError> {
+        let value = self.arg(name).map(|a| a.num::<u64>()).transpose()?;
+        Ok(value.is_some_and(|n| n > 0))
+    }
+}
+
+/// One given flag value, as its row sees it.
+struct Arg<'a> {
+    flag: &'static str,
+    value: &'a str,
+    given: &'a Given<'a>,
+}
+
+impl Arg<'_> {
+    fn invalid(&self) -> ParseError {
+        ParseError(format!("invalid value '{}' for {}", self.value, self.flag))
+    }
+
+    fn num<T: FromStr>(&self) -> Result<T, ParseError> {
+        self.value.parse().map_err(|_| self.invalid())
+    }
+
+    /// `--threads` and `--parallelism` count workers: at least one.
+    fn positive(&self) -> Result<usize, ParseError> {
+        match self.num()? {
+            0 => Err(ParseError(format!("{} must be positive", self.flag))),
+            n => Ok(n),
+        }
+    }
+
+    fn float(&self) -> Result<f64, ParseError> {
+        let v: f64 = self.num()?;
+        if !v.is_finite() {
+            return Err(ParseError(format!("non-finite value for {}", self.flag)));
+        }
+        Ok(v)
+    }
+
+    /// A duration like `5ms`, `250us`, `1.5s` — bare numbers are ms.
+    fn duration(&self) -> Result<Duration, ParseError> {
+        let s = self.value;
+        let (digits, scale) = if let Some(v) = s.strip_suffix("us") {
+            (v, 1e-6)
+        } else if let Some(v) = s.strip_suffix("ms") {
+            (v, 1e-3)
+        } else if let Some(v) = s.strip_suffix('s') {
+            (v, 1.0)
+        } else {
+            (s, 1e-3)
+        };
+        let secs = digits.parse::<f64>().map_err(|_| self.invalid())? * scale;
+        // The upper bound both keeps Duration::from_secs_f64 panic-free
+        // (it rejects ~1.8e19 s and up) and catches absurd simulations.
+        if !secs.is_finite() || !(0.0..=1e9).contains(&secs) {
+            return Err(self.invalid());
+        }
+        Ok(Duration::from_secs_f64(secs))
+    }
+
+    /// A byte rate like `1000000`, `500k`, `10M`, `1G` (bytes/sec).
+    fn rate(&self) -> Result<f64, ParseError> {
+        let s = self.value;
+        let (digits, scale) = match s.chars().last() {
+            Some('k') => (&s[..s.len() - 1], 1e3),
+            Some('M') => (&s[..s.len() - 1], 1e6),
+            Some('G') => (&s[..s.len() - 1], 1e9),
+            _ => (s, 1.0),
+        };
+        let v: f64 = digits.parse().map_err(|_| self.invalid())?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err(ParseError(format!(
+                "--bandwidth must be a positive bytes/sec rate, got '{s}'"
+            )));
+        }
+        Ok(v * scale)
+    }
+
+    /// The link model `--latency` and `--bandwidth` describe together;
+    /// either flag alone keeps the other half ideal.
+    fn link(&self) -> Result<LinkModel, ParseError> {
+        let ideal = LinkModel::ideal();
+        let latency = self.given.arg("--latency").map(|a| a.duration());
+        let bandwidth = self.given.arg("--bandwidth").map(|a| a.rate());
+        Ok(LinkModel::new(
+            latency.transpose()?.unwrap_or(ideal.latency),
+            bandwidth.transpose()?.unwrap_or(ideal.bandwidth),
+        ))
+    }
+
+    fn choice<T: Copy>(&self, options: &[(&str, T)]) -> Result<T, ParseError> {
+        let names: Vec<&str> = options.iter().map(|&(name, _)| name).collect();
+        options
+            .iter()
+            .find(|&&(name, _)| name == self.value)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| ParseError(format!("{} ({})", self.invalid(), names.join("|"))))
+    }
+
+    fn transport(&self) -> Result<TransportKind, ParseError> {
+        use TransportKind::*;
+        self.choice(&[("channel", Channel), ("tcp", Tcp), ("mux", Mux)])
+    }
+
+    fn objective(&self) -> Result<Objective, ParseError> {
+        use Objective::*;
+        self.choice(&[("median", Median), ("means", Means), ("center", Center)])
+    }
+
+    fn trace_format(&self) -> Result<TraceFormat, ParseError> {
+        use TraceFormat::*;
+        self.choice(&[("jsonl", Jsonl), ("chrome", Chrome)])
+    }
+
+    fn encoding(&self) -> Result<Encoding, ParseError> {
+        Encoding::parse(self.value)
+            .ok_or_else(|| ParseError(format!("{} (raw|f32|f16|delta|rlz)", self.invalid())))
+    }
+
+    /// A grid axis from a comma list, every element parsed up front.
+    fn axis<T: 'static>(
+        &self,
+        add: fn(Sweep, &[T]) -> Sweep,
+        elem: fn(&Arg<'_>) -> Result<T, ParseError>,
+    ) -> Result<GridStep, ParseError> {
+        let values = self
+            .value
+            .split(',')
+            .map(|value| elem(&Arg { value, ..*self }))
+            .collect::<Result<Vec<T>, _>>()?;
+        Ok(Box::new(move |sweep| add(sweep, &values)))
+    }
+
+    fn parallelism(&self) -> Result<GridStep, ParseError> {
+        let workers = self.positive()?;
+        Ok(Box::new(move |sweep| sweep.parallelism(workers)))
+    }
+}
+
+/// The job `command` names, in the kind its flags select: `--one-round`
+/// picks the 1-round baseline, `--sync-every` above zero the continuous
+/// stream.
+fn job_kind(command: &str, given: &Given<'_>) -> Result<JobBuilder, ParseError> {
+    let batch = |objective, two_round: fn(usize, usize) -> JobBuilder| {
+        if given.arg("--one-round").is_some() {
+            Job::one_round(objective, K, T)
+        } else {
+            two_round(K, T)
+        }
+    };
+    Ok(match command {
+        "median" => batch(Objective::Median, Job::median),
+        "means" => batch(Objective::Means, Job::means),
+        "center" => batch(Objective::Center, Job::center),
+        "uncertain-median" => Job::uncertain_median(K, T),
+        "subquadratic" => Job::subquadratic(K, T),
+        "stream" if given.positive("--sync-every")? => {
+            if given.positive("--window")? {
+                return Err(ParseError(
+                    "--window and --sync-every are mutually exclusive".into(),
+                ));
+            }
+            Job::continuous(K, T)
+        }
+        "stream" => Job::stream(K, T),
+        other => unreachable!("'{other}' is not a job command"),
+    })
 }
 
 /// Parses `argv[1..]`.
-pub fn parse_args(args: &[String]) -> Result<Options, ParseError> {
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        return Err(ParseError(USAGE.to_string()));
-    }
-    if args[0] == "sweep" {
-        return parse_sweep(&args[1..]);
-    }
-    let command = Command::parse(&args[0])?;
-    let mut opts = default_options(command);
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, ParseError> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| ParseError(format!("missing value after '{a}'")))
-        };
-        match a.as_str() {
-            "--k" => opts.k = parse_num(&take_value(&mut i)?, "--k")?,
-            "--t" => opts.t = parse_num(&take_value(&mut i)?, "--t")?,
-            "--sites" => opts.sites = parse_num(&take_value(&mut i)?, "--sites")?,
-            "--seed" => opts.seed = parse_num(&take_value(&mut i)?, "--seed")?,
-            "--eps" => opts.eps = parse_float(&take_value(&mut i)?, "--eps")?,
-            "--delta" => opts.delta = parse_float(&take_value(&mut i)?, "--delta")?,
-            "--block" => opts.block = parse_num(&take_value(&mut i)?, "--block")?,
-            "--window" => opts.window = parse_num(&take_value(&mut i)?, "--window")?,
-            "--sync-every" => opts.sync_every = parse_num(&take_value(&mut i)?, "--sync-every")?,
-            "--objective" => opts.objective = StreamObjective::parse(&take_value(&mut i)?)?,
-            "--transport" => opts.transport = parse_transport(&take_value(&mut i)?)?,
-            "--encoding" => opts.encoding = parse_encoding(&take_value(&mut i)?)?,
-            "--latency" => opts.latency = parse_duration(&take_value(&mut i)?, "--latency")?,
-            "--bandwidth" => opts.bandwidth = parse_bandwidth(&take_value(&mut i)?)?,
-            "--threads" => opts.threads = parse_num(&take_value(&mut i)?, "--threads")?,
-            "--dropout" => opts.dropout = parse_float(&take_value(&mut i)?, "--dropout")?,
-            "--fault-seed" => opts.fault_seed = parse_num(&take_value(&mut i)?, "--fault-seed")?,
-            "--timeout" => opts.timeout = Some(parse_duration(&take_value(&mut i)?, "--timeout")?),
-            "--retries" => opts.retries = parse_num(&take_value(&mut i)?, "--retries")?,
-            "--trace" => opts.trace = Some(take_value(&mut i)?),
-            "--trace-format" => opts.trace_format = Some(parse_trace_format(&take_value(&mut i)?)?),
-            "--metrics" => opts.metrics = true,
-            "--one-round" => opts.one_round = true,
-            "--json" => opts.json = true,
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!("unknown option '{other}'")));
-            }
-            path => {
-                if !opts.input.is_empty() {
-                    return Err(ParseError(format!("unexpected extra argument '{path}'")));
-                }
-                opts.input = path.to_string();
-            }
-        }
-        i += 1;
-    }
-    if opts.input.is_empty() {
-        return Err(ParseError("missing input CSV path".into()));
-    }
-    if opts.k == 0 {
-        return Err(ParseError("--k must be positive".into()));
-    }
-    if opts.sites == 0 {
-        return Err(ParseError("--sites must be positive".into()));
-    }
-    if opts.eps < 0.0 || opts.delta < 0.0 {
-        return Err(ParseError("--eps/--delta must be non-negative".into()));
-    }
-    if opts.threads == 0 {
-        return Err(ParseError("--threads must be positive".into()));
-    }
-    if !(0.0..1.0).contains(&opts.dropout) {
-        return Err(ParseError("--dropout must lie in [0, 1)".into()));
-    }
-    if opts.command == Command::Stream {
-        if opts.block == 0 {
-            return Err(ParseError("--block must be positive".into()));
-        }
-        if opts.window > 0 && opts.window < opts.block as u64 {
-            return Err(ParseError("--window must be at least one --block".into()));
-        }
-        if opts.window > 0 && opts.sync_every > 0 {
-            return Err(ParseError(
-                "--window and --sync-every are mutually exclusive".into(),
-            ));
-        }
-        if opts.sync_every > 0 && opts.objective == StreamObjective::Center {
-            return Err(ParseError(
-                "--sync-every re-runs Algorithm 1 (median/means only)".into(),
-            ));
-        }
-    }
-    Ok(opts)
-}
-
-/// Parses `dpc sweep <protocol> [options] <input.csv>`.
-fn parse_sweep(args: &[String]) -> Result<Options, ParseError> {
-    let Some(proto) = args.first() else {
-        return Err(ParseError(
-            "sweep needs a protocol: dpc sweep <median|means|center> ...".into(),
-        ));
+pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
+    let command = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => return Err(ParseError(USAGE.to_string())),
+        Some(c) => c,
     };
-    let protocol = Command::parse(proto)?;
-    if !matches!(protocol, Command::Median | Command::Means | Command::Center) {
-        return Err(ParseError(format!(
-            "sweep supports median|means|center, not '{proto}'"
-        )));
-    }
-    let mut opts = default_options(Command::Sweep);
-    let mut spec = SweepSpec::new(protocol);
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, ParseError> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| ParseError(format!("missing value after '{a}'")))
-        };
-        match a.as_str() {
-            "--k" => spec.k = parse_list(&take_value(&mut i)?, "--k", parse_num)?,
-            "--t" => spec.t = parse_list(&take_value(&mut i)?, "--t", parse_num)?,
-            "--eps" => spec.eps = parse_list(&take_value(&mut i)?, "--eps", parse_float)?,
-            "--sites" => spec.sites = parse_list(&take_value(&mut i)?, "--sites", parse_num)?,
-            "--transport" => {
-                spec.transports = parse_list(&take_value(&mut i)?, "--transport", |s, _| {
-                    parse_transport(s)
-                })?
+    let sweep = command == "sweep";
+    let (job, rest) = if sweep {
+        match args.get(1).map(String::as_str) {
+            Some(p) if BATCH.contains(&p) => (p, &args[2..]),
+            Some(p) => {
+                return Err(ParseError(format!(
+                    "sweep supports median|means|center, not '{p}'"
+                )))
             }
-            "--encoding" => {
-                spec.encodings =
-                    parse_list(&take_value(&mut i)?, "--encoding", |s, _| parse_encoding(s))?
-            }
-            "--parallelism" => {
-                spec.parallelism = parse_num(&take_value(&mut i)?, "--parallelism")?;
-                if spec.parallelism == 0 {
-                    return Err(ParseError("--parallelism must be positive".into()));
-                }
-            }
-            "--seed" => opts.seed = parse_num(&take_value(&mut i)?, "--seed")?,
-            "--delta" => opts.delta = parse_float(&take_value(&mut i)?, "--delta")?,
-            "--latency" => opts.latency = parse_duration(&take_value(&mut i)?, "--latency")?,
-            "--bandwidth" => opts.bandwidth = parse_bandwidth(&take_value(&mut i)?)?,
-            "--threads" => opts.threads = parse_num(&take_value(&mut i)?, "--threads")?,
-            "--one-round" => opts.one_round = true,
-            "--json" => opts.json = true,
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!("unknown sweep option '{other}'")));
-            }
-            path => {
-                if !opts.input.is_empty() {
-                    return Err(ParseError(format!("unexpected extra argument '{path}'")));
-                }
-                opts.input = path.to_string();
+            None => {
+                return Err(ParseError(
+                    "sweep needs a protocol: dpc sweep <median|means|center> ...".into(),
+                ))
             }
         }
-        i += 1;
-    }
-    if opts.input.is_empty() {
-        return Err(ParseError("missing input CSV path".into()));
-    }
-    opts.sweep = Some(spec);
-    Ok(opts)
-}
-
-/// Splits a comma-separated list and parses each element.
-fn parse_list<T>(
-    s: &str,
-    flag: &str,
-    elem: impl Fn(&str, &str) -> Result<T, ParseError>,
-) -> Result<Vec<T>, ParseError> {
-    let vs: Result<Vec<T>, ParseError> = s.split(',').map(|part| elem(part, flag)).collect();
-    let vs = vs?;
-    if vs.is_empty() {
-        return Err(ParseError(format!("empty list for {flag}")));
-    }
-    Ok(vs)
-}
-
-fn parse_trace_format(s: &str) -> Result<TraceFormat, ParseError> {
-    match s {
-        "jsonl" => Ok(TraceFormat::Jsonl),
-        "chrome" => Ok(TraceFormat::Chrome),
-        other => Err(ParseError(format!(
-            "unknown trace format '{other}' (jsonl|chrome)"
-        ))),
-    }
-}
-
-fn parse_encoding(s: &str) -> Result<Encoding, ParseError> {
-    Encoding::parse(s)
-        .ok_or_else(|| ParseError(format!("unknown encoding '{s}' (raw|f32|f16|delta|rlz)")))
-}
-
-fn parse_transport(s: &str) -> Result<TransportKind, ParseError> {
-    match s {
-        "channel" => Ok(TransportKind::Channel),
-        "tcp" => Ok(TransportKind::Tcp),
-        "mux" => Ok(TransportKind::Mux),
-        other => Err(ParseError(format!(
-            "unknown transport '{other}' (channel|tcp|mux)"
-        ))),
-    }
-}
-
-/// Parses a duration like `5ms`, `250us`, `1.5s` — bare numbers are ms.
-fn parse_duration(s: &str, flag: &str) -> Result<Duration, ParseError> {
-    let (digits, scale) = if let Some(v) = s.strip_suffix("us") {
-        (v, 1e-6)
-    } else if let Some(v) = s.strip_suffix("ms") {
-        (v, 1e-3)
-    } else if let Some(v) = s.strip_suffix('s') {
-        (v, 1.0)
+    } else if JOBS.contains(&command) {
+        (command, &args[1..])
     } else {
-        (s, 1e-3)
+        return Err(ParseError(format!("unknown command '{command}'")));
     };
-    let v: f64 = digits
-        .parse()
-        .map_err(|_| ParseError(format!("invalid duration '{s}' for {flag}")))?;
-    let secs = v * scale;
-    // The upper bound both keeps Duration::from_secs_f64 panic-free
-    // (it rejects ~1.8e19 s and up) and catches absurd simulations.
-    if !secs.is_finite() || !(0.0..=1e9).contains(&secs) {
-        return Err(ParseError(format!("invalid duration '{s}' for {flag}")));
-    }
-    Ok(Duration::from_secs_f64(secs))
-}
 
-/// Parses a byte rate like `1000000`, `500k`, `10M`, `1G` (bytes/sec).
-fn parse_bandwidth(s: &str) -> Result<f64, ParseError> {
-    let (digits, scale) = match s.chars().last() {
-        Some('k') => (&s[..s.len() - 1], 1e3),
-        Some('M') => (&s[..s.len() - 1], 1e6),
-        Some('G') => (&s[..s.len() - 1], 1e9),
-        _ => (s, 1.0),
-    };
-    let v: f64 = digits
-        .parse()
-        .map_err(|_| ParseError(format!("invalid rate '{s}' for --bandwidth")))?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(ParseError(format!(
-            "--bandwidth must be a positive bytes/sec rate, got '{s}'"
-        )));
+    let mut given = Given(vec![None; FLAGS.len()]);
+    let mut input = None;
+    let mut rest = rest.iter();
+    while let Some(a) = rest.next() {
+        let Some(row) = FLAGS.iter().position(|f| f.name == a) else {
+            if a.starts_with("--") {
+                return Err(ParseError(format!("unknown option '{a}'")));
+            }
+            if input.replace(a.clone()).is_some() {
+                return Err(ParseError(format!("unexpected extra argument '{a}'")));
+            }
+            continue;
+        };
+        let f = &FLAGS[row];
+        let takes = if sweep {
+            !matches!(f.sweep, Rejected)
+        } else {
+            f.jobs.contains(&job)
+        };
+        if !takes {
+            return Err(ParseError(format!(
+                "{} does not apply to '{command}'",
+                f.name
+            )));
+        }
+        given.0[row] = Some(if f.switch {
+            ""
+        } else {
+            rest.next()
+                .ok_or_else(|| ParseError(format!("missing value after '{a}'")))?
+        });
     }
-    Ok(v * scale)
-}
+    let input = input.ok_or_else(|| ParseError("missing input CSV path".into()))?;
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("invalid value '{s}' for {flag}")))
-}
-
-fn parse_float(s: &str, flag: &str) -> Result<f64, ParseError> {
-    let v: f64 = s
-        .parse()
-        .map_err(|_| ParseError(format!("invalid value '{s}' for {flag}")))?;
-    if !v.is_finite() {
-        return Err(ParseError(format!("non-finite value for {flag}")));
+    let mut builder = job_kind(job, &given)?;
+    let mut steps = Vec::new();
+    for (f, value) in FLAGS.iter().zip(&given.0) {
+        let Some(value) = *value else { continue };
+        let arg = Arg {
+            flag: f.name,
+            value,
+            given: &given,
+        };
+        match &f.sweep {
+            Step(step) if sweep => steps.push(step(&arg)?),
+            _ => builder = (f.set)(builder, &arg)?,
+        }
     }
-    Ok(v)
+    Ok(Invocation {
+        input,
+        json: given.arg("--json").is_some(),
+        builder,
+        grid: sweep.then(|| Grid(steps)),
+    })
 }
 
 #[cfg(test)]
@@ -567,202 +557,404 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(parts: &[&str]) -> Result<Invocation, ParseError> {
+        parse_args(&sv(parts))
+    }
+
+    /// The parsed builder, compared through `Debug` (which shows every
+    /// knob, its "was set" marker and any no-effect warning queued).
+    fn job(parts: &[&str]) -> String {
+        format!("{:?}", parse(parts).unwrap().builder)
+    }
+
+    fn built(b: JobBuilder) -> String {
+        format!("{b:?}")
+    }
+
+    /// The parsed grid over the parsed base, with every cell's job.
+    fn grid(parts: &[&str]) -> String {
+        let inv = parse(parts).unwrap();
+        let sweep = inv.grid.expect("a sweep").over(inv.builder);
+        format!("{sweep:?} {:?}", sweep.jobs().unwrap())
+    }
+
+    fn grid_of(sweep: Sweep) -> String {
+        format!("{sweep:?} {:?}", sweep.jobs().unwrap())
+    }
+
+    /// Refused with exit code 2: at parse time or by the API's preflight
+    /// validation.
+    fn refused(parts: &[&str]) -> bool {
+        parse(parts).map_or(true, |inv| crate::run::preflight(&inv).is_err())
+    }
+
+    #[test]
+    fn every_flag_row_sets_its_builder_knob() {
+        let ms = Duration::from_millis;
+        let cases: Vec<(&[&str], &str, Option<&str>, JobBuilder)> = vec![
+            (&["median"], "--k", Some("7"), Job::median(5, 0).k(7)),
+            (&["median"], "--t", Some("3"), Job::median(5, 0).t(3)),
+            (
+                &["median"],
+                "--eps",
+                Some("0.5"),
+                Job::median(5, 0).eps(0.5),
+            ),
+            (
+                &["median"],
+                "--sites",
+                Some("9"),
+                Job::median(5, 0).sites(9),
+            ),
+            (
+                &["median"],
+                "--transport",
+                Some("channel"),
+                Job::median(5, 0).transport(TransportKind::Channel),
+            ),
+            (
+                &["subquadratic"],
+                "--encoding",
+                Some("raw"),
+                Job::subquadratic(5, 0).encoding(Encoding::Raw),
+            ),
+            (&["means"], "--seed", Some("9"), Job::means(5, 0).seed(9)),
+            (
+                &["stream"],
+                "--delta",
+                Some("0"),
+                Job::stream(5, 0).delta(0.0),
+            ),
+            (
+                &["center"],
+                "--threads",
+                Some("3"),
+                Job::center(5, 0).threads(3),
+            ),
+            (
+                &["median"],
+                "--latency",
+                Some("5ms"),
+                Job::median(5, 0).link(LinkModel::new(ms(5), f64::INFINITY)),
+            ),
+            (
+                &["median"],
+                "--bandwidth",
+                Some("1k"),
+                Job::median(5, 0).link(LinkModel::new(Duration::ZERO, 1e3)),
+            ),
+            (
+                &["means"],
+                "--one-round",
+                None,
+                Job::one_round(Objective::Means, 5, 0),
+            ),
+            (&["median"], "--json", None, Job::median(5, 0)),
+            (
+                &["median"],
+                "--dropout",
+                Some("0.1"),
+                Job::median(5, 0).dropout(0.1),
+            ),
+            (
+                &["stream"],
+                "--fault-seed",
+                Some("2"),
+                Job::stream(5, 0).fault_seed(2),
+            ),
+            (
+                &["median"],
+                "--timeout",
+                Some("50ms"),
+                Job::median(5, 0).timeout(ms(50)),
+            ),
+            (
+                &["median"],
+                "--retries",
+                Some("2"),
+                Job::median(5, 0).retries(2),
+            ),
+            (
+                &["median"],
+                "--trace",
+                Some("t.jsonl"),
+                Job::median(5, 0).trace("t.jsonl"),
+            ),
+            (
+                &["median"],
+                "--trace-format",
+                Some("chrome"),
+                Job::median(5, 0).trace_format(TraceFormat::Chrome),
+            ),
+            (
+                &["median"],
+                "--metrics",
+                None,
+                Job::median(5, 0).metrics(true),
+            ),
+            (
+                &["stream"],
+                "--block",
+                Some("64"),
+                Job::stream(5, 0).block(64),
+            ),
+            (
+                &["median"],
+                "--window",
+                Some("64"),
+                Job::median(5, 0).window(64),
+            ),
+            (
+                &["stream"],
+                "--sync-every",
+                Some("100"),
+                Job::continuous(5, 0).sync_every(100),
+            ),
+            (
+                &["stream"],
+                "--objective",
+                Some("center"),
+                Job::stream(5, 0).objective(Objective::Center),
+            ),
+            (
+                &["sweep", "median"],
+                "--parallelism",
+                Some("3"),
+                Job::median(5, 0),
+            ),
+        ];
+        for (cmd, flag, value, expected) in &cases {
+            let mut argv = cmd.to_vec();
+            argv.push(flag);
+            argv.extend(value);
+            argv.push("in.csv");
+            assert_eq!(job(&argv), built(expected.clone()), "{argv:?}");
+        }
+        // The cases cover the table, row for row.
+        let tested: Vec<&str> = cases.iter().map(|c| c.1).collect();
+        let rows: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(tested, rows);
+    }
+
+    #[test]
+    fn usage_and_table_agree() {
+        let mut in_usage: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        in_usage.sort_unstable();
+        in_usage.dedup();
+        let mut rows: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        rows.sort_unstable();
+        assert_eq!(in_usage, rows);
+    }
+
     #[test]
     fn parses_full_invocation() {
-        let o = parse_args(&sv(&[
+        let inv = parse(&[
             "median", "--k", "7", "--t", "12", "--sites", "3", "--eps", "0.5", "--seed", "9",
             "--json", "data.csv",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.command, Command::Median);
-        assert_eq!((o.k, o.t, o.sites, o.seed), (7, 12, 3, 9));
-        assert_eq!(o.eps, 0.5);
-        assert!(o.json);
-        assert_eq!(o.input, "data.csv");
+        assert!(inv.json && inv.grid.is_none());
+        assert_eq!(inv.input, "data.csv");
+        assert_eq!(
+            built(inv.builder),
+            built(Job::median(7, 12).sites(3).eps(0.5).seed(9))
+        );
     }
 
     #[test]
     fn defaults_applied() {
-        let o = parse_args(&sv(&["center", "x.csv"])).unwrap();
-        assert_eq!(o.command, Command::Center);
-        assert_eq!((o.k, o.t, o.sites), (5, 0, 4));
-        assert!(!o.one_round && !o.json);
-        assert_eq!(o.sweep, None);
+        let inv = parse(&["center", "x.csv"]).unwrap();
+        assert_eq!(built(inv.builder), built(Job::center(5, 0)));
+        assert!(!inv.json && inv.grid.is_none());
     }
 
     #[test]
     fn rejects_unknown_command_and_flags() {
-        assert!(parse_args(&sv(&["fit", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--bogus", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--k"])).is_err());
-        assert!(parse_args(&sv(&["median"])).is_err());
-        assert!(parse_args(&sv(&["median", "--k", "0", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "a.csv", "b.csv"])).is_err());
+        assert!(parse(&["fit", "x.csv"]).is_err());
+        assert!(parse(&["median", "--bogus", "x.csv"]).is_err());
+        assert!(parse(&["median", "--k"]).is_err());
+        assert!(parse(&["median"]).is_err());
+        assert!(parse(&["median", "a.csv", "b.csv"]).is_err());
+        assert!(parse(&["median", "--parallelism", "2", "x.csv"]).is_err());
+        // Range checks belong to the API's validation.
+        assert!(refused(&["median", "--k", "0", "x.csv"]));
+        assert!(refused(&["median", "--sites", "0", "x.csv"]));
+        assert!(refused(&["median", "--eps", "-1", "x.csv"]));
     }
 
     #[test]
     fn help_returns_usage() {
-        let err = parse_args(&sv(&["--help"])).unwrap_err();
+        let err = parse(&["--help"]).unwrap_err();
         assert!(err.0.contains("usage"));
+        assert_eq!(parse(&[]).unwrap_err().0, USAGE);
     }
 
     #[test]
     fn stream_flags() {
-        let o = parse_args(&sv(&[
-            "stream",
-            "--k",
-            "3",
-            "--t",
-            "8",
-            "--block",
-            "64",
-            "--window",
-            "512",
-            "--objective",
-            "means",
-            "s.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.command, Command::Stream);
-        assert_eq!((o.block, o.window, o.sync_every), (64, 512, 0));
-        assert_eq!(o.objective, StreamObjective::Means);
-        // Defaults.
-        let o = parse_args(&sv(&["stream", "s.csv"])).unwrap();
-        assert_eq!((o.block, o.window, o.sync_every), (256, 0, 0));
-        assert_eq!(o.objective, StreamObjective::Median);
+        assert_eq!(
+            job(&[
+                "stream",
+                "--k",
+                "3",
+                "--t",
+                "8",
+                "--block",
+                "64",
+                "--window",
+                "512",
+                "--objective",
+                "means",
+                "s.csv",
+            ]),
+            built(
+                Job::stream(3, 8)
+                    .block(64)
+                    .window(512)
+                    .objective(Objective::Means)
+            )
+        );
+        assert_eq!(job(&["stream", "s.csv"]), built(Job::stream(5, 0)));
     }
 
     #[test]
     fn stream_flag_validation() {
         // Window smaller than one block.
-        assert!(parse_args(&sv(&["stream", "--block", "64", "--window", "32", "s.csv"])).is_err());
+        assert!(refused(&[
+            "stream", "--block", "64", "--window", "32", "s.csv"
+        ]));
         // Window and continuous mode together.
-        assert!(parse_args(&sv(&[
-            "stream",
-            "--window",
-            "512",
-            "--sync-every",
-            "100",
-            "s.csv"
-        ]))
-        .is_err());
+        assert!(parse(&["stream", "--window", "512", "--sync-every", "100", "s.csv"]).is_err());
         // Continuous center objective.
-        assert!(parse_args(&sv(&[
+        assert!(refused(&[
             "stream",
             "--sync-every",
             "100",
             "--objective",
             "center",
             "s.csv"
-        ]))
-        .is_err());
+        ]));
         // Bad objective name.
-        assert!(parse_args(&sv(&["stream", "--objective", "mode", "s.csv"])).is_err());
-        assert!(parse_args(&sv(&["stream", "--block", "0", "s.csv"])).is_err());
+        assert!(parse(&["stream", "--objective", "mode", "s.csv"]).is_err());
+        assert!(refused(&["stream", "--block", "0", "s.csv"]));
     }
 
     #[test]
     fn transport_flags() {
-        let o = parse_args(&sv(&[
-            "median",
-            "--transport",
-            "tcp",
-            "--latency",
-            "5ms",
-            "--bandwidth",
-            "10M",
-            "x.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.transport, TransportKind::Tcp);
-        assert_eq!(o.latency, Duration::from_millis(5));
-        assert_eq!(o.bandwidth, 10e6);
-        let o = parse_args(&sv(&["median", "--transport", "mux", "x.csv"])).unwrap();
-        assert_eq!(o.transport, TransportKind::Mux);
-        // Defaults.
-        let o = parse_args(&sv(&["median", "x.csv"])).unwrap();
-        assert_eq!(o.transport, TransportKind::Channel);
-        assert_eq!(o.latency, Duration::ZERO);
-        assert!(o.bandwidth.is_infinite());
-        // Duration forms.
-        let o = parse_args(&sv(&["median", "--latency", "250us", "x.csv"])).unwrap();
-        assert_eq!(o.latency, Duration::from_micros(250));
-        let o = parse_args(&sv(&["median", "--latency", "2", "x.csv"])).unwrap();
-        assert_eq!(o.latency, Duration::from_millis(2));
-        let o = parse_args(&sv(&["median", "--latency", "1.5s", "x.csv"])).unwrap();
-        assert_eq!(o.latency, Duration::from_secs_f64(1.5));
-        // Bandwidth suffixes.
-        let o = parse_args(&sv(&["median", "--bandwidth", "500k", "x.csv"])).unwrap();
-        assert_eq!(o.bandwidth, 5e5);
+        let ms = Duration::from_millis;
+        assert_eq!(
+            job(&[
+                "median",
+                "--transport",
+                "tcp",
+                "--latency",
+                "5ms",
+                "--bandwidth",
+                "10M",
+                "x.csv",
+            ]),
+            built(
+                Job::median(5, 0)
+                    .transport(TransportKind::Tcp)
+                    .link(LinkModel::new(ms(5), 10e6))
+            )
+        );
+        assert_eq!(
+            job(&["median", "--transport", "mux", "x.csv"]),
+            built(Job::median(5, 0).transport(TransportKind::Mux))
+        );
+        // Duration forms and bandwidth suffixes.
+        for (flag, value, link) in [
+            (
+                "--latency",
+                "250us",
+                LinkModel::new(Duration::from_micros(250), f64::INFINITY),
+            ),
+            ("--latency", "2", LinkModel::new(ms(2), f64::INFINITY)),
+            (
+                "--latency",
+                "1.5s",
+                LinkModel::new(Duration::from_secs_f64(1.5), f64::INFINITY),
+            ),
+            ("--bandwidth", "500k", LinkModel::new(Duration::ZERO, 5e5)),
+        ] {
+            assert_eq!(
+                job(&["median", flag, value, "x.csv"]),
+                built(Job::median(5, 0).link(link))
+            );
+        }
         // Rejections.
-        assert!(parse_args(&sv(&["median", "--transport", "udp", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--latency", "-1ms", "x.csv"])).is_err());
+        assert!(parse(&["median", "--transport", "udp", "x.csv"]).is_err());
+        assert!(parse(&["median", "--latency", "-1ms", "x.csv"]).is_err());
         // Durations beyond Duration::from_secs_f64's range must be a
         // ParseError, not a panic.
-        assert!(parse_args(&sv(&["median", "--latency", "1e20s", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--bandwidth", "0", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--bandwidth", "fast", "x.csv"])).is_err());
+        assert!(parse(&["median", "--latency", "1e20s", "x.csv"]).is_err());
+        assert!(parse(&["median", "--bandwidth", "0", "x.csv"]).is_err());
+        assert!(parse(&["median", "--bandwidth", "fast", "x.csv"]).is_err());
     }
 
     #[test]
     fn fault_flags() {
-        let o = parse_args(&sv(&[
-            "median",
-            "--dropout",
-            "0.1",
-            "--fault-seed",
-            "7",
-            "--timeout",
-            "50ms",
-            "--retries",
-            "3",
-            "x.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.dropout, 0.1);
-        assert_eq!(o.fault_seed, 7);
-        assert_eq!(o.timeout, Some(Duration::from_millis(50)));
-        assert_eq!(o.retries, 3);
-        // Defaults: no faults.
-        let o = parse_args(&sv(&["median", "x.csv"])).unwrap();
-        assert_eq!((o.dropout, o.fault_seed, o.retries), (0.0, 0, 0));
-        assert_eq!(o.timeout, None);
+        assert_eq!(
+            job(&[
+                "median",
+                "--dropout",
+                "0.1",
+                "--fault-seed",
+                "7",
+                "--timeout",
+                "50ms",
+                "--retries",
+                "3",
+                "x.csv",
+            ]),
+            built(
+                Job::median(5, 0)
+                    .dropout(0.1)
+                    .fault_seed(7)
+                    .timeout(Duration::from_millis(50))
+                    .retries(3)
+            )
+        );
         // Rejections.
-        assert!(parse_args(&sv(&["median", "--dropout", "1.0", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--dropout", "-0.1", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--timeout", "soon", "x.csv"])).is_err());
+        assert!(refused(&["median", "--dropout", "1.0", "x.csv"]));
+        assert!(refused(&["median", "--dropout", "-0.1", "x.csv"]));
+        assert!(parse(&["median", "--timeout", "soon", "x.csv"]).is_err());
     }
 
     #[test]
     fn observability_flags() {
-        let o = parse_args(&sv(&[
-            "median",
-            "--trace",
-            "run.jsonl",
-            "--trace-format",
-            "chrome",
-            "--metrics",
-            "x.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.trace.as_deref(), Some("run.jsonl"));
-        assert_eq!(o.trace_format, Some(TraceFormat::Chrome));
-        assert!(o.metrics);
-        // Defaults: everything off, format unset (not merely jsonl).
-        let o = parse_args(&sv(&["median", "x.csv"])).unwrap();
-        assert_eq!(o.trace, None);
-        assert_eq!(o.trace_format, None);
-        assert!(!o.metrics);
-        let o = parse_args(&sv(&["median", "--trace-format", "jsonl", "x.csv"])).unwrap();
-        assert_eq!(o.trace_format, Some(TraceFormat::Jsonl));
+        assert_eq!(
+            job(&[
+                "median",
+                "--trace",
+                "run.jsonl",
+                "--trace-format",
+                "chrome",
+                "--metrics",
+                "x.csv",
+            ]),
+            built(
+                Job::median(5, 0)
+                    .trace("run.jsonl")
+                    .trace_format(TraceFormat::Chrome)
+                    .metrics(true)
+            )
+        );
+        assert_eq!(
+            job(&["median", "--trace-format", "jsonl", "x.csv"]),
+            built(Job::median(5, 0).trace_format(TraceFormat::Jsonl))
+        );
         // Rejections.
-        assert!(parse_args(&sv(&["median", "--trace-format", "xml", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["median", "--trace", "x.csv"])).is_err());
+        assert!(parse(&["median", "--trace-format", "xml", "x.csv"]).is_err());
+        assert!(parse(&["median", "--trace", "x.csv"]).is_err());
     }
 
     #[test]
     fn sweep_parses_comma_lists() {
-        let o = parse_args(&sv(&[
+        let parts = [
             "sweep",
             "median",
             "--k",
@@ -778,108 +970,112 @@ mod tests {
             "--seed",
             "9",
             "grid.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.command, Command::Sweep);
-        assert_eq!(o.input, "grid.csv");
-        assert_eq!(o.seed, 9);
-        let s = o.sweep.unwrap();
-        assert_eq!(s.protocol, Command::Median);
-        assert_eq!(s.k, vec![2, 4]);
-        assert_eq!(s.t, vec![1, 8]);
-        assert_eq!(s.sites, vec![3]);
-        assert_eq!(
-            s.transports,
-            vec![
-                TransportKind::Channel,
-                TransportKind::Tcp,
-                TransportKind::Mux
-            ]
-        );
-        assert_eq!(s.parallelism, 2);
+        ];
+        let inv = parse(&parts).unwrap();
+        assert_eq!(inv.input, "grid.csv");
+        assert_eq!(built(inv.builder), built(Job::median(5, 0).seed(9)));
+        use TransportKind::{Channel, Mux, Tcp};
+        let expected = Sweep::grid(Job::median(5, 0).seed(9))
+            .k(&[2, 4])
+            .t(&[1, 8])
+            .sites(&[3])
+            .transports(&[Channel, Tcp, Mux])
+            .parallelism(2);
+        assert_eq!(expected.cells(), 12);
+        assert_eq!(grid(&parts), grid_of(expected));
     }
 
     #[test]
     fn sweep_defaults_and_rejections() {
-        let o = parse_args(&sv(&["sweep", "center", "x.csv"])).unwrap();
-        let s = o.sweep.unwrap();
-        assert_eq!(s.protocol, Command::Center);
-        assert_eq!((s.k.as_slice(), s.t.as_slice()), (&[5][..], &[0][..]));
-        assert_eq!(s.parallelism, 0);
+        let inv = parse(&["sweep", "center", "x.csv"]).unwrap();
+        assert_eq!(built(inv.builder.clone()), built(Job::center(5, 0)));
+        assert_eq!(inv.grid.unwrap().over(inv.builder).cells(), 1);
         // Needs a protocol, and a sweepable one.
-        assert!(parse_args(&sv(&["sweep"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "stream", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "uncertain-median", "x.csv"])).is_err());
+        assert!(parse(&["sweep"]).is_err());
+        assert!(parse(&["sweep", "stream", "x.csv"]).is_err());
+        assert!(parse(&["sweep", "uncertain-median", "x.csv"]).is_err());
         // Bad list element.
-        assert!(parse_args(&sv(&["sweep", "median", "--k", "2,x", "a.csv"])).is_err());
+        assert!(parse(&["sweep", "median", "--k", "2,x", "a.csv"]).is_err());
         // Missing input.
-        assert!(parse_args(&sv(&["sweep", "median", "--k", "2"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "median", "--parallelism", "0", "a.csv"])).is_err());
+        assert!(parse(&["sweep", "median", "--k", "2"]).is_err());
+        assert!(parse(&["sweep", "median", "--parallelism", "0", "a.csv"]).is_err());
+        // Flags outside the sweep column.
+        assert!(parse(&["sweep", "median", "--block", "64", "a.csv"]).is_err());
+        assert!(parse(&["sweep", "median", "--metrics", "a.csv"]).is_err());
     }
 
     #[test]
     fn encoding_flags() {
-        let o = parse_args(&sv(&["median", "--encoding", "f16", "x.csv"])).unwrap();
-        assert_eq!(o.encoding, Encoding::F16);
-        // Default: raw, exactly the pre-codec wire.
-        let o = parse_args(&sv(&["median", "x.csv"])).unwrap();
-        assert_eq!(o.encoding, Encoding::Raw);
-        // Stream continuous mode takes it too.
-        let o = parse_args(&sv(&[
-            "stream",
-            "--sync-every",
-            "100",
-            "--encoding",
-            "rlz",
-            "s.csv",
-        ]))
-        .unwrap();
-        assert_eq!(o.encoding, Encoding::Rlz);
-        // Sweep axis: comma list.
-        let o = parse_args(&sv(&[
-            "sweep",
-            "median",
-            "--encoding",
-            "raw,f32,delta",
-            "grid.csv",
-        ]))
-        .unwrap();
-        let s = o.sweep.unwrap();
         assert_eq!(
-            s.encodings,
-            vec![Encoding::Raw, Encoding::F32, Encoding::Delta]
+            job(&["median", "--encoding", "f16", "x.csv"]),
+            built(Job::median(5, 0).encoding(Encoding::F16))
         );
-        // Default sweep axis is raw only.
-        let o = parse_args(&sv(&["sweep", "median", "grid.csv"])).unwrap();
-        assert_eq!(o.sweep.unwrap().encodings, vec![Encoding::Raw]);
+        // Stream continuous mode takes it too.
+        assert_eq!(
+            job(&[
+                "stream",
+                "--sync-every",
+                "100",
+                "--encoding",
+                "rlz",
+                "s.csv",
+            ]),
+            built(
+                Job::continuous(5, 0)
+                    .sync_every(100)
+                    .encoding(Encoding::Rlz)
+            )
+        );
+        // Sweep axis: comma list.
+        use Encoding::{Delta, Raw, F32};
+        assert_eq!(
+            grid(&["sweep", "median", "--encoding", "raw,f32,delta", "g.csv"]),
+            grid_of(Sweep::grid(Job::median(5, 0)).encodings(&[Raw, F32, Delta]))
+        );
         // Rejections.
-        assert!(parse_args(&sv(&["median", "--encoding", "gzip", "x.csv"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "median", "--encoding", "raw,zip", "g.csv"])).is_err());
+        assert!(parse(&["median", "--encoding", "gzip", "x.csv"]).is_err());
+        assert!(parse(&["sweep", "median", "--encoding", "raw,zip", "g.csv"]).is_err());
     }
 
     #[test]
     fn threads_flag() {
-        let o = parse_args(&sv(&["median", "--threads", "4", "x.csv"])).unwrap();
-        assert_eq!(o.threads, 4);
-        let o = parse_args(&sv(&["median", "x.csv"])).unwrap();
-        assert_eq!(o.threads, 1);
-        assert!(parse_args(&sv(&["median", "--threads", "0", "x.csv"])).is_err());
-        let o = parse_args(&sv(&["sweep", "median", "--threads", "2", "x.csv"])).unwrap();
-        assert_eq!(o.threads, 2);
+        assert_eq!(
+            job(&["median", "--threads", "4", "x.csv"]),
+            built(Job::median(5, 0).threads(4))
+        );
+        assert_eq!(
+            job(&["sweep", "median", "--threads", "2", "x.csv"]),
+            built(Job::median(5, 0).threads(2))
+        );
+        // Zero is a parse error on every command, sweep included.
+        assert!(parse(&["median", "--threads", "0", "x.csv"]).is_err());
+        assert!(parse(&["sweep", "median", "--threads", "0", "x.csv"]).is_err());
     }
 
     #[test]
     fn blobs_spec_is_a_valid_input_argument() {
-        let o = parse_args(&sv(&["median", "--k", "3", "blobs:n=100,dim=8"])).unwrap();
-        assert_eq!(o.input, "blobs:n=100,dim=8");
+        let inv = parse(&["median", "--k", "3", "blobs:n=100,dim=8"]).unwrap();
+        assert_eq!(inv.input, "blobs:n=100,dim=8");
     }
 
     #[test]
     fn one_round_and_delta() {
-        let o = parse_args(&sv(&["center", "--one-round", "x.csv"])).unwrap();
-        assert!(o.one_round);
-        let o = parse_args(&sv(&["median", "--delta", "0.25", "x.csv"])).unwrap();
-        assert_eq!(o.delta, 0.25);
-        assert!(parse_args(&sv(&["median", "--delta", "-1", "x.csv"])).is_err());
+        assert_eq!(
+            job(&["center", "--one-round", "x.csv"]),
+            built(Job::one_round(Objective::Center, 5, 0))
+        );
+        assert_eq!(
+            job(&["sweep", "means", "--one-round", "x.csv"]),
+            built(Job::one_round(Objective::Means, 5, 0))
+        );
+        assert_eq!(
+            job(&["median", "--delta", "0.25", "x.csv"]),
+            built(Job::median(5, 0).delta(0.25))
+        );
+        assert!(refused(&["median", "--delta", "-1", "x.csv"]));
+        // Only the protocols with a 1-round variant take the flag.
+        for cmd in ["stream", "uncertain-median", "subquadratic"] {
+            assert!(parse(&[cmd, "--one-round", "x.csv"]).is_err(), "{cmd}");
+        }
     }
 }

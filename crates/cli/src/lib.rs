@@ -1,6 +1,9 @@
 //! Library backing the `dpc` command-line tool.
 //!
 //! Split out of `main.rs` so parsing and orchestration are unit-testable.
+//! [`parse_args`] reads argv through one flag table straight onto a
+//! `dpc::api::JobBuilder` (plus a [`Grid`] of `dpc::api::Sweep` axes for
+//! `dpc sweep`); [`preflight`] and [`execute`] hand that job to the API.
 //! The CLI runs the distributed partial-clustering protocols on CSV data:
 //!
 //! ```text
@@ -22,9 +25,9 @@ pub mod args;
 pub mod csv;
 pub mod run;
 
-pub use args::{parse_args, Command, Options, StreamObjective, SweepSpec};
+pub use args::{parse_args, Grid, Invocation};
 pub use csv::{
     for_each_point_row, parse_points_csv, parse_uncertain_csv, read_points_csv, read_uncertain_csv,
 };
 pub use dpc::api::{Artifact, ConfigWarning, RoundBreakdown};
-pub use run::{execute, execute_sweep, is_synthetic_input, job_for, preflight};
+pub use run::{execute, execute_sweep, is_synthetic_input, preflight};

@@ -5,7 +5,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match dpc_cli::parse_args(&args) {
+    let inv = match dpc_cli::parse_args(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
@@ -15,7 +15,7 @@ fn main() -> ExitCode {
     // Typed validation before any data is read: hard ConfigErrors (e.g.
     // `stream --eps 0`) abort here; structured no-effect warnings go to
     // stderr so JSON output stays clean.
-    let warnings = match dpc_cli::preflight(&opts) {
+    let warnings = match dpc_cli::preflight(&inv) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("error: {e}");
@@ -28,21 +28,21 @@ fn main() -> ExitCode {
     // Rows stream through a buffered reader; the file is never held in
     // memory whole. `blobs:` specs generate their workload in-process and
     // read nothing.
-    let reader: Box<dyn std::io::BufRead> = if dpc_cli::is_synthetic_input(&opts.input) {
+    let reader: Box<dyn std::io::BufRead> = if dpc_cli::is_synthetic_input(&inv.input) {
         Box::new(std::io::empty())
     } else {
-        match std::fs::File::open(&opts.input) {
+        match std::fs::File::open(&inv.input) {
             Ok(f) => Box::new(std::io::BufReader::new(f)),
             Err(e) => {
-                eprintln!("cannot read '{}': {e}", opts.input);
+                eprintln!("cannot read '{}': {e}", inv.input);
                 return ExitCode::from(1);
             }
         }
     };
-    if opts.command == dpc_cli::Command::Sweep {
-        return match dpc_cli::execute_sweep(&opts, reader) {
+    if inv.grid.is_some() {
+        return match dpc_cli::execute_sweep(&inv, reader) {
             Ok(artifacts) => {
-                if opts.json {
+                if inv.json {
                     println!("{}", dpc::api::json_table(&artifacts));
                 } else {
                     print!("{}", dpc::api::csv_table(&artifacts));
@@ -55,9 +55,9 @@ fn main() -> ExitCode {
             }
         };
     }
-    match dpc_cli::execute(&opts, reader) {
+    match dpc_cli::execute(&inv, reader) {
         Ok(artifact) => {
-            if opts.json {
+            if inv.json {
                 println!("{}", artifact.to_json());
             } else {
                 print!("{}", artifact.text());

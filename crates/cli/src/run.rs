@@ -1,14 +1,13 @@
-//! Orchestration: a thin `Options -> dpc::api::Job` adapter.
+//! Orchestration: runs a parsed [`Invocation`] through `dpc::api`.
 //!
-//! Everything protocol-shaped lives behind the typed API now: this module
-//! only loads CSV rows, builds the matching [`Job`], and renders the
-//! returned [`Artifact`] (text or the shared JSON schema). Configuration
-//! smells are the API's typed diagnostics — [`preflight`] surfaces
+//! Everything protocol-shaped lives behind the typed API: this module
+//! only loads CSV rows, attaches them to the parsed job, and returns the
+//! [`Artifact`] (text or the shared JSON schema). Configuration smells
+//! are the API's typed diagnostics — [`preflight`] surfaces
 //! [`ConfigWarning`]s before any data is read, and hard
-//! `dpc::api::ConfigError`s (like `stream --eps 0`, formerly a warning)
-//! abort the run.
+//! `dpc::api::ConfigError`s (like `stream --eps 0`) abort the run.
 
-use crate::args::{Command, Options, StreamObjective, SweepSpec};
+use crate::args::Invocation;
 use crate::csv::{for_each_point_row, read_points_csv, read_uncertain_csv};
 use dpc::prelude::*;
 use dpc::workloads::{gaussian_blobs, BlobsSpec};
@@ -62,194 +61,69 @@ fn parse_blobs_spec(input: &str) -> Result<BlobsSpec, String> {
 
 /// Loads the point input: a generated blob workload for `blobs:` specs,
 /// otherwise CSV rows from the reader.
-fn load_points<R: BufRead>(opts: &Options, input: R) -> Result<PointSet, String> {
-    if is_synthetic_input(&opts.input) {
-        Ok(gaussian_blobs(parse_blobs_spec(&opts.input)?).points)
+fn load_points<R: BufRead>(spec: &str, input: R) -> Result<PointSet, String> {
+    if is_synthetic_input(spec) {
+        Ok(gaussian_blobs(parse_blobs_spec(spec)?).points)
     } else {
         read_points_csv(input).map_err(|e| e.to_string())
     }
 }
 
-fn objective_of(o: StreamObjective) -> Objective {
-    match o {
-        StreamObjective::Median => Objective::Median,
-        StreamObjective::Means => Objective::Means,
-        StreamObjective::Center => Objective::Center,
-    }
-}
-
-/// Applies the shared CLI knobs (sites, seed, eps, transport, link, the
-/// counts-only delta) to a job builder.
-fn apply_common(opts: &Options, mut b: JobBuilder) -> JobBuilder {
-    b = b
-        .eps(opts.eps)
-        .sites(opts.sites)
-        .seed(opts.seed)
-        .threads(opts.threads)
-        .link(LinkModel::new(opts.latency, opts.bandwidth));
-    // Only an explicit backend choice should count as "transport flags
-    // set" for no-effect warnings; the link model tracks itself.
-    if opts.transport != TransportKind::Channel {
-        b = b.transport(opts.transport);
-    }
-    // Same convention for the wire codec: the default (raw) never
-    // reaches the builder, so codec-free commands stay warning-free
-    // unless the user actually asked for an encoding.
-    if opts.encoding != Encoding::Raw {
-        b = b.encoding(opts.encoding);
-    }
-    if opts.delta > 0.0 {
-        b = b.delta(opts.delta);
-    }
-    // Fault-injection knobs follow the same convention: only explicit,
-    // non-default values reach the builder, so protocol-free commands
-    // keep a clean warning slate unless the user actually asked for
-    // faults.
-    if opts.dropout > 0.0 {
-        b = b.dropout(opts.dropout);
-    }
-    if opts.fault_seed != 0 {
-        b = b.fault_seed(opts.fault_seed);
-    }
-    if let Some(t) = opts.timeout {
-        b = b.timeout(t);
-    }
-    if opts.retries > 0 {
-        b = b.retries(opts.retries);
-    }
-    // Observability knobs: an explicit format with no path still reaches
-    // the builder so the no-effect warning surfaces in preflight.
-    if let Some(path) = &opts.trace {
-        b = b.trace(path);
-    }
-    if let Some(format) = opts.trace_format {
-        b = b.trace_format(format);
-    }
-    if opts.metrics {
-        b = b.metrics(true);
-    }
-    b
-}
-
-/// The `Options -> Job` adapter: builds the (dataless) job an invocation
-/// describes. Attach data and run via the API.
-pub fn job_for(opts: &Options) -> JobBuilder {
-    let b = match opts.command {
-        Command::Median if opts.one_round => Job::one_round(Objective::Median, opts.k, opts.t),
-        Command::Means if opts.one_round => Job::one_round(Objective::Means, opts.k, opts.t),
-        Command::Center if opts.one_round => Job::one_round(Objective::Center, opts.k, opts.t),
-        Command::Median => Job::median(opts.k, opts.t),
-        Command::Means => Job::means(opts.k, opts.t),
-        Command::Center => Job::center(opts.k, opts.t),
-        Command::UncertainMedian => Job::uncertain_median(opts.k, opts.t),
-        Command::Subquadratic => Job::subquadratic(opts.k, opts.t),
-        Command::Stream if opts.sync_every > 0 => Job::continuous(opts.k, opts.t)
-            .sync_every(opts.sync_every)
-            .objective(objective_of(opts.objective))
-            .block(opts.block),
-        Command::Stream if opts.window > 0 => Job::stream(opts.k, opts.t)
-            .window(opts.window)
-            .objective(objective_of(opts.objective))
-            .block(opts.block),
-        Command::Stream => Job::stream(opts.k, opts.t)
-            .objective(objective_of(opts.objective))
-            .block(opts.block),
-        Command::Sweep => {
-            let spec = opts.sweep.as_ref().expect("sweep options carry a spec");
-            let (k, t) = (spec.k[0], spec.t[0]);
-            match (spec.protocol, opts.one_round) {
-                (Command::Median, false) => Job::median(k, t),
-                (Command::Means, false) => Job::means(k, t),
-                (Command::Center, false) => Job::center(k, t),
-                (Command::Median, true) => Job::one_round(Objective::Median, k, t),
-                (Command::Means, true) => Job::one_round(Objective::Means, k, t),
-                (Command::Center, true) => Job::one_round(Objective::Center, k, t),
-                _ => unreachable!("parse restricts sweep protocols"),
-            }
-        }
-    };
-    apply_common(opts, b)
-}
-
-/// Builds the sweep grid an invocation describes (no data attached yet).
-fn sweep_for(opts: &Options, base: JobBuilder) -> Sweep {
-    let spec: &SweepSpec = opts.sweep.as_ref().expect("sweep options carry a spec");
-    let mut sweep = Sweep::grid(base)
-        .k(&spec.k)
-        .t(&spec.t)
-        .eps(&spec.eps)
-        .sites(&spec.sites)
-        .transports(&spec.transports)
-        // Last axis varies fastest: each parameter point's encodings sit
-        // on adjacent rows, reading directly as its bytes ⇄ quality
-        // frontier.
-        .encodings(&spec.encodings);
-    if spec.parallelism > 0 {
-        sweep = sweep.parallelism(spec.parallelism);
-    }
-    sweep
-}
-
 /// Validates the invocation before any data is read: hard errors abort,
 /// structured no-effect warnings are returned for stderr.
-pub fn preflight(opts: &Options) -> Result<Vec<ConfigWarning>, String> {
-    match opts.command {
-        Command::Sweep => {
-            let jobs = sweep_for(opts, job_for(opts))
-                .jobs()
-                .map_err(|e| e.to_string())?;
-            let mut warnings: Vec<ConfigWarning> = Vec::new();
-            for job in &jobs {
-                for w in job.warnings() {
-                    if !warnings.contains(w) {
-                        warnings.push(w.clone());
-                    }
-                }
-            }
-            Ok(warnings)
-        }
-        _ => job_for(opts)
+pub fn preflight(inv: &Invocation) -> Result<Vec<ConfigWarning>, String> {
+    let Some(grid) = &inv.grid else {
+        return inv
+            .builder
+            .clone()
             .validate()
             .map(|vj| vj.warnings().to_vec())
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.to_string());
+    };
+    let jobs = grid.over(inv.builder.clone()).jobs();
+    let jobs = jobs.map_err(|e| e.to_string())?;
+    let mut warnings: Vec<ConfigWarning> = Vec::new();
+    for w in jobs.iter().flat_map(ValidJob::warnings) {
+        if !warnings.contains(w) {
+            warnings.push(w.clone());
+        }
     }
+    Ok(warnings)
 }
 
 /// Executes the parsed invocation, reading CSV rows from `input`.
-pub fn execute<R: BufRead>(opts: &Options, input: R) -> Result<Artifact, String> {
-    match opts.command {
-        Command::Sweep => Err("sweep invocations go through execute_sweep".into()),
-        Command::Stream => execute_stream(opts, input),
-        Command::UncertainMedian => {
-            if is_synthetic_input(&opts.input) {
+pub fn execute<R: BufRead>(inv: &Invocation, input: R) -> Result<Artifact, String> {
+    if inv.grid.is_some() {
+        return Err("sweep invocations go through execute_sweep".into());
+    }
+    let job = match inv.builder.job() {
+        Job::Stream { .. } | Job::Continuous { .. } => return execute_stream(inv, input),
+        Job::UncertainMedian => {
+            if is_synthetic_input(&inv.input) {
                 return Err("blobs: input generates points; uncertain-median needs a CSV".into());
             }
             let nodes = read_uncertain_csv(input).map_err(|e| e.to_string())?;
-            let job = job_for(opts).data(nodes);
-            Ok(job.validate().map_err(|e| e.to_string())?.run())
+            inv.builder.clone().data(nodes)
         }
-        _ => {
-            let points = load_points(opts, input)?;
-            let job = job_for(opts).points(points);
-            Ok(job.validate().map_err(|e| e.to_string())?.run())
-        }
-    }
+        _ => inv.builder.clone().points(load_points(&inv.input, input)?),
+    };
+    Ok(job.validate().map_err(|e| e.to_string())?.run())
 }
 
 /// Executes a `dpc sweep` invocation: one artifact per grid cell.
-pub fn execute_sweep<R: BufRead>(opts: &Options, input: R) -> Result<Vec<Artifact>, String> {
-    let points = load_points(opts, input)?;
-    let base = job_for(opts).points(points);
-    sweep_for(opts, base).run().map_err(|e| e.to_string())
+pub fn execute_sweep<R: BufRead>(inv: &Invocation, input: R) -> Result<Vec<Artifact>, String> {
+    let grid = inv.grid.as_ref().ok_or("not a sweep invocation")?;
+    let base = inv.builder.clone().points(load_points(&inv.input, input)?);
+    grid.over(base).run().map_err(|e| e.to_string())
 }
 
-/// Runs the `stream` subcommand: rows are fed to the engine in arrival
-/// order as they are parsed — the full input is never materialized.
-fn execute_stream<R: BufRead>(opts: &Options, input: R) -> Result<Artifact, String> {
-    let valid = job_for(opts).validate().map_err(|e| e.to_string())?;
+/// Runs a streaming job: rows are fed to the engine in arrival order as
+/// they are parsed — the full input is never materialized.
+fn execute_stream<R: BufRead>(inv: &Invocation, input: R) -> Result<Artifact, String> {
+    let valid = inv.builder.clone().validate().map_err(|e| e.to_string())?;
     let mut session = valid.session();
-    let rows = if is_synthetic_input(&opts.input) {
-        let points = gaussian_blobs(parse_blobs_spec(&opts.input)?).points;
+    let rows = if is_synthetic_input(&inv.input) {
+        let points = load_points(&inv.input, input)?;
         for (_, p) in points.iter() {
             session.push(p);
         }
@@ -264,10 +138,14 @@ fn execute_stream<R: BufRead>(opts: &Options, input: R) -> Result<Artifact, Stri
     if rows == 0 {
         return Err("no data rows".into());
     }
-    if rows < opts.k {
-        return Err(format!("k={} exceeds the {} input points", opts.k, rows));
+    let artifact = session.finish();
+    if rows < artifact.k {
+        return Err(format!(
+            "k={} exceeds the {} input points",
+            artifact.k, rows
+        ));
     }
-    Ok(session.finish())
+    Ok(artifact)
 }
 
 #[cfg(test)]
@@ -275,7 +153,7 @@ mod tests {
     use super::*;
     use crate::args::parse_args;
 
-    fn opts(parts: &[&str]) -> Options {
+    fn opts(parts: &[&str]) -> Invocation {
         let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
         parse_args(&v).unwrap()
     }
@@ -795,6 +673,38 @@ mod tests {
         // A sweep with an invalid cell fails fast.
         let o = opts(&["sweep", "median", "--k", "0,2", "in.csv"]);
         assert!(execute_sweep(&o, toy_csv().as_bytes()).is_err());
+    }
+
+    #[test]
+    fn sweep_flag_order_does_not_change_the_grid() {
+        // Axes nest in flag-table order, whatever order argv gives them.
+        let table = |parts: &[&str]| {
+            dpc::api::csv_table(&execute_sweep(&opts(parts), toy_csv().as_bytes()).unwrap())
+        };
+        let a = table(&[
+            "sweep",
+            "median",
+            "--encoding",
+            "raw,f32",
+            "--k",
+            "2,4",
+            "--t",
+            "1",
+            "in.csv",
+        ]);
+        let b = table(&[
+            "sweep",
+            "median",
+            "--k",
+            "2,4",
+            "--encoding",
+            "raw,f32",
+            "--t",
+            "1",
+            "in.csv",
+        ]);
+        assert_eq!(a, b);
+        assert_eq!(a.lines().count(), 5);
     }
 
     #[test]

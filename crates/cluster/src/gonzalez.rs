@@ -69,16 +69,16 @@ pub fn gonzalez<M: Metric>(
 /// [`gonzalez`] with an explicit thread budget for the per-step relax
 /// scan (the `O(n)` distance pass against the newest selection).
 ///
-/// The relax runs through the bulk [`Metric::relax_min_block`] kernel —
-/// Euclidean metrics skip points whose partial distance already proves no
-/// improvement — and the farthest-point bookkeeping stays on the calling
-/// thread in index order. When the budget is serial *and* the metric
-/// reports its relax kernel cannot prune ([`Metric::relax_min_prunes`],
-/// e.g. Euclidean at low dimension), the traversal instead fuses the
-/// relax and the farthest scan into one pass over the state — the bulk
-/// kernel would otherwise pay for a second full sweep it cannot win
-/// back. The ordering, radii, and assignments are identical to the
-/// scalar traversal on every path, at any budget.
+/// The relax runs through a bulk kernel —
+/// [`Metric::relax_min_block_bounded`] for metrics with per-point norms
+/// ([`Metric::relax_norms`], i.e. Euclidean), which skips points the
+/// reverse triangle inequality proves cannot improve, else
+/// [`Metric::relax_min_block`] — and the farthest-point scan stays on the
+/// calling thread in index order. A serial traversal over a metric
+/// without norms instead fuses the relax and the farthest scan into one
+/// pass over the state, sparing the second full sweep. The ordering,
+/// radii, and assignments are identical to the scalar traversal on every
+/// path, at any budget.
 pub fn gonzalez_with<M: Metric>(
     metric: &M,
     ids: &[usize],
@@ -117,7 +117,7 @@ pub fn gonzalez_recorded<M: Metric>(
     // O(1) per point regardless of dimension, so the bulk relax wins
     // even where partial-distance pruning cannot pay for itself.
     let norms = metric.relax_norms(ids);
-    let fused = threads.is_serial() && !metric.relax_min_prunes() && norms.is_empty();
+    let fused = threads.is_serial() && norms.is_empty();
 
     let mut order = Vec::with_capacity(m);
     let mut radii = Vec::with_capacity(m);

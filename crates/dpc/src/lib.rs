@@ -76,9 +76,10 @@
 //! ## Migrating from the free functions
 //!
 //! The historical entry points (`run_distributed_median`,
-//! `run_one_round_center`, `subquadratic_median`, …) still work and are
-//! exactly what [`api::Job`] drives under the hood — job-driven runs are
-//! byte-identical — but their prelude re-exports are deprecated. Replace
+//! `run_one_round_center`, `subquadratic_median`, …) are exactly what
+//! [`api::Job`] drives under the hood — job-driven runs are
+//! byte-identical — and live at their crate paths ([`core`],
+//! [`uncertain`]), not in the prelude. Replace
 //!
 //! ```text
 //! run_distributed_median(&shards, MedianConfig::new(k, t), RunOptions::default())
@@ -91,8 +92,8 @@
 //! ```
 //!
 //! Code that needs the raw `ProtocolOutput` (e.g. to inspect
-//! coordinator-side weights) can keep calling the originals at their
-//! crate-level paths ([`core`], [`uncertain`]) without deprecation.
+//! coordinator-side weights) calls the originals at those paths, e.g.
+//! `dpc::core::run_distributed_median`.
 
 pub use dpc_api as api;
 pub use dpc_cluster as cluster;
@@ -105,95 +106,8 @@ pub use dpc_stream as stream;
 pub use dpc_uncertain as uncertain;
 pub use dpc_workloads as workloads;
 
-/// Deprecated free-function entry points, kept as thin shims so existing
-/// code migrates to [`api::Job`] on its own schedule without breaking.
-mod shims {
-    use dpc_coordinator::{ProtocolOutput, RunOptions};
-    use dpc_core::subquadratic::CentralizedSolution;
-    use dpc_core::{CenterConfig, DistributedSolution, MedianConfig, SubquadraticParams};
-    use dpc_metric::PointSet;
-    use dpc_uncertain::{CenterGConfig, NodeSet, UncertainConfig, UncertainSolution};
-
-    #[deprecated(note = "use dpc::api::Job::median(k, t).shards(..).validate()?.run()")]
-    /// Deprecated shim for [`dpc_core::run_distributed_median`].
-    pub fn run_distributed_median(
-        shards: &[PointSet],
-        cfg: MedianConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<DistributedSolution> {
-        dpc_core::run_distributed_median(shards, cfg, options)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::center(k, t).shards(..).validate()?.run()")]
-    /// Deprecated shim for [`dpc_core::run_distributed_center`].
-    pub fn run_distributed_center(
-        shards: &[PointSet],
-        cfg: CenterConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<DistributedSolution> {
-        dpc_core::run_distributed_center(shards, cfg, options)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::one_round(Objective::Median, k, t)")]
-    /// Deprecated shim for [`dpc_core::run_one_round_median`].
-    pub fn run_one_round_median(
-        shards: &[PointSet],
-        cfg: MedianConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<DistributedSolution> {
-        dpc_core::run_one_round_median(shards, cfg, options)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::one_round(Objective::Center, k, t)")]
-    /// Deprecated shim for [`dpc_core::run_one_round_center`].
-    pub fn run_one_round_center(
-        shards: &[PointSet],
-        cfg: CenterConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<DistributedSolution> {
-        dpc_core::run_one_round_center(shards, cfg, options)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::subquadratic(k, t).points(..)")]
-    /// Deprecated shim for [`dpc_core::subquadratic_median`].
-    pub fn subquadratic_median(
-        points: &PointSet,
-        k: usize,
-        t: usize,
-        params: SubquadraticParams,
-    ) -> CentralizedSolution {
-        dpc_core::subquadratic_median(points, k, t, params)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::uncertain_median(k, t).data(..)")]
-    /// Deprecated shim for [`dpc_uncertain::run_uncertain_median`].
-    pub fn run_uncertain_median(
-        shards: &[NodeSet],
-        cfg: UncertainConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<UncertainSolution> {
-        dpc_uncertain::run_uncertain_median(shards, cfg, options)
-    }
-
-    #[deprecated(note = "use dpc::api::Job::center_g(k, t).data(..)")]
-    /// Deprecated shim for [`dpc_uncertain::run_center_g`].
-    pub fn run_center_g(
-        shards: &[NodeSet],
-        cfg: CenterGConfig,
-        options: RunOptions,
-    ) -> ProtocolOutput<UncertainSolution> {
-        dpc_uncertain::run_center_g(shards, cfg, options)
-    }
-}
-
 /// One-stop imports for applications and examples.
 pub mod prelude {
-    // The re-export itself must not warn; call sites still do.
-    #[allow(deprecated)]
-    pub use crate::shims::{
-        run_center_g, run_distributed_center, run_distributed_median, run_one_round_center,
-        run_one_round_median, run_uncertain_median, subquadratic_median,
-    };
     pub use dpc_api::{
         Artifact, ConfigError, ConfigWarning, Dataset, Job, JobBuilder, RoundBreakdown,
         StreamSession, Sweep, TraceFormat, ValidJob,

@@ -127,16 +127,6 @@ pub trait Metric: Sync {
         }
     }
 
-    /// True when [`Metric::relax_min_block`] can actually skip work via
-    /// pruning (partial-distance aborts and the like) for this oracle's
-    /// data. When `false`, the bulk relax is just the scalar loop behind
-    /// a dispatch — callers that interleave relax with their own
-    /// bookkeeping (the farthest-first traversal) do better fusing both
-    /// into one pass than paying for a second sweep over the state.
-    fn relax_min_prunes(&self) -> bool {
-        false
-    }
-
     /// Relaxes per-query nearest state against one new candidate `c`:
     /// wherever `dist(id, c) < best_d`, the distance and `mark` are
     /// written. The farthest-first traversal's inner loop. Overrides may
@@ -280,9 +270,6 @@ impl<M: Metric + ?Sized> Metric for &M {
         dist: &mut [f64],
     ) {
         (**self).assign_block_sq(ids, centers, pos, dist)
-    }
-    fn relax_min_prunes(&self) -> bool {
-        (**self).relax_min_prunes()
     }
     fn relax_min_block(
         &self,
@@ -444,10 +431,6 @@ impl Metric for EuclideanMetric<'_> {
             *p = bp;
             *d = bsq;
         }
-    }
-
-    fn relax_min_prunes(&self) -> bool {
-        self.points.dim() > RELAX_PRUNE_MIN_DIM
     }
 
     fn relax_min_block(

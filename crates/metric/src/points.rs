@@ -5,8 +5,6 @@
 //! innermost loop of every algorithm in this workspace is a scan over one or
 //! two rows of this buffer).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a point inside a [`PointSet`].
 ///
 /// Kept as a plain `usize` alias (rather than a newtype) because point ids
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 pub type PointId = usize;
 
 /// A set of `n` points in `R^dim`, stored flat and row-major.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PointSet {
     dim: usize,
     data: Vec<f64>,

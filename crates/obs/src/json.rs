@@ -2,17 +2,15 @@
 //! shared writer helpers used by the artifact schema and the trace
 //! schema.
 //!
-//! The vendored `serde` stand-in only provides no-op derives (the build
-//! environment has no registry access), so every JSON document in this
-//! workspace is written and read by hand. The reading half is a small
+//! The workspace has no serialization dependency, so every JSON document
+//! in it is written and read by hand. The reading half is a small
 //! recursive-descent parser covering exactly the JSON this workspace
 //! emits — objects, arrays, strings (with `\uXXXX` escapes), finite
 //! numbers, booleans and `null`. The writing half is a handful of
 //! formatting helpers ([`escape`], [`json_f64`], [`usize_array`],
 //! [`dur_to_ns`]/[`ns_to_dur`], [`dur_to_ms`]) shared by
 //! `dpc_api::Artifact` and [`crate::Trace`] so Duration and byte-vector
-//! serialization is defined in exactly one place. Swap for `serde_json`
-//! when a registry is available.
+//! serialization is defined in exactly one place.
 
 use std::collections::BTreeMap;
 use std::time::Duration;

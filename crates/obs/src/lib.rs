@@ -41,10 +41,9 @@
 //!
 //! This crate sits at the very bottom of the workspace DAG (std only, no
 //! dependencies) so every other crate can record through it. It also
-//! hosts the workspace's hand-rolled JSON layer ([`json`]): the vendored
-//! `serde` stand-in provides no real serialization, so the artifact
-//! schema and the trace schema share one parser and one set of writer
-//! helpers here.
+//! hosts the workspace's hand-rolled JSON layer ([`json`]): the
+//! workspace has no serialization dependency, so the artifact schema and
+//! the trace schema share one parser and one set of writer helpers here.
 
 pub mod json;
 pub mod metrics;

@@ -82,6 +82,6 @@ fn main() {
     }
     println!("worst distance from a true center to its recovered center: {worst:.2}");
 
-    // The artifact is one serde-able schema shared with the CLI/benches.
+    // The artifact is one JSON schema shared with the CLI/benches.
     println!("\nartifact JSON: {} bytes", artifact.to_json().len());
 }

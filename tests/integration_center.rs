@@ -2,9 +2,8 @@
 //! (Algorithm 2 / Theorem 4.3) and its baselines.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::{run_distributed_center, run_one_round_center};
 
 mod test_util;

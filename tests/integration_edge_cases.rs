@@ -1,9 +1,8 @@
 //! Failure injection and degenerate-input coverage across the whole stack.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::{
     run_distributed_center, run_distributed_median, run_one_round_median, subquadratic_median,
 };

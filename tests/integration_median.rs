@@ -2,9 +2,8 @@
 //! against centralized references and the paper's guarantees.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::{run_distributed_median, run_one_round_median};
 
 mod test_util;

@@ -2,9 +2,8 @@
 //! communication *shapes* of Tables 1–2 measured on real message buffers.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::{run_distributed_center, run_distributed_median, run_one_round_median};
 
 mod test_util;

@@ -5,9 +5,8 @@
 mod test_util;
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::run_distributed_median;
 
 fn drift_workload(points: usize, seed: u64) -> DriftStream {

@@ -1,9 +1,8 @@
 //! End-to-end tests of Theorem 3.10's subquadratic centralized solver.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::subquadratic_median;
 use std::time::Instant;
 

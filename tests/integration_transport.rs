@@ -6,9 +6,8 @@
 
 use dpc::coordinator::CommStats;
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::{
     run_distributed_center, run_distributed_median, run_one_round_center, run_one_round_median,
 };

@@ -3,9 +3,8 @@
 //! Monte-Carlo estimates of the global objective.
 
 use dpc::prelude::*;
-// This suite pins the legacy entry points at their crate-level paths
-// (not the deprecated facade shims); Job-driven equivalence is covered
-// by proptest_api.rs.
+// This suite pins the legacy entry points at their crate-level paths;
+// Job-driven equivalence is covered by proptest_api.rs.
 use dpc::core::run_distributed_median;
 use dpc::uncertain::{run_center_g, run_uncertain_median};
 

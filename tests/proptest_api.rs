@@ -4,7 +4,7 @@
 //! baselines, and the uncertain protocol, across the Inline and Channel
 //! transports.
 //!
-//! This is the contract that lets the deprecated shims delegate safely:
+//! This is the contract that lets callers move to `Job` safely:
 //! the API is a front door, not a different building.
 
 use dpc::core::{

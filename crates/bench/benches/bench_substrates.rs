@@ -4,6 +4,7 @@
 //! the "Local Time" column of Table 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpc::cluster::median_bicriteria_grid;
 use dpc::core::allocation::allocate_outliers;
 use dpc::core::hull::{geometric_grid, ConvexProfile};
 use dpc::prelude::*;
@@ -66,6 +67,28 @@ fn bench_bicriteria(c: &mut Criterion) {
             });
         });
     }
+    // A site's round-0 profile (Algorithm 1): the whole geometric grid in
+    // one call, so the λ-bisections share their common local searches.
+    let n = 1000;
+    let ps = points(n, 3);
+    let w = WeightedSet::unit(ps.len());
+    let budgets: Vec<f64> = geometric_grid(16, 2.0)
+        .into_iter()
+        .map(|q| q as f64)
+        .collect();
+    g.bench_with_input(BenchmarkId::new("profile_k8_t16", n), &n, |b, _| {
+        let m = EuclideanMetric::new(&ps);
+        b.iter(|| {
+            median_bicriteria_grid(
+                &m,
+                &w,
+                8,
+                &budgets,
+                Objective::Median,
+                BicriteriaParams::default(),
+            )
+        });
+    });
     g.finish();
 }
 

@@ -34,5 +34,7 @@ pub use exact::{exact_best, ExactSolution};
 pub use gonzalez::{gonzalez, gonzalez_recorded, gonzalez_with, GonzalezOrdering};
 pub use lloyd::{lloyd_kmeans, LloydParams};
 pub use local_search::{kmedian_local_search, penalty_local_search, LocalSearchParams};
-pub use median_outliers::{median_bicriteria, median_bicriteria_relaxed_centers, BicriteriaParams};
+pub use median_outliers::{
+    median_bicriteria, median_bicriteria_grid, median_bicriteria_relaxed_centers, BicriteriaParams,
+};
 pub use solution::Solution;

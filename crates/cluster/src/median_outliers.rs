@@ -14,12 +14,26 @@
 //!   `(1+ε)t` exclusion budget) seen anywhere along the search;
 //! * the `λ = ∞` (no-outlier) solution is always included as a candidate,
 //!   which guards degenerate instances where outliers are irrelevant.
+//!
+//! Algorithm 1's sites need this solve at every budget of a geometric
+//! grid, and the budgets share most of their work: the `λ = ∞` search and
+//! the λ range do not depend on the budget at all, and every bisection
+//! starts at the same λ and follows the same path until its budget pulls
+//! it apart from the others. [`median_bicriteria_grid`] therefore solves a
+//! whole grid with one bisection tree: each node `(iteration, λ)` runs its
+//! local search once and serves every budget whose path reaches it.
+//! [`median_bicriteria`] is the one-budget call of the same solver. A node
+//! keeps only what a later budget needs from it — the candidate's centers
+//! and its implied outlier weight. Each budget re-evaluates those centers
+//! with its own exclusion budget anyway, so caching the candidate's
+//! `n`-long assignment would only raise peak memory.
 
 use crate::local_search::{penalty_local_search, LocalSearchParams};
 use crate::solution::Solution;
 use dpc_metric::{Metric, Objective, WeightedSet};
+use std::collections::HashMap;
 
-/// Tuning for [`median_bicriteria`].
+/// Tuning for [`median_bicriteria`] and [`median_bicriteria_grid`].
 #[derive(Clone, Copy, Debug)]
 pub struct BicriteriaParams {
     /// Outlier budget relaxation: the solution may exclude `(1+ε)t` weight.
@@ -45,7 +59,8 @@ impl Default for BicriteriaParams {
 ///
 /// `t` is an outlier weight budget. The returned solution excludes at most
 /// `(1+ε)t` weight (its `outliers`/`cost` come from a final evaluation with
-/// that budget).
+/// that budget). This is [`median_bicriteria_grid`] over the single budget
+/// `t`.
 ///
 /// # Panics
 /// Panics if `points` is empty or `k == 0` (with points present), or if
@@ -58,81 +73,120 @@ pub fn median_bicriteria<M: Metric>(
     objective: Objective,
     params: BicriteriaParams,
 ) -> Solution {
+    median_bicriteria_grid(metric, points, k, &[t], objective, params)
+        .pop()
+        .expect("one solution per budget")
+}
+
+/// One bisection node's local-search result, as far as later budgets need
+/// it.
+struct Probe {
+    centers: Vec<usize>,
+    implied_outlier_weight: f64,
+}
+
+/// Computes `sol(Z, k, (1+ε)t)` for every `t` in `budgets`, in order.
+///
+/// Entry `i` is exactly the solution [`median_bicriteria`] returns for
+/// `budgets[i]` — same centers, cost bits, outliers and assignment — but
+/// the `λ = ∞` search runs once and every bisection node runs once for the
+/// whole list (see the module docs). `budgets` may be unsorted and may
+/// repeat values.
+///
+/// # Panics
+/// As [`median_bicriteria`].
+pub fn median_bicriteria_grid<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    objective: Objective,
+    params: BicriteriaParams,
+) -> Vec<Solution> {
     assert!(params.eps >= 0.0, "eps must be non-negative");
     if points.is_empty() {
-        return Solution {
-            centers: Vec::new(),
-            cost: 0.0,
-            outliers: Vec::new(),
-            assignment: Vec::new(),
-        };
+        return budgets
+            .iter()
+            .map(|_| Solution {
+                centers: Vec::new(),
+                cost: 0.0,
+                outliers: Vec::new(),
+                assignment: Vec::new(),
+            })
+            .collect();
     }
-    let budget = (1.0 + params.eps) * t;
 
     // Candidate 1: ignore the outlier structure entirely (λ = ∞), then let
-    // the evaluation discard the worst (1+ε)t weight.
+    // each evaluation discard the worst (1+ε)t weight.
     let plain = penalty_local_search(metric, points, k, f64::INFINITY, params.ls);
-    let mut best = Solution::evaluate(metric, points, plain.centers.clone(), budget, objective);
 
-    if t <= 0.0 {
-        return best;
-    }
-
-    // λ range: [0, upper] where upper is the max assignment distance of the
-    // plain solution (λ beyond that implies no outliers at all).
-    let ids = points.ids();
+    // λ range: [lo, upper] where upper is the max assignment distance of
+    // the plain solution (λ beyond that implies no outliers at all).
+    //
+    // Geometric (log-space) bisection: assignment distances can span many
+    // orders of magnitude (squared metrics especially), and the useful λ
+    // scale is unknown a priori; halving in log-space reaches any scale in
+    // O(log log(Δ)) steps instead of O(log Δ). The bottom end is
+    // `upper · 1e-12`, or the smallest positive assignment distance when
+    // that is smaller; one pass over the distances finds both ends.
     let mut upper = 0.0f64;
-    for &id in ids {
+    let mut min_positive = f64::INFINITY;
+    for &id in points.ids() {
         let d = plain
             .centers
             .iter()
             .map(|&c| metric.dist(id, c))
             .fold(f64::INFINITY, f64::min);
         upper = upper.max(d);
+        if d > 0.0 && d < min_positive {
+            min_positive = d;
+        }
     }
-    if upper == 0.0 {
-        return best;
-    }
+    let lo_start = min_positive.min(upper * 1e-12);
 
-    // Geometric (log-space) bisection: assignment distances can span many
-    // orders of magnitude (squared metrics especially), and the useful λ
-    // scale is unknown a priori; halving in log-space reaches any scale in
-    // O(log log(Δ)) steps instead of O(log Δ).
-    let mut lo = upper * 1e-12;
-    for &id in ids {
-        let d = plain
-            .centers
-            .iter()
-            .map(|&c| metric.dist(id, c))
-            .fold(f64::INFINITY, f64::min);
-        if d > 0.0 && d < lo {
-            lo = d;
-        }
-    }
-    let mut hi = upper;
-    for it in 0..params.lambda_iters {
-        let lambda = (lo * hi).sqrt();
-        let mut ls = params.ls;
-        ls.seed = ls.seed.wrapping_add(it as u64 + 1); // decorrelate restarts
-        let cand = penalty_local_search(metric, points, k, lambda, ls);
-        let implied_outlier_weight: f64 = cand.outliers.iter().map(|&(_, w)| w).sum();
-        let evaluated = Solution::evaluate(metric, points, cand.centers.clone(), budget, objective);
-        if evaluated.cost < best.cost
-            || (evaluated.cost == best.cost && evaluated.outlier_weight() < best.outlier_weight())
-        {
-            best = evaluated;
-        }
-        if implied_outlier_weight > budget {
-            // Too many points prefer the penalty: λ too small.
-            lo = lambda;
-        } else {
-            hi = lambda;
-        }
-        if hi / lo <= 1.0 + 1e-9 {
-            break;
-        }
-    }
-    best
+    let mut probes: HashMap<(usize, u64), Probe> = HashMap::new();
+    budgets
+        .iter()
+        .map(|&t| {
+            let budget = (1.0 + params.eps) * t;
+            let mut best =
+                Solution::evaluate(metric, points, plain.centers.clone(), budget, objective);
+            if t <= 0.0 || upper == 0.0 {
+                return best;
+            }
+            let (mut lo, mut hi) = (lo_start, upper);
+            for it in 0..params.lambda_iters {
+                let lambda = (lo * hi).sqrt();
+                let probe = probes.entry((it, lambda.to_bits())).or_insert_with(|| {
+                    let mut ls = params.ls;
+                    ls.seed = ls.seed.wrapping_add(it as u64 + 1); // decorrelate restarts
+                    let cand = penalty_local_search(metric, points, k, lambda, ls);
+                    Probe {
+                        implied_outlier_weight: cand.outliers.iter().map(|&(_, w)| w).sum(),
+                        centers: cand.centers,
+                    }
+                });
+                let evaluated =
+                    Solution::evaluate(metric, points, probe.centers.clone(), budget, objective);
+                if evaluated.cost < best.cost
+                    || (evaluated.cost == best.cost
+                        && evaluated.outlier_weight() < best.outlier_weight())
+                {
+                    best = evaluated;
+                }
+                if probe.implied_outlier_weight > budget {
+                    // Too many points prefer the penalty: λ too small.
+                    lo = lambda;
+                } else {
+                    hi = lambda;
+                }
+                if hi / lo <= 1.0 + 1e-9 {
+                    break;
+                }
+            }
+            best
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,122 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = PointSet> {
         .prop_map(|rows| PointSet::from_rows(&rows))
 }
 
+/// Weighted instances on a coarse integer lattice (so distance ties and
+/// coincident points occur) with one far point per four, as outliers.
+fn arb_weighted(max_n: usize) -> impl Strategy<Value = (PointSet, WeightedSet)> {
+    proptest::collection::vec((-8i64..8, -8i64..8, 0.25f64..3.0), 4..max_n).prop_map(|rows| {
+        let coords: Vec<Vec<f64>> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, _))| {
+                let far = if i % 4 == 3 { 1e3 * (i as f64) } else { 0.0 };
+                vec![x as f64 + far, y as f64]
+            })
+            .collect();
+        let n = rows.len();
+        let weights = rows.iter().map(|&(_, _, w)| w).collect();
+        (
+            PointSet::from_rows(&coords),
+            WeightedSet::from_parts((0..n).collect(), weights),
+        )
+    })
+}
+
+/// `sol(Z, k, (1+ε)t)` for one budget, solved on its own: the λ = ∞
+/// search, then a geometric λ-bisection with a fresh local search at every
+/// node. The grid solver must reproduce this bit for bit at each budget.
+fn reference_bicriteria<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    t: f64,
+    params: BicriteriaParams,
+) -> Solution {
+    let objective = Objective::Median;
+    let budget = (1.0 + params.eps) * t;
+    let plain = penalty_local_search(metric, points, k, f64::INFINITY, params.ls);
+    let mut best = Solution::evaluate(metric, points, plain.centers.clone(), budget, objective);
+    if t <= 0.0 {
+        return best;
+    }
+    let ids = points.ids();
+    let mut upper = 0.0f64;
+    for &id in ids {
+        let d = plain
+            .centers
+            .iter()
+            .map(|&c| metric.dist(id, c))
+            .fold(f64::INFINITY, f64::min);
+        upper = upper.max(d);
+    }
+    if upper == 0.0 {
+        return best;
+    }
+    let mut lo = upper * 1e-12;
+    for &id in ids {
+        let d = plain
+            .centers
+            .iter()
+            .map(|&c| metric.dist(id, c))
+            .fold(f64::INFINITY, f64::min);
+        if d > 0.0 && d < lo {
+            lo = d;
+        }
+    }
+    let mut hi = upper;
+    for it in 0..params.lambda_iters {
+        let lambda = (lo * hi).sqrt();
+        let mut ls = params.ls;
+        ls.seed = ls.seed.wrapping_add(it as u64 + 1);
+        let cand = penalty_local_search(metric, points, k, lambda, ls);
+        let implied_outlier_weight: f64 = cand.outliers.iter().map(|&(_, w)| w).sum();
+        let evaluated = Solution::evaluate(metric, points, cand.centers.clone(), budget, objective);
+        if evaluated.cost < best.cost
+            || (evaluated.cost == best.cost && evaluated.outlier_weight() < best.outlier_weight())
+        {
+            best = evaluated;
+        }
+        if implied_outlier_weight > budget {
+            lo = lambda;
+        } else {
+            hi = lambda;
+        }
+        if hi / lo <= 1.0 + 1e-9 {
+            break;
+        }
+    }
+    best
+}
+
+fn assert_grid_matches_reference<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    params: BicriteriaParams,
+) {
+    let grid = median_bicriteria_grid(metric, points, k, budgets, Objective::Median, params);
+    assert_eq!(grid.len(), budgets.len());
+    for (&t, got) in budgets.iter().zip(&grid) {
+        let want = reference_bicriteria(metric, points, k, t, params);
+        assert_eq!(got.centers, want.centers, "centers at t={t}");
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost at t={t}");
+        let bits = |o: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            o.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&got.outliers),
+            bits(&want.outliers),
+            "outliers at t={t}"
+        );
+        assert_eq!(got.assignment, want.assignment, "assignment at t={t}");
+        // The one-budget call is the same solver.
+        let single = median_bicriteria(metric, points, k, t, Objective::Median, params);
+        assert_eq!(single.centers, got.centers, "single-budget call at t={t}");
+        assert_eq!(single.cost.to_bits(), got.cost.to_bits());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -57,6 +173,36 @@ proptest! {
         // Theorem 3.1 with eps=1: <= 6 opt while excluding <= 2t.
         prop_assert!(sol.cost <= 6.0 * opt + 1e-6, "{} > 6*{}", sol.cost, opt);
         prop_assert!(sol.outlier_weight() <= 2.0 * t as f64 + 1e-9);
+    }
+
+    #[test]
+    fn bicriteria_grid_matches_per_budget_reference(
+        inst in arb_weighted(18),
+        k in 1usize..4,
+        eps_half in any::<bool>(),
+        squared in any::<bool>(),
+        extra in proptest::collection::vec(0.0f64..6.0, 0..4),
+        seed in 0u64..1024,
+    ) {
+        let (ps, w) = inst;
+        let params = BicriteriaParams {
+            eps: if eps_half { 0.5 } else { 0.0 },
+            lambda_iters: 12,
+            ls: LocalSearchParams { seed, ..Default::default() },
+        };
+        // Unsorted, with 0, a duplicate and budgets at/over the total
+        // weight, plus random fractional budgets (which also repeat
+        // bisection prefixes with the fixed ones).
+        let total = w.total_weight();
+        let mut budgets = extra;
+        budgets.extend([total + 1.0, 0.0, 2.0, total, 1.0, 2.0]);
+        let e = EuclideanMetric::new(&ps);
+        if squared {
+            let m = SquaredMetric::new(e);
+            assert_grid_matches_reference(&m, &w, k, &budgets, params);
+        } else {
+            assert_grid_matches_reference(&e, &w, k, &budgets, params);
+        }
     }
 
     #[test]

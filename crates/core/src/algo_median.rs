@@ -5,8 +5,11 @@
 //! into round 1):
 //!
 //! 1. each site computes local bicriteria solutions `sol(A_i, 2k, q)` for
-//!    every `q` in the geometric grid `I`, takes the lower convex hull of
-//!    the cost profile, and ships the `O(log t)` hull vertices;
+//!    every `q` in the geometric grid `I` — in one grid solve
+//!    ([`dpc_cluster::median_bicriteria_grid`]), whose λ-bisections share
+//!    every local search their paths have in common — takes the lower
+//!    convex hull of the cost profile, and ships the `O(log t)` hull
+//!    vertices;
 //! 2. the coordinator water-fills the outlier budget across sites
 //!    ([`crate::allocation`]) and returns the rank-`ρt` threshold marginal
 //!    `ℓ(i₀, q₀)` to every site;
@@ -27,8 +30,8 @@ use crate::merge::merge_solutions_with;
 use crate::wire::{DistributedSolution, PreclusterMsg, ThresholdMsg};
 use bytes::Bytes;
 use dpc_cluster::{
-    median_bicriteria, median_bicriteria_relaxed_centers, BicriteriaParams, LocalSearchParams,
-    Solution,
+    median_bicriteria, median_bicriteria_grid, median_bicriteria_relaxed_centers, BicriteriaParams,
+    LocalSearchParams, Solution,
 };
 use dpc_codec::Encoding;
 use dpc_coordinator::{
@@ -136,11 +139,12 @@ impl MedianConfig {
         self
     }
 
-    fn site_solver_params(&self) -> BicriteriaParams {
+    fn site_solver_params(&self, site_id: usize) -> BicriteriaParams {
         // Sites solve at *exact* budgets (the grid point q), so no
-        // relaxation inside; relaxation happens at the coordinator.
+        // relaxation inside; relaxation happens at the coordinator. Each
+        // site offsets the search seed by its id.
         let mut ls = self.ls;
-        ls.threads = self.threads;
+        ls.seed = ls.seed.wrapping_add(site_id as u64);
         BicriteriaParams {
             eps: 0.0,
             lambda_iters: self.lambda_iters,
@@ -160,25 +164,6 @@ impl MedianConfig {
         // account raw vs compressed bytes uniformly (sites are handed
         // their config at construction and never decode it).
         dpc_codec::frame(self.encoding, w, &[])
-    }
-}
-
-/// Solves the local bicriteria problem on a shard (dispatching the metric
-/// by objective).
-fn local_solve(
-    data: &PointSet,
-    means: bool,
-    k: usize,
-    budget: f64,
-    params: BicriteriaParams,
-) -> Solution {
-    let w = WeightedSet::unit(data.len());
-    if means {
-        let m = SquaredMetric::new(EuclideanMetric::new(data));
-        median_bicriteria(&m, &w, k, budget, Objective::Median, params)
-    } else {
-        let m = EuclideanMetric::new(data);
-        median_bicriteria(&m, &w, k, budget, Objective::Median, params)
     }
 }
 
@@ -260,26 +245,33 @@ impl<'a> MedianSite<'a> {
     fn build_profile(&mut self) -> Bytes {
         self.grid = geometric_grid(self.cfg.t, self.cfg.rho.max(1.0 + 1e-9));
         let n = self.data.len();
-        let mut pts = Vec::with_capacity(self.grid.len());
-        let mut ls = self.cfg.ls;
-        ls.seed = ls.seed.wrapping_add(self.site_id as u64);
-        for &q in &self.grid {
-            let sol = if n == 0 || q >= n {
-                // Degenerate grid point: the whole shard can be ignored.
-                Solution {
-                    centers: if n == 0 { Vec::new() } else { vec![0] },
-                    cost: 0.0,
-                    outliers: Vec::new(),
-                    assignment: vec![0; n],
-                }
-            } else {
-                let mut params = self.cfg.site_solver_params();
-                params.ls = ls;
-                local_solve(self.data, self.cfg.means, 2 * self.cfg.k, q as f64, params)
-            };
-            pts.push((q, sol.cost));
-            self.sols.push(sol);
-        }
+        // One grid solve covers every non-degenerate grid point; the
+        // grid is sorted, so those are a prefix.
+        let solvable = self.grid.partition_point(|&q| q < n);
+        let budgets: Vec<f64> = self.grid[..solvable].iter().map(|&q| q as f64).collect();
+        let params = self.cfg.site_solver_params(self.site_id);
+        let w = WeightedSet::unit(n);
+        let k = 2 * self.cfg.k;
+        self.sols = if self.cfg.means {
+            let m = SquaredMetric::new(EuclideanMetric::new(self.data));
+            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
+        } else {
+            let m = EuclideanMetric::new(self.data);
+            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
+        };
+        // Degenerate grid points (q >= n): the whole shard can be ignored.
+        self.sols.resize_with(self.grid.len(), || Solution {
+            centers: if n == 0 { Vec::new() } else { vec![0] },
+            cost: 0.0,
+            outliers: Vec::new(),
+            assignment: vec![0; n],
+        });
+        let pts: Vec<(usize, f64)> = self
+            .grid
+            .iter()
+            .zip(&self.sols)
+            .map(|(&q, sol)| (q, sol.cost))
+            .collect();
         let profile = ConvexProfile::lower_hull(&pts);
         let mut w = WireWriter::new();
         profile.encode(&mut w);

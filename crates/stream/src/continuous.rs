@@ -24,7 +24,7 @@
 use crate::engine::{StreamConfig, StreamEngine};
 use crate::wire::SummaryMsg;
 use bytes::Bytes;
-use dpc_cluster::Solution;
+use dpc_cluster::{BicriteriaParams, Solution};
 use dpc_codec::Encoding;
 use dpc_coordinator::{
     run_protocol, CommStats, Coordinator, CoordinatorStep, FaultPlan, LinkModel, RunOptions, Site,
@@ -36,7 +36,7 @@ use dpc_metric::{EuclideanMetric, Objective, PointSet, SquaredMetric, WeightedSe
 use dpc_obs::{Counter, Event, RecorderHandle};
 use std::sync::{Arc, Mutex};
 
-use crate::summary::solve_weighted;
+use crate::summary::{solve_weighted, solve_weighted_grid};
 
 /// Configuration of the continuous distributed mode.
 #[derive(Clone, Debug)]
@@ -414,33 +414,30 @@ impl<'a> SummarySite<'a> {
     fn build_profile(&mut self) -> Bytes {
         let t = self.cfg.stream.t;
         self.grid = geometric_grid(t, self.cfg.rho.max(1.0 + 1e-9));
-        let mut pts = Vec::with_capacity(self.grid.len());
+        // An empty live summary needs no special case: both solvers
+        // return an empty zero-cost solution per grid point.
         let mut ls = self.cfg.stream.ls;
         ls.seed = ls.seed.wrapping_add(self.site_id as u64);
-        for &q in &self.grid {
-            let sol = if self.w.is_empty() {
-                Solution {
-                    centers: Vec::new(),
-                    cost: 0.0,
-                    outliers: Vec::new(),
-                    assignment: Vec::new(),
-                }
-            } else {
-                let mut params = self.cfg.stream.solver_params();
-                params.eps = 0.0;
-                params.ls = ls;
-                solve_weighted(
-                    self.pts,
-                    self.w,
-                    2 * self.cfg.stream.k,
-                    q as f64,
-                    self.cfg.stream.objective,
-                    params,
-                )
-            };
-            pts.push((q, sol.cost));
-            self.sols.push(sol);
-        }
+        let params = BicriteriaParams {
+            eps: 0.0,
+            ls,
+            ..self.cfg.stream.solver_params()
+        };
+        let budgets: Vec<f64> = self.grid.iter().map(|&q| q as f64).collect();
+        self.sols = solve_weighted_grid(
+            self.pts,
+            self.w,
+            2 * self.cfg.stream.k,
+            &budgets,
+            self.cfg.stream.objective,
+            params,
+        );
+        let pts: Vec<(usize, f64)> = self
+            .grid
+            .iter()
+            .zip(&self.sols)
+            .map(|(&q, sol)| (q, sol.cost))
+            .collect();
         let profile = ConvexProfile::lower_hull(&pts);
         let mut w = WireWriter::new();
         profile.encode(&mut w);

@@ -14,7 +14,8 @@
 //! tracks.
 
 use dpc_cluster::{
-    charikar_center, median_bicriteria, BicriteriaParams, CenterParams, LocalSearchParams, Solution,
+    charikar_center, median_bicriteria_grid, BicriteriaParams, CenterParams, LocalSearchParams,
+    Solution,
 };
 use dpc_metric::{EuclideanMetric, Objective, PointSet, SquaredMetric, WeightedSet};
 
@@ -72,7 +73,8 @@ impl SummaryParams {
 /// median/means solver applies it internally; the center solver takes the
 /// relaxed budget directly (it has no ε of its own). `params.ls` tunes
 /// only the median/means local search — `charikar_center` is
-/// deterministic.
+/// deterministic. This is `solve_weighted_grid` over the single budget
+/// `t`.
 pub fn solve_weighted(
     points: &PointSet,
     weights: &WeightedSet,
@@ -81,27 +83,49 @@ pub fn solve_weighted(
     objective: Objective,
     params: BicriteriaParams,
 ) -> Solution {
+    solve_weighted_grid(points, weights, k, &[t], objective, params)
+        .pop()
+        .expect("one solution per budget")
+}
+
+/// [`solve_weighted`] at every budget of `budgets`, in order. The
+/// median/means objectives solve the whole list with one
+/// [`median_bicriteria_grid`] call; the center objective runs
+/// `charikar_center` once per budget.
+pub(crate) fn solve_weighted_grid(
+    points: &PointSet,
+    weights: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    objective: Objective,
+    params: BicriteriaParams,
+) -> Vec<Solution> {
     match objective {
         Objective::Median => {
             let m = EuclideanMetric::new(points);
-            median_bicriteria(&m, weights, k, t, Objective::Median, params)
+            median_bicriteria_grid(&m, weights, k, budgets, Objective::Median, params)
         }
         Objective::Means => {
             let m = SquaredMetric::new(EuclideanMetric::new(points));
-            median_bicriteria(&m, weights, k, t, Objective::Median, params)
+            median_bicriteria_grid(&m, weights, k, budgets, Objective::Median, params)
         }
         Objective::Center => {
             let m = EuclideanMetric::new(points);
-            charikar_center(
-                &m,
-                weights,
-                k,
-                t * (1.0 + params.eps),
-                CenterParams {
-                    threads: params.ls.threads,
-                    ..CenterParams::default()
-                },
-            )
+            budgets
+                .iter()
+                .map(|&t| {
+                    charikar_center(
+                        &m,
+                        weights,
+                        k,
+                        t * (1.0 + params.eps),
+                        CenterParams {
+                            threads: params.ls.threads,
+                            ..CenterParams::default()
+                        },
+                    )
+                })
+                .collect()
         }
     }
 }

@@ -16,8 +16,8 @@ use crate::compressed::CompressedGraph;
 use crate::node::NodeSet;
 use bytes::Bytes;
 use dpc_cluster::{
-    charikar_center, gonzalez_with, median_bicriteria, BicriteriaParams, CenterParams,
-    LocalSearchParams, Solution,
+    charikar_center, gonzalez_with, median_bicriteria, median_bicriteria_grid, BicriteriaParams,
+    CenterParams, LocalSearchParams, Solution,
 };
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
@@ -225,32 +225,35 @@ impl<'a> UncertainSite<'a> {
                 let mut ls = self.cfg.ls;
                 ls.seed = ls.seed.wrapping_add(self.site_id as u64);
                 ls.threads = self.cfg.threads;
-                for &q in &self.grid {
-                    let sol = if q >= n {
-                        Solution {
-                            centers: vec![0],
-                            cost: 0.0,
-                            outliers: Vec::new(),
-                            assignment: vec![0; demands.len()],
-                        }
-                    } else {
-                        let params = BicriteriaParams {
-                            eps: 0.0,
-                            lambda_iters: self.cfg.lambda_iters,
-                            ls,
-                        };
-                        median_bicriteria(
-                            &graph,
-                            &demands,
-                            2 * self.cfg.k,
-                            q as f64,
-                            Objective::Median,
-                            params,
-                        )
-                    };
-                    pts.push((q, sol.cost));
-                    self.sols.push(sol);
-                }
+                let params = BicriteriaParams {
+                    eps: 0.0,
+                    lambda_iters: self.cfg.lambda_iters,
+                    ls,
+                };
+                // One grid solve covers every non-degenerate grid point;
+                // the grid is sorted, so those are a prefix.
+                let solvable = self.grid.partition_point(|&q| q < n);
+                let budgets: Vec<f64> = self.grid[..solvable].iter().map(|&q| q as f64).collect();
+                self.sols = median_bicriteria_grid(
+                    &graph,
+                    &demands,
+                    2 * self.cfg.k,
+                    &budgets,
+                    Objective::Median,
+                    params,
+                );
+                self.sols.resize_with(self.grid.len(), || Solution {
+                    centers: vec![0],
+                    cost: 0.0,
+                    outliers: Vec::new(),
+                    assignment: vec![0; demands.len()],
+                });
+                pts.extend(
+                    self.grid
+                        .iter()
+                        .zip(&self.sols)
+                        .map(|(&q, sol)| (q, sol.cost)),
+                );
             }
             UObjective::CenterPp => {
                 // Gonzalez over the demand vertices (ids n..2n) under the

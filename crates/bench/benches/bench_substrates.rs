@@ -44,6 +44,25 @@ fn bench_charikar(c: &mut Criterion) {
             b.iter(|| charikar_center(&m, &w, 4, 8.0, CenterParams::default()));
         });
     }
+    // Coordinator-shaped: Algorithm 2's merged instance of ~600 weighted
+    // Gonzalez prefixes at dim 8 (`Job::center(8, 32)` over 64 sites).
+    let ps = gaussian_blobs(BlobsSpec {
+        clusters: 8,
+        points: 568,
+        outliers: 32,
+        dim: 8,
+        seed: 2,
+        ..Default::default()
+    })
+    .points;
+    let weights = (0..ps.len())
+        .map(|i| (1 + (i * 7919) % 64) as f64)
+        .collect();
+    let w = WeightedSet::from_parts((0..ps.len()).collect(), weights);
+    g.bench_with_input(BenchmarkId::new("k8_t32_w", ps.len()), &ps.len(), |b, _| {
+        let m = EuclideanMetric::new(&ps);
+        b.iter(|| charikar_center(&m, &w, 8, 32.0, CenterParams::default()));
+    });
     g.finish();
 }
 

@@ -766,7 +766,7 @@ fn s1_stream_throughput() {
 /// B1 — the bulk-kernel speedup record: scalar per-pair loops vs the
 /// blocked bulk layer vs bulk + threads, for the assignment shape every
 /// protocol bottoms out in (nearest-center over a `k + t` candidate set,
-/// the paper's `t ≫ k` regime), at d ∈ {4, 32, 128} on 50k points with
+/// the paper's `t ≫ k` regime), at d ∈ {4, 8, 32, 128} on 50k points with
 /// 64 candidates.
 ///
 /// Writes `BENCH_kernels.json` at the repo root so the perf trajectory is
@@ -794,7 +794,7 @@ fn b1_kernels(threads_override: Option<usize>) {
     /// Candidate-set size: `k + t` with `k = 16`, `t = 48` — the sites'
     /// Gonzalez-prefix / coordinator-instance shape of Table 1.
     const K: usize = 64;
-    let dims = [4usize, 32, 128];
+    let dims = [4usize, 8, 32, 128];
 
     // Best-of-3 wall clock in milliseconds.
     fn time_ms(mut f: impl FnMut()) -> f64 {

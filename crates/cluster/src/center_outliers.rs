@@ -10,11 +10,16 @@
 //! as "the algorithm in \[4\] for the k-center problem with exactly t
 //! outliers" at the coordinator, Algorithm 2 line 7).
 //!
-//! Runtime: `O(k n²)` per radius probe, `O(k n² log(Δ/η))` overall — run on
-//! coordinator-sized inputs (`O(sk + t)` points), exactly as Table 1 charges.
+//! Runtime: the `n²` pairwise distances are computed once per solve and
+//! kept in an `n × n` matrix (`8n²` bytes); each radius probe then makes
+//! `O(k · n · |uncovered|)` comparisons against matrix entries and no
+//! distance evaluations. Run on coordinator-sized inputs (`O(sk + t)`
+//! points), exactly as Table 1 charges.
 
 use crate::solution::Solution;
-use dpc_metric::{Metric, NearestAssigner, Objective, ThreadBudget, WeightedSet};
+use dpc_metric::kernel::par_chunks_mut;
+use dpc_metric::{Metric, Objective, ThreadBudget, WeightedSet};
+use std::cmp::Ordering;
 
 /// Tuning for [`charikar_center`].
 #[derive(Clone, Copy, Debug)]
@@ -24,8 +29,10 @@ pub struct CenterParams {
     pub expansion: f64,
     /// Bisection iterations over the radius value range.
     pub radius_iters: usize,
-    /// Thread budget for the per-radius disk-gain scans (wall-clock only
-    /// — identical centers and costs at any budget).
+    /// Thread budget for computing the distance-matrix rows (wall-clock
+    /// only — identical centers and costs at any budget). The radius
+    /// probes run on the calling thread: at coordinator sizes a probe
+    /// step is shorter than spawning its workers.
     pub threads: ThreadBudget,
 }
 
@@ -65,16 +72,12 @@ pub fn charikar_center<M: Metric>(
     }
     assert!(k > 0, "need at least one center");
     let ids = points.ids();
-    let n = ids.len();
-    let assigner = NearestAssigner::with_threads(metric, params.threads);
+    let dist = DistMatrix::new(metric, ids, params.threads);
 
-    // Radius value range: [0, max pairwise distance among entries], one
-    // bulk row per anchor.
+    // Radius value range: [0, max pairwise distance among entries].
     let mut hi = 0.0f64;
-    let mut row = Vec::with_capacity(n);
-    for a in 1..n {
-        assigner.dists_from(ids[a], &ids[..a], &mut row);
-        for &d in &row {
+    for a in 1..dist.n {
+        for &d in &dist.row(a)[..a] {
             hi = hi.max(d);
         }
     }
@@ -84,10 +87,9 @@ pub fn charikar_center<M: Metric>(
     }
 
     let feasible = |r: f64| -> Option<Vec<usize>> {
-        let (centers, uncovered) =
-            greedy_disks(metric, points, k, r, params.expansion, params.threads);
+        let (centers, uncovered) = greedy_disks(&dist, points.weights(), k, r, params.expansion);
         if uncovered <= t + 1e-9 {
-            Some(centers)
+            Some(centers.into_iter().map(|c| ids[c]).collect())
         } else {
             None
         }
@@ -113,105 +115,99 @@ pub fn charikar_center<M: Metric>(
     Solution::evaluate(metric, points, best_centers, t, Objective::Center)
 }
 
-/// One greedy pass at radius `r`: returns chosen centers and uncovered
-/// weight.
-fn greedy_disks<M: Metric>(
-    metric: &M,
-    points: &WeightedSet,
+/// All pairwise distances among a solve's entries, row-major: row `c`
+/// holds the distances from entry `c` to every entry, in entry order.
+struct DistMatrix {
+    n: usize,
+    flat: Vec<f64>,
+}
+
+impl DistMatrix {
+    /// One bulk distance row per entry; rows fan out over the budget.
+    fn new<M: Metric>(metric: &M, ids: &[usize], threads: ThreadBudget) -> Self {
+        let n = ids.len();
+        let mut flat = vec![0.0; n * n];
+        let mut rows: Vec<&mut [f64]> = flat.chunks_mut(n).collect();
+        par_chunks_mut(threads, &mut rows, |start, rows| {
+            for (c, row) in rows.iter_mut().enumerate() {
+                metric.dist_to_many_into(ids[start + c], ids, row);
+            }
+        });
+        Self { n, flat }
+    }
+
+    fn row(&self, c: usize) -> &[f64] {
+        &self.flat[c * self.n..(c + 1) * self.n]
+    }
+}
+
+/// One greedy pass at radius `r`: returns the chosen centers (as entry
+/// positions) and the uncovered weight.
+fn greedy_disks(
+    dist: &DistMatrix,
+    weights: &[f64],
     k: usize,
     r: f64,
     expansion: f64,
-    threads: ThreadBudget,
 ) -> (Vec<usize>, f64) {
-    let ids = points.ids();
-    let weights = points.weights();
-    let n = ids.len();
-    let mut covered = vec![false; n];
+    // Uncovered entries in index order, so every gain and the final
+    // uncovered weight sum the same terms in the same order as a scan
+    // over all entries that skips covered ones.
+    let mut uncovered: Vec<usize> = (0..dist.n).collect();
     let mut centers = Vec::with_capacity(k);
-    let assigner = NearestAssigner::new(metric);
-    let mut row = Vec::with_capacity(n);
 
     for _ in 0..k {
         // Pick the disk center covering the most uncovered weight.
-        let (best_idx, best_gain) = best_disk(metric, ids, weights, &covered, r, threads);
-        if best_idx == usize::MAX || best_gain <= 0.0 {
+        let (best_idx, best_gain) = best_disk(dist, weights, &uncovered, r);
+        if best_gain <= 0.0 {
             // Nothing with positive weight left to cover; place remaining
             // centers on any uncovered entry (harmless) or stop.
-            if let Some(e) = (0..n).find(|&e| !covered[e]) {
-                centers.push(ids[e]);
-                covered[e] = true;
-                continue;
+            if uncovered.is_empty() {
+                break;
             }
-            break;
+            centers.push(uncovered.remove(0));
+            continue;
         }
-        centers.push(ids[best_idx]);
+        centers.push(best_idx);
         let er = expansion * r;
-        assigner.dists_from(ids[best_idx], ids, &mut row);
-        for (c, &d) in covered.iter_mut().zip(&row) {
-            if !*c && d <= er {
-                *c = true;
-            }
-        }
+        let row = dist.row(best_idx);
+        // Keep what lies beyond the expanded disk (a NaN distance covers
+        // nothing).
+        uncovered.retain(|&e| row[e].partial_cmp(&er).is_none_or(Ordering::is_gt));
     }
 
-    let uncovered: f64 = covered
-        .iter()
-        .zip(weights)
-        .filter(|(&c, _)| !c)
-        .map(|(_, &w)| w)
-        .sum();
+    let uncovered: f64 = uncovered.iter().map(|&e| weights[e]).sum();
     (centers, uncovered)
 }
 
+/// Candidates scored together by [`best_disk`]: independent gain sums
+/// keep the adder busy where one sum would wait on each addition.
+const LANES: usize = 4;
+
 /// The candidate with the largest uncovered weight inside radius `r`
-/// (first candidate wins ties, like the sequential scan). Candidates are
-/// scored with one bulk distance row each; chunks of candidates fan out
-/// across the thread budget and chunk winners combine in candidate order,
-/// so the result is identical at any budget.
-fn best_disk<M: Metric>(
-    metric: &M,
-    ids: &[usize],
-    weights: &[f64],
-    covered: &[bool],
-    r: f64,
-    threads: ThreadBudget,
-) -> (usize, f64) {
-    let n = ids.len();
-    let gain_scan = |range: std::ops::Range<usize>| -> (usize, f64) {
-        let assigner = NearestAssigner::new(metric);
-        let mut row = Vec::with_capacity(n);
-        let mut best = (usize::MAX, -1.0f64);
-        for c in range {
-            assigner.dists_from(ids[c], ids, &mut row);
-            let mut gain = 0.0;
-            for ((&cov, &d), &w) in covered.iter().zip(&row).zip(weights) {
-                if !cov && d <= r {
-                    gain += w;
-                }
+/// (first candidate wins ties). Every entry is a candidate.
+///
+/// Each gain adds the weights of the uncovered entries within `r` in
+/// index order, and adds `0.0` for the others: a gain starts at `+0.0`,
+/// so adding zero never changes it, and the sum is bit-identical to one
+/// that skips those entries.
+fn best_disk(dist: &DistMatrix, weights: &[f64], uncovered: &[usize], r: f64) -> (usize, f64) {
+    let n = dist.n;
+    let mut best = (usize::MAX, -1.0f64);
+    for c0 in (0..n).step_by(LANES) {
+        // A short last group scores the final candidate in spare lanes.
+        let rows: [&[f64]; LANES] = std::array::from_fn(|l| dist.row((c0 + l).min(n - 1)));
+        let mut gains = [0.0f64; LANES];
+        for &e in uncovered {
+            let w = weights[e];
+            for l in 0..LANES {
+                gains[l] += if rows[l][e] <= r { w } else { 0.0 };
             }
+        }
+        for (c, &gain) in (c0..n).zip(&gains) {
             if gain > best.1 {
                 best = (c, gain);
             }
-        }
-        best
-    };
-    let nthreads = threads.get().min(n).max(1);
-    if nthreads <= 1 {
-        return gain_scan(0..n);
-    }
-    let chunk = n.div_ceil(nthreads);
-    let gain_scan = &gain_scan;
-    let chunk_bests: Vec<(usize, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| scope.spawn(move || gain_scan(lo..(lo + chunk).min(n))))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut best = (usize::MAX, -1.0f64);
-    for (idx, gain) in chunk_bests {
-        if gain > best.1 {
-            best = (idx, gain);
         }
     }
     best

@@ -125,6 +125,147 @@ fn assert_grid_matches_reference<M: Metric>(
     }
 }
 
+/// `charikar_center` as it was before the distance matrix: every probe
+/// recomputes the distance rows it scans through the metric. The matrix
+/// solver must reproduce this bit for bit.
+fn reference_charikar<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    t: f64,
+    params: CenterParams,
+) -> Solution {
+    if points.is_empty() {
+        return Solution {
+            centers: Vec::new(),
+            cost: 0.0,
+            outliers: Vec::new(),
+            assignment: Vec::new(),
+        };
+    }
+    let ids = points.ids();
+    let n = ids.len();
+    let assigner = NearestAssigner::with_threads(metric, params.threads);
+    let mut hi = 0.0f64;
+    let mut row = Vec::with_capacity(n);
+    for a in 1..n {
+        assigner.dists_from(ids[a], &ids[..a], &mut row);
+        for &d in &row {
+            hi = hi.max(d);
+        }
+    }
+    if hi == 0.0 {
+        return Solution::evaluate(metric, points, vec![ids[0]], t, Objective::Center);
+    }
+    let feasible = |r: f64| -> Option<Vec<usize>> {
+        let (centers, uncovered) = reference_greedy_disks(metric, points, k, r, params.expansion);
+        (uncovered <= t + 1e-9).then_some(centers)
+    };
+    let mut lo = 0.0f64;
+    let mut hi_r = hi;
+    let mut best_centers = feasible(hi).expect("max radius must be feasible");
+    for _ in 0..params.radius_iters {
+        let mid = 0.5 * (lo + hi_r);
+        match feasible(mid) {
+            Some(c) => {
+                best_centers = c;
+                hi_r = mid;
+            }
+            None => lo = mid,
+        }
+        if hi_r - lo <= 1e-12 * hi {
+            break;
+        }
+    }
+    Solution::evaluate(metric, points, best_centers, t, Objective::Center)
+}
+
+fn reference_greedy_disks<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    r: f64,
+    expansion: f64,
+) -> (Vec<usize>, f64) {
+    let ids = points.ids();
+    let weights = points.weights();
+    let n = ids.len();
+    let mut covered = vec![false; n];
+    let mut centers = Vec::with_capacity(k);
+    let assigner = NearestAssigner::new(metric);
+    let mut row = Vec::with_capacity(n);
+    for _ in 0..k {
+        let mut best = (usize::MAX, -1.0f64);
+        for c in 0..n {
+            assigner.dists_from(ids[c], ids, &mut row);
+            let mut gain = 0.0;
+            for ((&cov, &d), &w) in covered.iter().zip(&row).zip(weights) {
+                if !cov && d <= r {
+                    gain += w;
+                }
+            }
+            if gain > best.1 {
+                best = (c, gain);
+            }
+        }
+        let (best_idx, best_gain) = best;
+        if best_idx == usize::MAX || best_gain <= 0.0 {
+            if let Some(e) = (0..n).find(|&e| !covered[e]) {
+                centers.push(ids[e]);
+                covered[e] = true;
+                continue;
+            }
+            break;
+        }
+        centers.push(ids[best_idx]);
+        let er = expansion * r;
+        assigner.dists_from(ids[best_idx], ids, &mut row);
+        for (c, &d) in covered.iter_mut().zip(&row) {
+            if !*c && d <= er {
+                *c = true;
+            }
+        }
+    }
+    let uncovered: f64 = covered
+        .iter()
+        .zip(weights)
+        .filter(|(&c, _)| !c)
+        .map(|(_, &w)| w)
+        .sum();
+    (centers, uncovered)
+}
+
+fn assert_charikar_matches_reference<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    params: CenterParams,
+) {
+    for &t in budgets {
+        let want = reference_charikar(metric, points, k, t, params);
+        for threads in [1, 3] {
+            let params = CenterParams {
+                threads: ThreadBudget::new(threads),
+                ..params
+            };
+            let got = charikar_center(metric, points, k, t, params);
+            let at = format!("t={t} threads={threads}");
+            assert_eq!(got.centers, want.centers, "centers at {at}");
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost at {at}");
+            let bits = |o: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                o.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&got.outliers),
+                bits(&want.outliers),
+                "outliers at {at}"
+            );
+            assert_eq!(got.assignment, want.assignment, "assignment at {at}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -202,6 +343,67 @@ proptest! {
             assert_grid_matches_reference(&m, &w, k, &budgets, params);
         } else {
             assert_grid_matches_reference(&e, &w, k, &budgets, params);
+        }
+    }
+
+    #[test]
+    fn charikar_matrix_matches_per_probe_reference(
+        rows in proptest::collection::vec((-6i64..6, -6i64..6, 1u32..6, 0.1f64..4.0), 1..40),
+        weights in 0usize..4, // unit, integer, fractional, some zero
+        coincident in any::<bool>(),
+        reversed_ids in any::<bool>(),
+        extra_k in 0usize..4,
+        shape in 0usize..3, // plane, L1 matrix, integer line
+        tight in any::<bool>(),
+    ) {
+        // A coarse lattice, so distance ties and coincident entries occur;
+        // `coincident` collapses every point onto one (the hi == 0 path).
+        // On the line every distance is an integer and the span is 16, so
+        // the bisection's dyadic radii (and their 3x expansions) land
+        // exactly on distances: the `<=` boundaries decide coverage.
+        let coords: Vec<Vec<f64>> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, _, _))| match (coincident, shape) {
+                (true, _) => vec![1.0, 1.0],
+                (false, 2) if i == 1 => vec![16.0],
+                (false, 2) => vec![if i == 0 { 0.0 } else { (x + 6 + (y + 6) % 5) as f64 }],
+                _ => vec![x as f64, y as f64],
+            })
+            .collect();
+        let ps = PointSet::from_rows(&coords);
+        let n = ps.len();
+        let w: Vec<f64> = rows
+            .iter()
+            .map(|&(_, _, i, f)| match weights {
+                0 => 1.0,
+                1 => f64::from(i),
+                2 => f,
+                // Zero-weight entries can be left with nothing to gain.
+                _ => f64::from(i % 3),
+            })
+            .collect();
+        // Entry positions differ from point ids when reversed.
+        let ids: Vec<usize> = if reversed_ids { (0..n).rev().collect() } else { (0..n).collect() };
+        let points = WeightedSet::from_parts(ids, w);
+        // k from 1 up to past n.
+        let k = (1 + extra_k * n / 2).min(n + extra_k);
+        let total = points.total_weight();
+        let budgets = [0.0, 1.0, 2.5, total, total + 1.0];
+        // Expansion 1 removes exactly the chosen disk.
+        let params = CenterParams {
+            expansion: if tight { 1.0 } else { 3.0 },
+            ..CenterParams::default()
+        };
+        if shape == 1 {
+            // A non-Euclidean metric: L1 distances through a matrix.
+            let m = MatrixMetric::from_fn(n, |i, j| {
+                ps.point(i).iter().zip(ps.point(j)).map(|(a, b)| (a - b).abs()).sum()
+            });
+            assert_charikar_matches_reference(&m, &points, k, &budgets, params);
+        } else {
+            let e = EuclideanMetric::new(&ps);
+            assert_charikar_matches_reference(&e, &points, k, &budgets, params);
         }
     }
 

@@ -15,6 +15,7 @@ use crate::tcp::TcpTransport;
 use crate::transport::{InlineTransport, LinkModel, Transport, TransportKind};
 use bytes::Bytes;
 use dpc_codec::Encoding;
+use dpc_metric::ThreadBudget;
 use dpc_obs::json::dur_to_ns;
 use dpc_obs::{Counter, Event, FaultKind, RecorderHandle};
 use std::time::{Duration, Instant};
@@ -162,6 +163,26 @@ impl RunOptions {
         self.shards = Some(shards);
         self
     }
+
+    /// Whether `sites` sites run at once under these options: more than
+    /// one site on a backend with a thread per site (parallel channel,
+    /// tcp, mux). Otherwise sites run one at a time — the sequential
+    /// channel backend runs them inline on the caller's thread.
+    pub fn sites_run_concurrently(&self, sites: usize) -> bool {
+        sites > 1 && (self.parallel || self.transport != TransportKind::Channel)
+    }
+
+    /// The kernel thread budget each of `sites` sites gets out of a job's
+    /// `budget`: serial when the sites run at once (their threads already
+    /// share the machine), the whole budget when they run one at a time.
+    /// The coordinator always keeps the whole budget.
+    pub fn site_threads(&self, sites: usize, budget: ThreadBudget) -> ThreadBudget {
+        if self.sites_run_concurrently(sites) {
+            ThreadBudget::serial()
+        } else {
+            budget
+        }
+    }
 }
 
 /// Result of a protocol execution.
@@ -190,7 +211,7 @@ pub fn run_protocol<C: Coordinator>(
 ) -> ProtocolOutput<C::Output> {
     match options.transport {
         // One site (or sequential mode) gains nothing from workers.
-        TransportKind::Channel if !options.parallel || sites.len() <= 1 => {
+        TransportKind::Channel if !options.sites_run_concurrently(sites.len()) => {
             drive(&mut InlineTransport::new(sites), coordinator, options)
         }
         TransportKind::Channel => std::thread::scope(|scope| {
@@ -553,6 +574,42 @@ mod tests {
         assert_eq!(a.output, b.output);
         assert_eq!(a.stats.num_rounds(), 2);
         assert_eq!(b.stats.num_rounds(), 2);
+    }
+
+    #[test]
+    fn sites_get_the_kernel_budget_only_when_run_one_at_a_time() {
+        let budget = ThreadBudget::new(4);
+        let serial = ThreadBudget::serial();
+        // (options, sites, run at once?)
+        let table = [
+            (RunOptions::new(), 8, true),
+            (RunOptions::sequential(), 8, false),
+            (RunOptions::new(), 1, false),
+            (RunOptions::sequential(), 1, false),
+            (RunOptions::new().transport(TransportKind::Tcp), 8, true),
+            (
+                RunOptions::sequential().transport(TransportKind::Tcp),
+                8,
+                true,
+            ),
+            (RunOptions::new().transport(TransportKind::Tcp), 1, false),
+            (RunOptions::new().transport(TransportKind::Mux), 8, true),
+            (
+                RunOptions::sequential().transport(TransportKind::Mux),
+                8,
+                true,
+            ),
+            (RunOptions::new().transport(TransportKind::Mux), 1, false),
+        ];
+        for (options, sites, concurrent) in table {
+            let case = format!(
+                "{:?} parallel={} sites={sites}",
+                options.transport, options.parallel
+            );
+            assert_eq!(options.sites_run_concurrently(sites), concurrent, "{case}");
+            let want = if concurrent { serial } else { budget };
+            assert_eq!(options.site_threads(sites, budget), want, "{case}");
+        }
     }
 
     #[test]

@@ -47,8 +47,10 @@ pub struct CenterConfig {
     pub rho: f64,
     /// Coordinator-side greedy-disk tuning.
     pub charikar: CenterParams,
-    /// Thread budget for the bulk kernels (site Gonzalez relax, weight
-    /// attachment, coordinator disk scans). Wall-clock only.
+    /// Thread budget for the bulk kernels: site Gonzalez relax and weight
+    /// attachment, and the coordinator's distance matrix. Sites get it
+    /// only when they run one at a time ([`RunOptions::site_threads`]);
+    /// the coordinator always does. Wall-clock only.
     pub threads: ThreadBudget,
     /// Wire encoding every protocol message is framed with
     /// ([`Encoding::Raw`] keeps the exact legacy byte layout).
@@ -350,10 +352,14 @@ pub fn run_distributed_center(
     assert!(!shards.is_empty(), "need at least one site");
     let options = options.encoding(cfg.encoding);
     let dim = shards[0].dim();
+    let site_cfg = CenterConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .enumerate()
-        .map(|(i, ps)| Box::new(CenterSite::new(ps, i, cfg)) as Box<dyn Site + '_>)
+        .map(|(i, ps)| Box::new(CenterSite::new(ps, i, site_cfg)) as Box<dyn Site + '_>)
         .collect();
     let coordinator = CenterCoordinator {
         cfg,

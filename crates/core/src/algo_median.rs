@@ -72,14 +72,18 @@ pub struct MedianConfig {
     pub variant: DeltaVariant,
     /// λ-bisection iterations inside the Theorem 3.1 substitute.
     pub lambda_iters: usize,
-    /// Inner local-search tuning.
+    /// Inner local-search tuning (its `threads` is replaced by
+    /// [`Self::threads`]).
     pub ls: LocalSearchParams,
     /// Use the second form of Theorem 3.1 at the coordinator: open up to
     /// `(1+ε)k` centers but exclude only exactly `t` weight (Table 2's
     /// `(1+ε)k` rows).
     pub relax_centers: bool,
-    /// Thread budget for the bulk distance kernels inside the site and
-    /// coordinator solvers. Wall-clock only — transcripts, selected
+    /// Thread budget for the bulk distance kernels: the site grid solve,
+    /// evaluation and merge, and the coordinator solve (the local search
+    /// runs with this budget in place of `ls.threads`). Sites get it only
+    /// when they run one at a time ([`RunOptions::site_threads`]); the
+    /// coordinator always does. Wall-clock only — transcripts, selected
     /// centers, and costs are identical at any budget.
     pub threads: ThreadBudget,
     /// Wire encoding every protocol message is framed with.
@@ -145,6 +149,7 @@ impl MedianConfig {
         // site offsets the search seed by its id.
         let mut ls = self.ls;
         ls.seed = ls.seed.wrapping_add(site_id as u64);
+        ls.threads = self.threads;
         BicriteriaParams {
             eps: 0.0,
             lambda_iters: self.lambda_iters,
@@ -546,10 +551,14 @@ pub fn run_distributed_median(
     // The driver needs the encoding to account raw vs compressed bytes.
     let options = options.encoding(cfg.encoding);
     let dim = shards[0].dim();
+    let site_cfg = MedianConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .enumerate()
-        .map(|(i, ps)| Box::new(MedianSite::new(ps, i, cfg)) as Box<dyn Site + '_>)
+        .map(|(i, ps)| Box::new(MedianSite::new(ps, i, site_cfg)) as Box<dyn Site + '_>)
         .collect();
     let coordinator = MedianCoordinator {
         cfg,

@@ -204,6 +204,10 @@ pub fn run_one_round_median(
     assert!(!shards.is_empty(), "need at least one site");
     let options = options.encoding(cfg.encoding);
     let dim = shards[0].dim();
+    let site_cfg = MedianConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .enumerate()
@@ -211,7 +215,7 @@ pub fn run_one_round_median(
             Box::new(OneRoundMedianSite {
                 data: ps,
                 site_id: i,
-                cfg,
+                cfg: site_cfg,
             }) as Box<dyn Site + '_>
         })
         .collect();
@@ -348,9 +352,18 @@ pub fn run_one_round_center(
     assert!(!shards.is_empty(), "need at least one site");
     let options = options.encoding(cfg.encoding);
     let dim = shards[0].dim();
+    let site_cfg = CenterConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
-        .map(|ps| Box::new(OneRoundCenterSite { data: ps, cfg }) as Box<dyn Site + '_>)
+        .map(|ps| {
+            Box::new(OneRoundCenterSite {
+                data: ps,
+                cfg: site_cfg,
+            }) as Box<dyn Site + '_>
+        })
         .collect();
     let coordinator = OneRoundCenterCoordinator {
         cfg,

@@ -49,7 +49,9 @@ pub struct CenterGConfig {
     /// Coordinator greedy-disk tuning.
     pub charikar: CenterParams,
     /// Thread budget for the bulk kernels (per-τ Gonzalez relax, the
-    /// coordinator disk scans). Wall-clock only.
+    /// coordinator's distance matrix). Sites get it only when they run
+    /// one at a time ([`RunOptions::site_threads`]); the coordinator
+    /// always does. Wall-clock only.
     pub threads: dpc_metric::ThreadBudget,
 }
 
@@ -553,10 +555,14 @@ pub fn run_center_g(
 ) -> ProtocolOutput<UncertainSolution> {
     assert!(!shards.is_empty(), "need at least one site");
     let dim = shards[0].ground.dim();
+    let site_cfg = CenterGConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .enumerate()
-        .map(|(i, ns)| Box::new(CenterGSite::new(ns, i, cfg)) as Box<dyn Site + '_>)
+        .map(|(i, ns)| Box::new(CenterGSite::new(ns, i, site_cfg)) as Box<dyn Site + '_>)
         .collect();
     let coordinator = CenterGCoordinator {
         cfg,
@@ -901,12 +907,16 @@ pub fn run_center_g_one_round(
 ) -> ProtocolOutput<UncertainSolution> {
     assert!(!shards.is_empty(), "need at least one site");
     let dim = shards[0].ground.dim();
+    let site_cfg = CenterGConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .map(|ns| {
             Box::new(OneRoundCenterGSite {
                 data: ns,
-                cfg,
+                cfg: site_cfg,
                 d_min,
                 d_max,
             }) as Box<dyn Site + '_>

@@ -60,7 +60,9 @@ pub struct UncertainConfig {
     /// Coordinator greedy-disk tuning (center-pp).
     pub charikar: CenterParams,
     /// Thread budget for the bulk kernels in the site and coordinator
-    /// solvers (wall-clock only).
+    /// solvers. Sites get it only when they run one at a time
+    /// ([`RunOptions::site_threads`]); the coordinator always does.
+    /// Wall-clock only.
     pub threads: ThreadBudget,
 }
 
@@ -545,10 +547,14 @@ pub fn run_uncertain_median(
 ) -> ProtocolOutput<UncertainSolution> {
     assert!(!shards.is_empty(), "need at least one site");
     let dim = shards[0].ground.dim();
+    let site_cfg = UncertainConfig {
+        threads: options.site_threads(shards.len(), cfg.threads),
+        ..cfg
+    };
     let mut sites: Vec<Box<dyn Site + '_>> = shards
         .iter()
         .enumerate()
-        .map(|(i, ns)| Box::new(UncertainSite::new(ns, i, cfg)) as Box<dyn Site + '_>)
+        .map(|(i, ns)| Box::new(UncertainSite::new(ns, i, site_cfg)) as Box<dyn Site + '_>)
         .collect();
     let coordinator = UncertainCoordinator {
         cfg,

@@ -266,16 +266,20 @@ fn thread_budget_never_changes_bytes_or_answers() {
     ];
     for b in builders {
         let serial = b.clone().sequential().validate().unwrap().run();
-        let threaded = b.threads(4).sequential().validate().unwrap().run();
-        assert_eq!(serial.centers, threaded.centers, "{}", serial.job);
-        assert_eq!(serial.cost, threaded.cost, "{}", serial.job);
-        assert_eq!(serial.bytes, threaded.bytes, "{}", serial.job);
-        assert_eq!(
-            round_bytes(&serial),
-            round_bytes(&threaded),
-            "{}",
-            serial.job
-        );
+        // Sequential sites get the whole budget; the default parallel
+        // channel backend runs sites at once and hands each a serial one.
+        for threaded in [b.clone().threads(4).sequential(), b.threads(4)] {
+            let threaded = threaded.validate().unwrap().run();
+            assert_eq!(serial.centers, threaded.centers, "{}", serial.job);
+            assert_eq!(serial.cost, threaded.cost, "{}", serial.job);
+            assert_eq!(serial.bytes, threaded.bytes, "{}", serial.job);
+            assert_eq!(
+                round_bytes(&serial),
+                round_bytes(&threaded),
+                "{}",
+                serial.job
+            );
+        }
     }
     // Uncertain nodes too (expected-distance loops run on the bulk path).
     let nodes = uncertain_mixture(UncertainSpec {
@@ -287,10 +291,12 @@ fn thread_budget_never_changes_bytes_or_answers() {
     });
     let b = Job::uncertain_median(2, 2).data(nodes);
     let serial = b.clone().sequential().validate().unwrap().run();
-    let threaded = b.threads(4).sequential().validate().unwrap().run();
-    assert_eq!(serial.centers, threaded.centers);
-    assert_eq!(serial.cost, threaded.cost);
-    assert_eq!(serial.bytes, threaded.bytes);
+    for threaded in [b.clone().threads(4).sequential(), b.threads(4)] {
+        let threaded = threaded.validate().unwrap().run();
+        assert_eq!(serial.centers, threaded.centers);
+        assert_eq!(serial.cost, threaded.cost);
+        assert_eq!(serial.bytes, threaded.bytes);
+    }
 }
 
 /// The high-dimensional blob workload exercises the kernels end to end:

@@ -4,8 +4,7 @@
 //! The paper's evaluation artefacts are Tables 1–2 (communication / round /
 //! runtime bounds) and Figure 1 (the compressed graph construction); each
 //! subcommand below measures the corresponding claim on seeded synthetic
-//! workloads and prints paper-style rows. See DESIGN.md §5 for the index
-//! and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! workloads and prints paper-style rows.
 //!
 //! Usage:
 //!   cargo run --release -p dpc-bench --bin dpc-experiments -- all
@@ -767,7 +766,8 @@ fn s1_stream_throughput() {
 /// blocked bulk layer vs bulk + threads, for the assignment shape every
 /// protocol bottoms out in (nearest-center over a `k + t` candidate set,
 /// the paper's `t ≫ k` regime), at d ∈ {4, 8, 32, 128} on 50k points with
-/// 64 candidates.
+/// 64 candidates, plus the local search's swap scoring at the same dims
+/// ([`swap_delta_rows`]).
 ///
 /// Writes `BENCH_kernels.json` at the repo root so the perf trajectory is
 /// recorded in-tree; the acceptance bar is ≥ 3× bulk-over-scalar for the
@@ -795,17 +795,6 @@ fn b1_kernels(threads_override: Option<usize>) {
     /// Gonzalez-prefix / coordinator-instance shape of Table 1.
     const K: usize = 64;
     let dims = [4usize, 8, 32, 128];
-
-    // Best-of-3 wall clock in milliseconds.
-    fn time_ms(mut f: impl FnMut()) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    }
 
     println!(
         "{:>5} {:>16} {:>12} {:>12} {:>14} {:>9} {:>9}",
@@ -1022,6 +1011,8 @@ fn b1_kernels(threads_override: Option<usize>) {
         }
     }
 
+    rows.extend(swap_delta_rows(budget, &dims));
+
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1037,6 +1028,124 @@ fn b1_kernels(threads_override: Option<usize>) {
         Err(e) => println!("\ncould not write BENCH_kernels.json: {e}"),
     }
     println!("acceptance: bulk speedup >= 3x for lloyd/gonzalez assignment at dim >= 32.");
+}
+
+/// B1's `swap_delta` rows: one local-search iteration's candidate
+/// scoring (48 candidates against 4 centers, finite penalty) at
+/// n ∈ {300, 2048, 16384}. `scalar_ms` is the per-candidate path (one
+/// distance pass per candidate, then a sequential accumulation pass),
+/// `bulk_ms` the tiled pass on one thread, `bulk_threads_ms` the tiled
+/// pass with its tiles shared out over the budget regardless of the
+/// work floor — the crossover these rows show is where
+/// `TILE_PAR_MIN_PAIRS` sits. All three must agree bit for bit.
+fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<String> {
+    use dpc::cluster::swap_deltas;
+    use dpc::metric::{EuclideanMetric, NearestAssigner, ThreadBudget};
+    const CANDIDATES: usize = 48;
+    const CENTERS: usize = 4;
+    let mut rows = Vec::new();
+    for &dim in dims {
+        for n in [300usize, 2048, 16_384] {
+            let blobs = gaussian_blobs(BlobsSpec {
+                clusters: CENTERS,
+                points: n,
+                outliers: 0,
+                dim,
+                seed: 0x5a4d + dim as u64,
+                ..Default::default()
+            });
+            let ps = &blobs.points;
+            let m = EuclideanMetric::new(ps);
+            let points = WeightedSet::unit(ps.len());
+            let (ids, weights) = (points.ids(), points.weights());
+            let centers: Vec<usize> = (0..CENTERS).map(|c| c * n / CENTERS).collect();
+            let state = NearestAssigner::new(&m).assign2c(ids, &centers);
+            let penalty = state.d1.iter().copied().fold(0.0, f64::max) / 2.0;
+            let cands: Vec<usize> = (0..CANDIDATES).map(|c| (c * 7919 + 1) % n).collect();
+
+            let assigner = NearestAssigner::new(&m);
+            let per_candidate = || {
+                let mut out = Vec::with_capacity(CANDIDATES * (CENTERS + 1));
+                let mut dx = Vec::new();
+                for &cand in &cands {
+                    assigner.dists_from(ids[cand], ids, &mut dx);
+                    let mut a = 0.0f64;
+                    let mut b = [0.0f64; CENTERS];
+                    for (e, &w) in weights.iter().enumerate() {
+                        if w == 0.0 {
+                            continue;
+                        }
+                        let old = state.d1[e].min(penalty);
+                        let with_x = dx[e].min(state.d1[e]).min(penalty);
+                        a += w * (with_x - old);
+                        b[state.c1[e]] += w * (state.d2[e].min(dx[e]).min(penalty) - with_x);
+                    }
+                    out.push(a);
+                    out.extend(b);
+                }
+                out
+            };
+            let tiled =
+                |threads| swap_deltas(&m, &points, &state, CENTERS, penalty, &cands, threads);
+            let want = per_candidate();
+            assert_eq!(tiled(ThreadBudget::serial()), want, "tiled serial differs");
+            assert_eq!(tiled(budget), want, "tiled threaded differs");
+            // Five interleaved best-of-3 rounds: at n = 300 a row takes a
+            // fraction of a millisecond, and one preempted round must not
+            // decide the crossover.
+            let (mut scalar, mut bulk, mut thr) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            for _ in 0..5 {
+                scalar = scalar.min(time_ms(|| {
+                    std::hint::black_box(per_candidate());
+                }));
+                bulk = bulk.min(time_ms(|| {
+                    std::hint::black_box(tiled(ThreadBudget::serial()));
+                }));
+                thr = thr.min(time_ms(|| {
+                    std::hint::black_box(tiled(budget));
+                }));
+            }
+            println!(
+                "{:>5} {:>16} {:>12.3} {:>12.3} {:>14.3} {:>8.2}x {:>8.2}x  (n {})",
+                dim,
+                "swap_delta",
+                scalar,
+                bulk,
+                thr,
+                scalar / bulk,
+                scalar / thr,
+                n
+            );
+            rows.push(format!(
+                concat!(
+                    "{{\"dim\":{},\"kernel\":\"swap_delta\",\"n\":{},\"candidates\":{},",
+                    "\"pairs\":{},\"scalar_ms\":{:.3},\"bulk_ms\":{:.3},\"bulk_threads_ms\":{:.3},",
+                    "\"speedup_bulk\":{:.3},\"speedup_threads\":{:.3}}}"
+                ),
+                dim,
+                n,
+                CANDIDATES,
+                n * CANDIDATES,
+                scalar,
+                bulk,
+                thr,
+                scalar / bulk,
+                scalar / thr
+            ));
+        }
+    }
+    rows
+}
+
+/// Best-of-3 wall clock of `f` in milliseconds.
+fn time_ms(mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
 }
 
 /// T1 — the transport-layer record: end-to-end wall clock of the same

@@ -12,7 +12,8 @@
 //!   coordinator in Algorithms 2 and 4.
 //! * [`median_outliers`] — the Theorem 3.1 analogue: a Lagrangian λ-penalty
 //!   local search for `(k, (1+ε)t)`-median/means (weighted), with a
-//!   parametric search on λ. See DESIGN.md §3 for the substitution note.
+//!   parametric search on λ, standing in for the paper's primal-dual
+//!   solver with the same interface and guarantee shape.
 //! * [`local_search`] — weighted k-median/means local search with an
 //!   optional per-point penalty (the Lagrangian core).
 //! * [`lloyd`] — Lloyd's k-means (with trimming) as a classical baseline.
@@ -33,7 +34,9 @@ pub use center_outliers::{charikar_center, CenterParams};
 pub use exact::{exact_best, ExactSolution};
 pub use gonzalez::{gonzalez, gonzalez_recorded, gonzalez_with, GonzalezOrdering};
 pub use lloyd::{lloyd_kmeans, LloydParams};
-pub use local_search::{kmedian_local_search, penalty_local_search, LocalSearchParams};
+pub use local_search::{
+    kmedian_local_search, penalty_local_search, swap_deltas, LocalSearchParams,
+};
 pub use median_outliers::{
     median_bicriteria, median_bicriteria_grid, median_bicriteria_relaxed_centers, BicriteriaParams,
 };

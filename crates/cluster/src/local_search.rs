@@ -1,8 +1,9 @@
 //! Weighted k-median/means local search with a Lagrangian per-point penalty.
 //!
-//! This is the computational core of the Theorem 3.1 substitute (see
-//! DESIGN.md §3): each point either pays its assignment distance or opts out
-//! for a fixed penalty `λ`, i.e. we minimize
+//! This is the computational core of the Theorem 3.1 substitute, which
+//! replaces the paper's primal-dual solver with a search of the same
+//! interface and guarantee shape: each point either pays its assignment
+//! distance or opts out for a fixed penalty `λ`, i.e. we minimize
 //!
 //! ```text
 //!   Σ_e  w_e · min( d(e, K), λ )         over |K| ≤ k
@@ -13,14 +14,24 @@
 //! \[4\]) optimize. `λ = ∞` recovers the plain k-median. For the means
 //! objective, run this over a [`dpc_metric::SquaredMetric`].
 //!
-//! The search is the classic single-swap heuristic with the `O(n + k)`
-//! per-candidate delta evaluation (maintaining nearest and second-nearest
-//! center distances), plus weighted D-sampling seeding. Single-swap local
-//! search is a constant-factor approximation for k-median (Arya et al.),
-//! which is all the downstream lemmas require of the preclustering oracle.
+//! The search is the classic single-swap heuristic with weighted
+//! D-sampling seeding. Single-swap local search is a constant-factor
+//! approximation for k-median (Arya et al.), which is all the downstream
+//! lemmas require of the preclustering oracle. Each iteration draws its
+//! swap candidates up front and scores them with the `O(n + k)` delta
+//! decomposition over nearest and second-nearest center distances
+//! ([`swap_deltas`]). Candidates are scored in tiles of
+//! [`DIST_TILE`]: one [`Metric::dist_tile_into`] pass over a block of
+//! entries serves the whole tile, and each candidate's sums still run in
+//! entry order, so every delta is bit-identical to scoring the candidates
+//! one at a time. The tiles are shared out over the thread budget only
+//! when the iteration's entry × candidate count reaches
+//! [`TILE_PAR_MIN_PAIRS`]; smaller searches stay on the calling thread.
 
 use crate::solution::Solution;
-use dpc_metric::{Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet};
+use dpc_metric::{
+    Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet, DIST_TILE, TILE_PAR_MIN_PAIRS,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,9 +46,11 @@ pub struct LocalSearchParams {
     pub min_rel_gain: f64,
     /// RNG seed (seeding + candidate sampling are the only random choices).
     pub seed: u64,
-    /// Thread budget for the bulk distance passes (state recomputation and
-    /// swap-delta scoring). Wall-clock only — results are identical at any
-    /// budget.
+    /// Thread budget for the bulk distance passes. Swap scoring shares its
+    /// candidate tiles out over it only when an iteration's entry ×
+    /// candidate count reaches [`TILE_PAR_MIN_PAIRS`]; seeding and state
+    /// updates use it per distance pass. Wall-clock only — results are
+    /// identical at any budget.
     pub threads: ThreadBudget,
 }
 
@@ -129,6 +142,105 @@ fn seed_centers<M: Metric>(
     centers
 }
 
+/// Entries scored per [`Metric::dist_tile_into`] call: a tile's distances
+/// to one block (`DIST_TILE × ENTRY_BLOCK` values, 16 KiB) stay in cache
+/// while they are accumulated.
+const ENTRY_BLOCK: usize = 256;
+
+/// Swap-delta terms of every candidate entry in `cands` against `state`,
+/// the nearest/second-nearest state of `k` centers. Candidate `j` fills
+/// `out[j·(k+1)..(j+1)·(k+1)]` with `[a, b[0], …, b[k−1]]`, where
+///
+/// ```text
+///   a     = Σ_e w_e (min(dx, d1, λ) − min(d1, λ))
+///   b[ci] = Σ_{e: c1 = ci} w_e (min(d2, dx, λ) − min(dx, d1, λ))
+/// ```
+///
+/// so swapping candidate `j` in for the center at slot `ci` changes the
+/// penalized cost by `a + b[ci]`. Candidates are scored [`DIST_TILE`] at
+/// a time, one distance pass per block of entries for the whole tile;
+/// each sum runs in entry order, so the terms are bit-identical to
+/// scoring one candidate at a time. Beyond one thread the tiles are
+/// shared out under one `thread::scope` — [`penalty_local_search`] asks
+/// for that only above [`TILE_PAR_MIN_PAIRS`].
+pub fn swap_deltas<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    state: &Assignment2C,
+    k: usize,
+    penalty: f64,
+    cands: &[usize],
+    threads: ThreadBudget,
+) -> Vec<f64> {
+    let mut out = vec![0.0; cands.len() * (k + 1)];
+    let workers = threads.get().min(cands.len().div_ceil(DIST_TILE));
+    if workers <= 1 {
+        score_tiles(metric, points, state, k, penalty, cands, &mut out);
+        return out;
+    }
+    let span = cands.len().div_ceil(DIST_TILE).div_ceil(workers) * DIST_TILE;
+    std::thread::scope(|scope| {
+        for (cs, os) in cands.chunks(span).zip(out.chunks_mut(span * (k + 1))) {
+            scope.spawn(move || score_tiles(metric, points, state, k, penalty, cs, os));
+        }
+    });
+    out
+}
+
+/// The serial body of [`swap_deltas`] over one run of candidates.
+fn score_tiles<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    state: &Assignment2C,
+    k: usize,
+    penalty: f64,
+    cands: &[usize],
+    out: &mut [f64],
+) {
+    let ids = points.ids();
+    let weights = points.weights();
+    let mut dx = vec![0.0f64; DIST_TILE * ENTRY_BLOCK.min(ids.len())];
+    let mut anchors = Vec::with_capacity(DIST_TILE);
+    let mut b = vec![[0.0f64; DIST_TILE]; k];
+    for (tile, terms) in cands
+        .chunks(DIST_TILE)
+        .zip(out.chunks_mut(DIST_TILE * (k + 1)))
+    {
+        anchors.clear();
+        anchors.extend(tile.iter().map(|&c| ids[c]));
+        // One accumulator per candidate, side by side; lanes past the
+        // tile's width sum stale distances and are never read back.
+        let mut a = [0.0f64; DIST_TILE];
+        b.fill([0.0; DIST_TILE]);
+        for start in (0..ids.len()).step_by(ENTRY_BLOCK) {
+            let block = &ids[start..(start + ENTRY_BLOCK).min(ids.len())];
+            let len = block.len();
+            metric.dist_tile_into(&anchors, block, &mut dx[..tile.len() * len]);
+            for (o, e) in (start..start + len).enumerate() {
+                let w = weights[e];
+                if w == 0.0 {
+                    continue;
+                }
+                let (d1, d2) = (state.d1[e], state.d2[e]);
+                let old = d1.min(penalty);
+                let bc = &mut b[state.c1[e]];
+                for j in 0..DIST_TILE {
+                    let x = dx[j * len + o];
+                    let with_x = x.min(d1).min(penalty);
+                    a[j] += w * (with_x - old);
+                    bc[j] += w * (d2.min(x).min(penalty) - with_x);
+                }
+            }
+        }
+        for (j, t) in terms.chunks_exact_mut(k + 1).enumerate() {
+            t[0] = a[j];
+            for (tc, bc) in t[1..].iter_mut().zip(&b) {
+                *tc = bc[j];
+            }
+        }
+    }
+}
+
 /// Runs the penalized single-swap local search.
 ///
 /// Returns the chosen centers together with the *penalized* objective in
@@ -160,40 +272,30 @@ pub fn penalty_local_search<M: Metric>(
     let mut cost = penalized_cost(&state, weights, penalty);
     let mut dx_all = Vec::with_capacity(n);
     let mut stale: Vec<usize> = Vec::new();
+    let mut cands: Vec<usize> = Vec::with_capacity(params.swap_candidates.min(n));
 
     for _ in 0..params.max_iters {
         let kk = centers.len();
-        // Sample candidate insertions.
-        let cand_count = params.swap_candidates.min(n);
-        let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
-        for _ in 0..cand_count {
+        // Draw the iteration's candidate insertions, one draw per slot.
+        // Current centers are skipped; a repeated draw would only tie its
+        // own first score, which the strict `<` below never prefers.
+        cands.clear();
+        for _ in 0..params.swap_candidates.min(n) {
             let cand = rng.gen_range(0..n);
-            let x = ids[cand];
-            if centers.contains(&x) {
-                continue;
+            if !centers.contains(&ids[cand]) && !cands.contains(&cand) {
+                cands.push(cand);
             }
-            // Delta decomposition: delta(x, ci) = a + b[ci], where
-            //   a      = Σ_e w_e (min(dx, d1, λ) − min(d1, λ))
-            //   b[ci]  = Σ_{e: c1=ci} w_e (min(d2, dx, λ) − min(dx, d1, λ))
-            // The candidate's distances to every entry come from one bulk
-            // pass; the accumulation stays sequential in entry order.
-            assigner.dists_from(x, ids, &mut dx_all);
-            let mut a = 0.0f64;
-            let mut b = vec![0.0f64; kk];
-            for e in 0..n {
-                let w = weights[e];
-                if w == 0.0 {
-                    continue;
-                }
-                let dx = dx_all[e];
-                let old = state.d1[e].min(penalty);
-                let with_x = dx.min(state.d1[e]).min(penalty);
-                a += w * (with_x - old);
-                let without_c1 = state.d2[e].min(dx).min(penalty);
-                b[state.c1[e]] += w * (without_c1 - with_x);
-            }
-            for (ci, &bc) in b.iter().enumerate() {
-                let delta = a + bc;
+        }
+        let threads = if n * cands.len() >= TILE_PAR_MIN_PAIRS {
+            params.threads
+        } else {
+            ThreadBudget::serial()
+        };
+        let terms = swap_deltas(metric, points, &state, kk, penalty, &cands, threads);
+        let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
+        for (&cand, t) in cands.iter().zip(terms.chunks_exact(kk + 1)) {
+            for (ci, &bc) in t[1..].iter().enumerate() {
+                let delta = t[0] + bc;
                 if best.is_none_or(|(_, _, bd)| delta < bd) {
                     best = Some((cand, ci, delta));
                 }

@@ -5,7 +5,7 @@
 //! Lagrangian primal-dual machinery of \[17\] with the outlier handling of
 //! \[4\]. We reproduce the same *interface and guarantee shape* with the
 //! λ-penalty local search of [`crate::local_search`] plus a parametric
-//! search on λ (see DESIGN.md §3 for the substitution rationale):
+//! search on λ:
 //!
 //! * for a given λ, the search returns centers where every point pays
 //!   `min(d, λ)` — points preferring the penalty are the implied outliers;

@@ -266,6 +266,235 @@ fn assert_charikar_matches_reference<M: Metric>(
     }
 }
 
+/// `penalty_local_search` as it was before tiled scoring: every candidate
+/// is drawn, distanced and accumulated on its own, in one sequential pass
+/// over the entries. The tiled search must reproduce this bit for bit.
+fn reference_local_search<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    penalty: f64,
+    params: LocalSearchParams,
+) -> Solution {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let ids = points.ids();
+    let weights = points.weights();
+    let n = ids.len();
+    let mut rng = SmallRng::seed_from_u64(params.seed);
+    let assigner = NearestAssigner::with_threads(metric, params.threads);
+    let penalized = |d1: &[f64]| -> f64 {
+        d1.iter()
+            .zip(weights)
+            .map(|(&d, &w)| w * d.min(penalty))
+            .sum()
+    };
+
+    // Weighted D-sampling seeding.
+    let first = (0..n)
+        .max_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+        .unwrap();
+    let mut centers = vec![ids[first]];
+    let mut d1 = Vec::new();
+    let mut dists = Vec::new();
+    assigner.dists_from(ids[first], ids, &mut d1);
+    while centers.len() < k.min(n) {
+        let scores: Vec<f64> = d1
+            .iter()
+            .zip(weights)
+            .map(|(&d, &w)| w * d.min(penalty))
+            .collect();
+        let total: f64 = scores.iter().sum();
+        let chosen = if total <= 0.0 {
+            (0..n).find(|&e| d1[e] > 0.0).unwrap_or(centers.len() % n)
+        } else {
+            let mut target = rng.gen::<f64>() * total;
+            let mut pick = n - 1;
+            for (e, &s) in scores.iter().enumerate() {
+                if target < s {
+                    pick = e;
+                    break;
+                }
+                target -= s;
+            }
+            pick
+        };
+        centers.push(ids[chosen]);
+        assigner.dists_from(ids[chosen], ids, &mut dists);
+        for (dd, &d) in d1.iter_mut().zip(&dists) {
+            if d < *dd {
+                *dd = d;
+            }
+        }
+    }
+
+    let mut state = assigner.assign2c(ids, &centers);
+    let mut cost = penalized(&state.d1);
+    let mut dx_all = Vec::new();
+    for _ in 0..params.max_iters {
+        let kk = centers.len();
+        let mut best: Option<(usize, usize, f64)> = None;
+        for _ in 0..params.swap_candidates.min(n) {
+            let cand = rng.gen_range(0..n);
+            if centers.contains(&ids[cand]) {
+                continue;
+            }
+            assigner.dists_from(ids[cand], ids, &mut dx_all);
+            let mut a = 0.0f64;
+            let mut b = vec![0.0f64; kk];
+            for e in 0..n {
+                let w = weights[e];
+                if w == 0.0 {
+                    continue;
+                }
+                let dx = dx_all[e];
+                let old = state.d1[e].min(penalty);
+                let with_x = dx.min(state.d1[e]).min(penalty);
+                a += w * (with_x - old);
+                let without_c1 = state.d2[e].min(dx).min(penalty);
+                b[state.c1[e]] += w * (without_c1 - with_x);
+            }
+            for (ci, &bc) in b.iter().enumerate() {
+                let delta = a + bc;
+                if best.is_none_or(|(_, _, bd)| delta < bd) {
+                    best = Some((cand, ci, delta));
+                }
+            }
+        }
+        match best {
+            Some((cand, ci, delta)) if delta < -params.min_rel_gain * cost.max(1e-30) => {
+                centers[ci] = ids[cand];
+                assigner.dists_from(ids[cand], ids, &mut dx_all);
+                let mut stale = Vec::new();
+                for (e, &dx) in dx_all.iter().enumerate() {
+                    if state.c1[e] == ci || state.c2[e] == ci {
+                        stale.push(e);
+                    } else if dx < state.d1[e] || (dx == state.d1[e] && ci < state.c1[e]) {
+                        state.d2[e] = state.d1[e];
+                        state.c2[e] = state.c1[e];
+                        state.d1[e] = dx;
+                        state.c1[e] = ci;
+                    } else if dx < state.d2[e] || (dx == state.d2[e] && ci < state.c2[e]) {
+                        state.d2[e] = dx;
+                        state.c2[e] = ci;
+                    }
+                }
+                if !stale.is_empty() {
+                    let stale_ids: Vec<usize> = stale.iter().map(|&e| ids[e]).collect();
+                    let sub = assigner.assign2c(&stale_ids, &centers);
+                    for (s, &e) in stale.iter().enumerate() {
+                        state.c1[e] = sub.c1[s];
+                        state.c2[e] = sub.c2[s];
+                        state.d1[e] = sub.d1[s];
+                        state.d2[e] = sub.d2[s];
+                    }
+                }
+                cost = penalized(&state.d1);
+            }
+            _ => break,
+        }
+    }
+    let outliers = state
+        .d1
+        .iter()
+        .enumerate()
+        .filter(|&(e, &d)| d > penalty && weights[e] > 0.0)
+        .map(|(e, _)| (e, weights[e]))
+        .collect();
+    Solution {
+        centers,
+        cost,
+        outliers,
+        assignment: state.c1,
+    }
+}
+
+/// The per-candidate delta terms `[a, b[0], …]` the reference loop above
+/// accumulates, for [`swap_deltas`]' layout.
+fn reference_swap_terms<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    state: &Assignment2C,
+    k: usize,
+    penalty: f64,
+    cands: &[usize],
+) -> Vec<f64> {
+    let ids = points.ids();
+    let weights = points.weights();
+    let mut out = Vec::new();
+    let mut dx_all = Vec::new();
+    for &cand in cands {
+        NearestAssigner::new(metric).dists_from(ids[cand], ids, &mut dx_all);
+        let mut a = 0.0f64;
+        let mut b = vec![0.0f64; k];
+        for (e, &w) in weights.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let with_x = dx_all[e].min(state.d1[e]).min(penalty);
+            a += w * (with_x - state.d1[e].min(penalty));
+            b[state.c1[e]] += w * (state.d2[e].min(dx_all[e]).min(penalty) - with_x);
+        }
+        out.push(a);
+        out.extend(b);
+    }
+    out
+}
+
+fn assert_local_search_matches_reference<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    penalty: f64,
+    seed: u64,
+) {
+    let bits = |o: &[(usize, f64)]| -> Vec<(usize, u64)> {
+        o.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+    };
+    for threads in [1, 3] {
+        let params = LocalSearchParams {
+            seed,
+            threads: ThreadBudget::new(threads),
+            ..LocalSearchParams::default()
+        };
+        let want = reference_local_search(metric, points, k, penalty, params);
+        let got = penalty_local_search(metric, points, k, penalty, params);
+        let at = format!("k={k} penalty={penalty} threads={threads}");
+        assert_eq!(got.centers, want.centers, "centers at {at}");
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost at {at}");
+        assert_eq!(
+            bits(&got.outliers),
+            bits(&want.outliers),
+            "outliers at {at}"
+        );
+        assert_eq!(got.assignment, want.assignment, "assignment at {at}");
+
+        // The scoring pass on its own, with the tiles shared out however
+        // small the input: every candidate (repeats and centers included,
+        // in draw order) scores exactly as one at a time.
+        let ids = points.ids();
+        let centers: Vec<usize> = want.centers.clone();
+        let state = NearestAssigner::new(metric).assign2c(ids, &centers);
+        let n = ids.len();
+        let cands: Vec<usize> = (0..2 * DIST_TILE + 3)
+            .map(|c| (c * 7 + seed as usize) % n)
+            .collect();
+        let terms = swap_deltas(
+            metric,
+            points,
+            &state,
+            centers.len(),
+            penalty,
+            &cands,
+            ThreadBudget::new(threads),
+        );
+        let want_terms =
+            reference_swap_terms(metric, points, &state, centers.len(), penalty, &cands);
+        let tb = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(tb(&terms), tb(&want_terms), "swap terms at {at}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -404,6 +633,46 @@ proptest! {
         } else {
             let e = EuclideanMetric::new(&ps);
             assert_charikar_matches_reference(&e, &points, k, &budgets, params);
+        }
+    }
+
+    #[test]
+    fn tiled_local_search_matches_per_candidate_reference(
+        rows in proptest::collection::vec((-6i64..6, -6i64..6, 1u32..6, 0.1f64..4.0), 1..40),
+        weights in 0usize..3, // unit, fractional, some zero
+        extra_k in 0usize..4,
+        shape in 0usize..3, // plane, squared plane, L1 matrix
+        finite_penalty in any::<bool>(),
+        seed in 0u64..1024,
+    ) {
+        // A coarse lattice, so distance ties, coincident entries and
+        // repeated candidate draws (48 draws over at most 39 entries)
+        // occur; n runs from below one tile width to several tiles.
+        let coords: Vec<Vec<f64>> = rows.iter().map(|&(x, y, _, _)| vec![x as f64, y as f64]).collect();
+        let ps = PointSet::from_rows(&coords);
+        let n = ps.len();
+        let w: Vec<f64> = rows
+            .iter()
+            .map(|&(_, _, i, f)| match weights {
+                0 => 1.0,
+                1 => f,
+                _ => f64::from(i % 3),
+            })
+            .collect();
+        let points = WeightedSet::from_parts((0..n).collect(), w);
+        // k from 1 up to past n.
+        let k = (1 + extra_k * n / 2).min(n + extra_k);
+        let penalty = if finite_penalty { 2.5 } else { f64::INFINITY };
+        let e = EuclideanMetric::new(&ps);
+        match shape {
+            0 => assert_local_search_matches_reference(&e, &points, k, penalty, seed),
+            1 => assert_local_search_matches_reference(&SquaredMetric::new(e), &points, k, penalty, seed),
+            _ => {
+                let m = MatrixMetric::from_fn(n, |i, j| {
+                    ps.point(i).iter().zip(ps.point(j)).map(|(a, b)| (a - b).abs()).sum()
+                });
+                assert_local_search_matches_reference(&m, &points, k, penalty, seed);
+            }
         }
     }
 

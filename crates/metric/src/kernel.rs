@@ -578,6 +578,54 @@ pub(crate) fn sq_dists_scattered(points: &PointSet, x: &[f64], js: &[usize], out
     }
 }
 
+/// Anchors per tile of [`Metric::dist_tile_into`]'s Euclidean kernel, and
+/// swap candidates per tile of the local search's scoring pass: eight
+/// `f64` accumulators side by side are four independent add chains of
+/// baseline x86-64 (SSE2) vectors, enough to cover the add latency.
+pub const DIST_TILE: usize = 8;
+
+/// Work floor, in entry × candidate pairs, below which the local search
+/// scores a swap iteration's candidate tiles on the calling thread: one
+/// `thread::scope` per iteration costs more than the tiles it would
+/// share out. Calibrated on the `swap_delta` rows of `BENCH_kernels.json`
+/// (2-vCPU host, 48 candidates): at n = 300 (14 400 pairs) two threads
+/// lose to serial tiles at dim 4; at n = 2048 (98 304 pairs) they are
+/// never slower, and 1.5–2x faster from dim 8 up. A finer sweep at dims
+/// 4–16 put break-even between 34 000 and 67 000 pairs.
+pub const TILE_PAR_MIN_PAIRS: usize = 65_536;
+
+/// Exact squared distances from several anchors to scattered ids:
+/// `out[j · ids.len() + e] = ‖anchors[j] − ids[e]‖²`. The anchors are
+/// gathered [`DIST_TILE`] at a time into a structure-of-arrays tile (one
+/// lane array per coordinate), so each id's row is read once per tile.
+/// Every pair sums `(anchor − row)²` in dimension order from `0.0`, the
+/// operand order of [`sq_dists_scattered`], so values match it bit for bit.
+pub(crate) fn sq_dists_tiled(points: &PointSet, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+    debug_assert_eq!(out.len(), anchors.len() * ids.len());
+    let len = ids.len();
+    let mut tile = vec![[0.0f64; DIST_TILE]; points.dim()];
+    for (t, group) in anchors.chunks(DIST_TILE).enumerate() {
+        for (j, &a) in group.iter().enumerate() {
+            for (lane, &v) in tile.iter_mut().zip(points.point(a)) {
+                lane[j] = v;
+            }
+        }
+        let rows = &mut out[t * DIST_TILE * len..(t * DIST_TILE + group.len()) * len];
+        for (e, &i) in ids.iter().enumerate() {
+            let mut acc = [0.0f64; DIST_TILE];
+            for (lane, &r) in tile.iter().zip(points.point(i)) {
+                for (a, &x) in acc.iter_mut().zip(lane) {
+                    let d = x - r;
+                    *a += d * d;
+                }
+            }
+            for (j, &a) in acc.iter().take(group.len()).enumerate() {
+                rows[j * len + e] = a;
+            }
+        }
+    }
+}
+
 /// The gathered, norm-annotated candidate rows the pruned kernels scan:
 /// contiguous row-major coordinates plus the precomputed norms `‖c‖`
 /// behind the O(1) lower bound.

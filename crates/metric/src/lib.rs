@@ -75,7 +75,7 @@ pub use cost::{
 pub use encode::{WireReader, WireWriter};
 pub use kernel::{
     sq_dists_to_coords, Assignment, Assignment2, Assignment2C, BoundedAssigner, CenterBlock,
-    NearestAssigner, ThreadBudget,
+    NearestAssigner, ThreadBudget, DIST_TILE, TILE_PAR_MIN_PAIRS,
 };
 pub use layout::zorder_permutation;
 pub use metric::{CrossMetric, EuclideanMetric, MatrixMetric, Metric, SquaredMetric};

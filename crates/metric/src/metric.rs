@@ -81,6 +81,33 @@ pub trait Metric: Sync {
         }
     }
 
+    /// Distances from several anchors to one block of ids:
+    /// `out[j · ids.len() + e] = dist(anchors[j], ids[e])` (`out.len()`
+    /// must equal `anchors.len() · ids.len()`). The default runs
+    /// [`Metric::dist_to_many_into`] once per anchor; overrides read each
+    /// id once per tile of anchors and must match the default bit for bit.
+    fn dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), anchors.len() * ids.len());
+        if ids.is_empty() {
+            return;
+        }
+        for (&a, row) in anchors.iter().zip(out.chunks_exact_mut(ids.len())) {
+            self.dist_to_many_into(a, ids, row);
+        }
+    }
+
+    /// *Squared* form of [`Metric::dist_tile_into`]; the default runs
+    /// [`Metric::sq_dist_to_many_into`] once per anchor.
+    fn sq_dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), anchors.len() * ids.len());
+        if ids.is_empty() {
+            return;
+        }
+        for (&a, row) in anchors.iter().zip(out.chunks_exact_mut(ids.len())) {
+            self.sq_dist_to_many_into(a, ids, row);
+        }
+    }
+
     /// Distance from `i` to the nearest point in `centers`, together with
     /// the arg-min position *within the slice*; on ties the first
     /// candidate wins. Returns `None` on an empty slice.
@@ -256,6 +283,12 @@ impl<M: Metric + ?Sized> Metric for &M {
     fn sq_dist_to_many_into(&self, i: usize, js: &[usize], out: &mut [f64]) {
         (**self).sq_dist_to_many_into(i, js, out)
     }
+    fn dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        (**self).dist_tile_into(anchors, ids, out)
+    }
+    fn sq_dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        (**self).sq_dist_tile_into(anchors, ids, out)
+    }
     fn nearest_in(&self, i: usize, centers: &[usize]) -> Option<(usize, f64)> {
         (**self).nearest_in(i, centers)
     }
@@ -363,6 +396,17 @@ impl Metric for EuclideanMetric<'_> {
     fn sq_dist_to_many_into(&self, i: usize, js: &[usize], out: &mut [f64]) {
         // Native squared form: no root, no re-square.
         crate::kernel::sq_dists_scattered(self.points, self.points.point(i), js, out);
+    }
+
+    fn dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        crate::kernel::sq_dists_tiled(self.points, anchors, ids, out);
+        for o in out.iter_mut() {
+            *o = o.sqrt();
+        }
+    }
+
+    fn sq_dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        crate::kernel::sq_dists_tiled(self.points, anchors, ids, out);
     }
 
     fn nearest_in(&self, i: usize, centers: &[usize]) -> Option<(usize, f64)> {
@@ -628,6 +672,11 @@ impl<M: Metric> Metric for SquaredMetric<M> {
         // trip of the scalar path (values may differ from `dist` by ~1
         // ulp; winners and orderings are identical).
         self.inner.sq_dist_to_many_into(i, js, out);
+    }
+
+    fn dist_tile_into(&self, anchors: &[usize], ids: &[usize], out: &mut [f64]) {
+        // Same routing as `dist_to_many_into`, one tile at a time.
+        self.inner.sq_dist_tile_into(anchors, ids, out);
     }
 
     fn nearest_in(&self, i: usize, centers: &[usize]) -> Option<(usize, f64)> {

@@ -214,7 +214,65 @@ fn center_subset(n: usize, picks: &[usize]) -> Vec<usize> {
     centers
 }
 
+/// Pins [`Metric::dist_tile_into`] and [`Metric::sq_dist_tile_into`]
+/// bit for bit against one [`Metric::dist_to_many_into`] /
+/// [`Metric::sq_dist_to_many_into`] call per anchor.
+fn check_tile<M: Metric>(m: &M, anchors: &[usize], ids: &[usize]) {
+    let len = ids.len();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut tile = vec![f64::NAN; anchors.len() * len];
+    let mut sq_tile = vec![f64::NAN; anchors.len() * len];
+    m.dist_tile_into(anchors, ids, &mut tile);
+    m.sq_dist_tile_into(anchors, ids, &mut sq_tile);
+    let mut row = vec![0.0; len];
+    for (j, &a) in anchors.iter().enumerate() {
+        m.dist_to_many_into(a, ids, &mut row);
+        assert_eq!(
+            bits(&tile[j * len..(j + 1) * len]),
+            bits(&row),
+            "anchor {j}"
+        );
+        m.sq_dist_to_many_into(a, ids, &mut row);
+        assert_eq!(
+            bits(&sq_tile[j * len..(j + 1) * len]),
+            bits(&row),
+            "sq anchor {j}"
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn dist_tile_equals_per_anchor_rows(
+        dim_ix in 0usize..4,
+        seed_rows in proptest::collection::vec(proptest::collection::vec(-1e4f64..1e4, 128), 1..12),
+        dup in proptest::collection::vec(any::<bool>(), 12),
+        anchor_picks in proptest::collection::vec(any::<usize>(), 0..20),
+        id_picks in proptest::collection::vec(any::<usize>(), 0..30),
+        tau in 0.0f64..5e3,
+    ) {
+        // Anchor counts from 0 past two tile widths (repeats allowed),
+        // scattered ids with repeats, over every metric.
+        let dim = [1usize, 3, 16, 128][dim_ix];
+        let mut all = Vec::new();
+        for (i, r) in seed_rows.iter().enumerate() {
+            all.push(r[..dim].to_vec());
+            if dup[i] {
+                all.push(r[..dim].to_vec());
+            }
+        }
+        let ps = PointSet::from_rows(&all);
+        let n = ps.len();
+        let anchors: Vec<usize> = anchor_picks.iter().map(|&a| a % n).collect();
+        let ids: Vec<usize> = id_picks.iter().map(|&i| i % n).collect();
+        let e = EuclideanMetric::new(&ps);
+        check_tile(&e, &anchors, &ids);
+        check_tile(&SquaredMetric::new(e), &anchors, &ids);
+        check_tile(&&e, &anchors, &ids);
+        check_tile(&TruncatedMetric::new(e, tau), &anchors, &ids);
+        check_tile(&MatrixMetric::from_metric(&e), &anchors, &ids);
+    }
+
     #[test]
     fn euclidean_bulk_equals_scalar(
         ps in arb_points_with_ties(10, 3),

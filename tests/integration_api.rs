@@ -297,6 +297,22 @@ fn thread_budget_never_changes_bytes_or_answers() {
         assert_eq!(serial.cost, threaded.cost);
         assert_eq!(serial.bytes, threaded.bytes);
     }
+    // A merged instance past the swap-scoring work floor: 4-point shards
+    // ship most of themselves (here ~80% of the input reaches the
+    // coordinator), so its local searches score ~47 candidates against
+    // ~1 900 entries and share their tiles out over the budget.
+    let big = points(2400, 4, 53);
+    assert!(big.len() * 3 / 4 * 46 >= dpc::metric::TILE_PAR_MIN_PAIRS);
+    let b = Job::means(2, 4)
+        .sites(big.len() / 4)
+        .transport(TransportKind::Mux)
+        .points(big);
+    let serial = b.clone().threads(1).validate().unwrap().run();
+    let threaded = b.threads(4).validate().unwrap().run();
+    assert_eq!(serial.centers, threaded.centers);
+    assert_eq!(serial.cost, threaded.cost);
+    assert_eq!(serial.bytes, threaded.bytes);
+    assert_eq!(round_bytes(&serial), round_bytes(&threaded));
 }
 
 /// The high-dimensional blob workload exercises the kernels end to end:

@@ -600,23 +600,23 @@ mod tests {
         assert!(!sample().text().contains("encoding:"));
 
         let mut a = sample();
-        a.encoding = Some("f16".into());
+        a.encoding = Some("f32".into());
         a.bytes_raw = Some(250);
         a.quality_delta = Some(0.0125);
         let doc = a.to_json();
         assert!(
-            doc.contains("\"encoding\":\"f16\",\"bytes_raw\":250,\"quality_delta\":0.0125"),
+            doc.contains("\"encoding\":\"f32\",\"bytes_raw\":250,\"quality_delta\":0.0125"),
             "{doc}"
         );
         let back = Artifact::from_json(&doc).unwrap();
-        assert_eq!(back.encoding.as_deref(), Some("f16"));
+        assert_eq!(back.encoding.as_deref(), Some("f32"));
         assert_eq!(back.bytes_raw, Some(250));
         assert_eq!(back.quality_delta, Some(0.0125));
         assert_eq!(back.to_json(), doc);
         assert!((a.compression_ratio() - 2.5).abs() < 1e-12);
         let text = a.text();
         assert!(
-            text.contains("encoding: f16, bytes 250B -> 100B (2.50x), quality delta +1.2500%"),
+            text.contains("encoding: f32, bytes 250B -> 100B (2.50x), quality delta +1.2500%"),
             "{text}"
         );
     }

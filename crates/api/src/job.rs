@@ -1576,21 +1576,21 @@ mod tests {
         assert!(qd.abs() <= 0.05, "f32 quality delta too large: {qd}");
 
         // Lossless: identical answer, zero delta by construction.
-        let delta_run = Job::median(3, 4)
+        let rlz_run = Job::median(3, 4)
             .sites(3)
             .eps(0.5)
-            .encoding(Encoding::Delta)
+            .encoding(Encoding::Rlz)
             .points(pts.clone())
             .validate()
             .unwrap()
             .run();
-        assert_eq!(delta_run.centers, raw.centers);
-        assert_eq!(delta_run.cost, raw.cost);
-        assert_eq!(delta_run.quality_delta, Some(0.0));
+        assert_eq!(rlz_run.centers, raw.centers);
+        assert_eq!(rlz_run.cost, raw.cost);
+        assert_eq!(rlz_run.quality_delta, Some(0.0));
 
         // Jobs whose wire never sees the codec warn and stay raw.
         let vj = Job::subquadratic(2, 1)
-            .encoding(Encoding::F16)
+            .encoding(Encoding::F32)
             .points(mix(100, 1))
             .validate()
             .unwrap();

@@ -347,13 +347,13 @@ mod tests {
     #[test]
     fn encoding_axis_traces_the_frontier() {
         let arts = Sweep::grid(base())
-            .encodings(&[Encoding::Raw, Encoding::Delta])
+            .encodings(&[Encoding::Raw, Encoding::Rlz])
             .parallelism(2)
             .run()
             .unwrap();
         assert_eq!(arts.len(), 2);
         assert_eq!(arts[0].encoding, None);
-        assert_eq!(arts[1].encoding.as_deref(), Some("delta"));
+        assert_eq!(arts[1].encoding.as_deref(), Some("rlz"));
         // Lossless codec: same solution, and the encoded cell's raw
         // accounting reproduces the raw cell's wire total exactly.
         assert_eq!(arts[0].centers, arts[1].centers);
@@ -362,7 +362,7 @@ mod tests {
         let csv = csv_table(&arts);
         let header = csv.lines().next().unwrap();
         assert!(header.ends_with("encoding,bytes_raw"), "{header}");
-        assert!(csv.contains(",delta,"), "{csv}");
+        assert!(csv.contains(",rlz,"), "{csv}");
     }
 
     #[test]

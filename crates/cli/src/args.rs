@@ -71,7 +71,7 @@ commands:
   stream             streaming (k,t) clustering over rows in arrival order
   sweep <protocol>   cartesian parameter sweep over median|means|center;
                      --k/--t/--eps/--sites/--transport/--encoding accept
-                     comma lists (e.g. --k 2,4 --encoding raw,f16); prints
+                     comma lists (e.g. --k 2,4 --encoding raw,f32); prints
                      a CSV table (or a JSON artifact array with --json)
 
 options:
@@ -97,11 +97,10 @@ transport options (distributed commands and stream --sync-every):
                              shards (set by --threads), so thousands of
                              sites fit in one process
   --encoding <enc>           wire codec for protocol messages (default
-                             raw): raw keeps the exact bytes; f32/f16
-                             quantize coordinates lossily; delta packs
-                             sorted coordinates losslessly; rlz codes a
-                             summary against the previous sync's summary
-                             (continuous stream mode)
+                             raw): raw keeps the exact bytes; f32
+                             quantizes coordinates lossily; rlz codes a
+                             summary losslessly against the previous
+                             sync's summary (continuous stream mode)
   --latency <dur>            simulated one-way per-message latency, e.g.
                              5ms, 250us, 1s (bare numbers are ms)
   --bandwidth <rate>         simulated link bandwidth in bytes/sec with
@@ -412,8 +411,7 @@ impl Arg<'_> {
     }
 
     fn encoding(&self) -> Result<Encoding, ParseError> {
-        Encoding::parse(self.value)
-            .ok_or_else(|| ParseError(format!("{} (raw|f32|f16|delta|rlz)", self.invalid())))
+        self.choice(&Encoding::ALL.map(|e| (e.name(), e)))
     }
 
     /// A grid axis from a comma list, every element parsed up front.
@@ -1007,8 +1005,8 @@ mod tests {
     #[test]
     fn encoding_flags() {
         assert_eq!(
-            job(&["median", "--encoding", "f16", "x.csv"]),
-            built(Job::median(5, 0).encoding(Encoding::F16))
+            job(&["median", "--encoding", "f32", "x.csv"]),
+            built(Job::median(5, 0).encoding(Encoding::F32))
         );
         // Stream continuous mode takes it too.
         assert_eq!(
@@ -1027,13 +1025,19 @@ mod tests {
             )
         );
         // Sweep axis: comma list.
-        use Encoding::{Delta, Raw, F32};
+        use Encoding::{Raw, Rlz, F32};
         assert_eq!(
-            grid(&["sweep", "median", "--encoding", "raw,f32,delta", "g.csv"]),
-            grid_of(Sweep::grid(Job::median(5, 0)).encodings(&[Raw, F32, Delta]))
+            grid(&["sweep", "median", "--encoding", "raw,f32,rlz", "g.csv"]),
+            grid_of(Sweep::grid(Job::median(5, 0)).encodings(&[Raw, F32, Rlz]))
         );
-        // Rejections.
-        assert!(parse(&["median", "--encoding", "gzip", "x.csv"]).is_err());
+        // Rejections name every accepted mode.
+        for bad in ["gzip", "f16", "delta"] {
+            let err = parse(&["median", "--encoding", bad, "x.csv"]).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("invalid value '{bad}' for --encoding (raw|f32|rlz)")
+            );
+        }
         assert!(parse(&["sweep", "median", "--encoding", "raw,zip", "g.csv"]).is_err());
     }
 

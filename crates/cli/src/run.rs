@@ -709,33 +709,25 @@ mod tests {
 
     #[test]
     fn encoding_flag_end_to_end() {
-        let raw = opts(&["median", "--k", "2", "--t", "1", "--sites", "3", "in.csv"]);
-        let a = execute(&raw, toy_csv().as_bytes()).unwrap();
-        let f16 = opts(&[
-            "median",
-            "--k",
-            "2",
-            "--t",
-            "1",
-            "--sites",
-            "3",
-            "--encoding",
-            "f16",
-            "in.csv",
-        ]);
-        let b = execute(&f16, toy_csv().as_bytes()).unwrap();
-        assert_eq!(b.encoding.as_deref(), Some("f16"));
+        // 16-dim coordinates dominate the messages, so narrowing them
+        // outweighs the frame and span-flag overhead.
+        let blobs = "blobs:n=300,dim=16,clusters=4,outliers=4,seed=9";
+        let base = ["median", "--k", "4", "--t", "4", "--sites", "3"];
+        let a = execute(&opts(&[&base[..], &[blobs]].concat()), std::io::empty()).unwrap();
+        let f32_run = opts(&[&base[..], &["--encoding", "f32", blobs]].concat());
+        let b = execute(&f32_run, std::io::empty()).unwrap();
+        assert_eq!(b.encoding.as_deref(), Some("f32"));
         assert_eq!(b.bytes_raw, Some(a.bytes));
         assert!(b.bytes < a.bytes, "{} vs {}", b.bytes, a.bytes);
         assert!(b.quality_delta.is_some());
         // The text report renders the raw -> compressed line.
-        assert!(b.text().contains("encoding: f16, bytes "), "{}", b.text());
-        assert!(b.to_json().contains("\"encoding\":\"f16\""));
+        assert!(b.text().contains("encoding: f32, bytes "), "{}", b.text());
+        assert!(b.to_json().contains("\"encoding\":\"f32\""));
         // Raw artifacts never mention the codec.
         assert_eq!(a.encoding, None);
         assert!(!a.to_json().contains("encoding"));
         // A no-effect combo warns but still runs.
-        let o = opts(&["subquadratic", "--k", "2", "--encoding", "delta", "x.csv"]);
+        let o = opts(&["subquadratic", "--k", "2", "--encoding", "rlz", "x.csv"]);
         let w = preflight(&o).unwrap();
         assert!(
             w.iter().any(|w| matches!(
@@ -762,7 +754,7 @@ mod tests {
             "--sites",
             "3",
             "--encoding",
-            "raw,f32,delta",
+            "raw,f32,rlz",
             "blobs:n=300,dim=16,clusters=4,outliers=4,seed=9",
         ]);
         let arts = execute_sweep(&o, std::io::empty()).unwrap();

@@ -1,5 +1,5 @@
-//! Pluggable wire codecs for protocol payloads — the bicriteria
-//! compression layer between messages and the transport.
+//! Wire codecs for protocol payloads — the bicriteria compression layer
+//! between messages and the transport.
 //!
 //! The source paper's entire objective is communication cost, and every
 //! message in this workspace is charged its real serialized length. This
@@ -9,15 +9,17 @@
 //! (Farruggia et al., *Bicriteria data compression*; Gagie,
 //! *RLZ-to-LZ77*, for the reference-coded mode).
 //!
-//! ## The five modes
+//! ## The three modes
 //!
 //! | [`Encoding`] | kind     | guarantee |
 //! |--------------|----------|-----------|
 //! | `Raw`        | identity | bit-identical bytes — no frame header at all |
 //! | `F32`        | lossy    | per coordinate `x`: error ≤ [`f32_declared_eps`]`(x)` |
-//! | `F16`        | lossy    | per coordinate `x`: error ≤ [`f16_declared_eps`]`(x)` |
-//! | `Delta`      | lossless | bit-identical round trip (sorted delta + zig-zag varints) |
 //! | `Rlz`        | lossless | bit-identical round trip; decoding against the wrong reference fails loudly |
+//!
+//! Each mode is on the recorded bytes ⇄ quality frontier
+//! (`BENCH_codec.json`): `F32` for one-shot batch jobs, `Rlz` for
+//! continuous syncs, which carry a previous summary to copy from.
 //!
 //! ## How it plugs in
 //!
@@ -31,9 +33,9 @@
 //! varint version (= 1) · varint encoding tag · varint raw_len · body
 //! ```
 //!
-//! whose body only transforms the recorded coordinate spans — varints,
-//! weights, costs and every other scalar survive bit-exactly under
-//! *every* mode. [`unframe`] inverts it; [`peek_raw_len`] lets the
+//! The `F32` body transforms only the recorded coordinate spans —
+//! varints, weights, costs and every other scalar survive bit-exactly
+//! under *every* mode. [`unframe`] inverts it; [`peek_raw_len`] lets the
 //! protocol driver charge both compressed (wire) and raw byte totals
 //! without decoding.
 //!
@@ -43,14 +45,13 @@
 //! checksum of the reference, so a decoder holding a different
 //! dictionary panics instead of silently corrupting coordinates.
 
-pub mod delta;
 pub mod lossy;
 pub mod rlz;
 
 use bytes::Bytes;
 pub use dpc_metric::encode::CoordSpan;
 use dpc_metric::encode::WireWriter;
-pub use lossy::{f16_declared_eps, f32_declared_eps};
+pub use lossy::f32_declared_eps;
 
 /// Frame format version emitted by [`frame`].
 pub const FRAME_VERSION: u64 = 1;
@@ -65,12 +66,6 @@ pub enum Encoding {
     /// Coordinates narrowed to IEEE-754 binary32 (4 bytes each), lossy
     /// within [`f32_declared_eps`] per coordinate.
     F32,
-    /// Coordinates narrowed to IEEE-754 binary16 (2 bytes each), lossy
-    /// within [`f16_declared_eps`] per coordinate.
-    F16,
-    /// Lossless: coordinate rows sorted, transposed, and shipped as
-    /// zig-zag varint residuals of an order-preserving integer mapping.
-    Delta,
     /// Lossless reference coding: the payload becomes copy/literal
     /// phrases against a dictionary (e.g. the previous sync's summary).
     Rlz,
@@ -78,13 +73,7 @@ pub enum Encoding {
 
 impl Encoding {
     /// All encodings, `Raw` first.
-    pub const ALL: [Encoding; 5] = [
-        Encoding::Raw,
-        Encoding::F32,
-        Encoding::F16,
-        Encoding::Delta,
-        Encoding::Rlz,
-    ];
+    pub const ALL: [Encoding; 3] = [Encoding::Raw, Encoding::F32, Encoding::Rlz];
 
     /// Stable lower-case name used by the CLI, artifacts and sweep
     /// tables.
@@ -92,8 +81,6 @@ impl Encoding {
         match self {
             Encoding::Raw => "raw",
             Encoding::F32 => "f32",
-            Encoding::F16 => "f16",
-            Encoding::Delta => "delta",
             Encoding::Rlz => "rlz",
         }
     }
@@ -104,12 +91,11 @@ impl Encoding {
     }
 
     /// Frame tag of this encoding (`Raw` has none: it is never framed).
+    /// Tags 2 and 3 belonged to retired modes and stay unassigned.
     fn tag(self) -> u64 {
         match self {
             Encoding::Raw => 0,
             Encoding::F32 => 1,
-            Encoding::F16 => 2,
-            Encoding::Delta => 3,
             Encoding::Rlz => 4,
         }
     }
@@ -120,29 +106,14 @@ impl Encoding {
 
     /// Whether decoded payloads are bit-identical to the originals.
     pub fn is_lossless(self) -> bool {
-        !matches!(self, Encoding::F32 | Encoding::F16)
+        self != Encoding::F32
     }
 
     /// The declared per-coordinate error envelope for value `x`:
     /// `None` for lossless modes, otherwise the bound the decoded
     /// coordinate is guaranteed to satisfy.
     pub fn declared_eps(self, x: f64) -> Option<f64> {
-        match self {
-            Encoding::F32 => Some(f32_declared_eps(x)),
-            Encoding::F16 => Some(f16_declared_eps(x)),
-            _ => None,
-        }
-    }
-
-    /// The codec implementing this mode.
-    pub fn codec(self) -> &'static dyn Codec {
-        match self {
-            Encoding::Raw => &RawCodec,
-            Encoding::F32 => &lossy::F32Codec,
-            Encoding::F16 => &lossy::F16Codec,
-            Encoding::Delta => &delta::DeltaCodec,
-            Encoding::Rlz => &rlz::RlzCodec,
-        }
+        (self == Encoding::F32).then(|| f32_declared_eps(x))
     }
 }
 
@@ -152,64 +123,29 @@ impl std::fmt::Display for Encoding {
     }
 }
 
-/// One payload transform: raw bytes plus their coordinate spans in,
-/// frame body out, and back.
-///
-/// Implementations must be pure functions of their inputs — the same
-/// `(payload, spans, dict)` always produces the same body, which is what
-/// keeps byte accounting deterministic across transports.
-pub trait Codec: Send + Sync {
-    /// The mode this codec implements.
-    fn encoding(&self) -> Encoding;
-
-    /// Transforms a raw payload into a frame body. `spans` locate the
-    /// coordinate doubles inside `payload`; `dict` is the reference
-    /// dictionary (ignored by every mode except `Rlz`).
-    fn encode_body(&self, payload: &[u8], spans: &[CoordSpan], dict: &[u8]) -> Vec<u8>;
-
-    /// Inverts [`Self::encode_body`], reconstructing exactly `raw_len`
-    /// payload bytes.
-    ///
-    /// # Panics
-    /// Panics on a malformed body, or (for `Rlz`) on a reference
-    /// dictionary that does not match the one the body was encoded
-    /// against — loud failure, never silent corruption.
-    fn decode_body(&self, body: &[u8], raw_len: usize, dict: &[u8]) -> Vec<u8>;
-}
-
-/// The identity codec backing [`Encoding::Raw`].
-///
-/// Never reached through [`frame`]/[`unframe`] (raw payloads skip the
-/// frame entirely); exists so every mode answers to the [`Codec`] trait.
-pub struct RawCodec;
-
-impl Codec for RawCodec {
-    fn encoding(&self) -> Encoding {
-        Encoding::Raw
-    }
-
-    fn encode_body(&self, payload: &[u8], _spans: &[CoordSpan], _dict: &[u8]) -> Vec<u8> {
-        payload.to_vec()
-    }
-
-    fn decode_body(&self, body: &[u8], raw_len: usize, _dict: &[u8]) -> Vec<u8> {
-        assert_eq!(body.len(), raw_len, "raw body length mismatch");
-        body.to_vec()
-    }
-}
-
 /// Finishes a [`WireWriter`] under the given encoding.
 ///
 /// `Raw` returns exactly the bytes [`WireWriter::finish`] would — no
 /// header, bit-identical to the pre-codec wire format. Every other mode
 /// returns a self-describing frame; `dict` is the `Rlz` reference
 /// dictionary (pass `&[]` when there is none).
+///
+/// Encoding is a pure function of `(encoding, payload, dict)`, which is
+/// what keeps byte accounting deterministic across transports.
 pub fn frame(encoding: Encoding, writer: WireWriter, dict: &[u8]) -> Bytes {
-    if encoding == Encoding::Raw {
-        return writer.finish();
-    }
-    let (payload, spans) = writer.finish_with_spans();
-    let body = encoding.codec().encode_body(&payload, &spans, dict);
+    let (payload, body) = match encoding {
+        Encoding::Raw => return writer.finish(),
+        Encoding::F32 => {
+            let (payload, spans) = writer.finish_with_spans();
+            let body = lossy::encode(&payload, &spans);
+            (payload, body)
+        }
+        Encoding::Rlz => {
+            let payload = writer.finish();
+            let body = rlz::encode(&payload, dict);
+            (payload, body)
+        }
+    };
     let mut out = Vec::with_capacity(body.len() + 8);
     push_varint(&mut out, FRAME_VERSION);
     push_varint(&mut out, encoding.tag());
@@ -223,9 +159,8 @@ pub fn frame(encoding: Encoding, writer: WireWriter, dict: &[u8]) -> Bytes {
 /// # Panics
 /// Panics when the frame's version or encoding tag disagrees with
 /// `encoding` (the caller's configuration is authoritative — a mismatch
-/// is a protocol bug, not a recoverable condition), and propagates the
-/// codec's own decode panics (malformed body, `Rlz` reference
-/// mismatch).
+/// is a protocol bug, not a recoverable condition), on a malformed
+/// body, and on an `Rlz` reference mismatch.
 pub fn unframe(encoding: Encoding, buf: Bytes, dict: &[u8]) -> Bytes {
     if encoding == Encoding::Raw {
         return buf;
@@ -240,7 +175,12 @@ pub fn unframe(encoding: Encoding, buf: Bytes, dict: &[u8]) -> Bytes {
         "codec frame encodes {found} but the protocol is configured for {encoding}"
     );
     let raw_len = read_varint(&buf, &mut pos) as usize;
-    let raw = encoding.codec().decode_body(&buf[pos..], raw_len, dict);
+    let body = &buf[pos..];
+    let raw = match encoding {
+        Encoding::Raw => unreachable!("raw payloads are never framed"),
+        Encoding::F32 => lossy::decode(body, raw_len),
+        Encoding::Rlz => rlz::decode(body, raw_len, dict),
+    };
     debug_assert_eq!(raw.len(), raw_len);
     Bytes::from(raw)
 }
@@ -293,74 +233,6 @@ pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
-/// Shared body skeleton for the span-structured codecs (`F32`, `F16`,
-/// `Delta`): the non-coordinate bytes of the payload verbatim, plus the
-/// span table, so decoding needs no knowledge of any message's layout.
-pub(crate) mod skeleton {
-    use super::{push_varint, read_varint, CoordSpan};
-
-    /// Writes the gap/tail bytes and the span table.
-    pub(crate) fn write(out: &mut Vec<u8>, payload: &[u8], spans: &[CoordSpan]) {
-        push_varint(out, spans.len() as u64);
-        let mut cursor = 0usize;
-        for s in spans {
-            push_varint(out, (s.start - cursor) as u64);
-            out.extend_from_slice(&payload[cursor..s.start]);
-            push_varint(out, s.rows as u64);
-            push_varint(out, s.dim as u64);
-            cursor = s.start + s.byte_len();
-        }
-        push_varint(out, (payload.len() - cursor) as u64);
-        out.extend_from_slice(&payload[cursor..]);
-    }
-
-    /// Reads the skeleton back: returns the reconstructed payload with
-    /// span regions zero-filled (for the mode payload to overwrite) and
-    /// the span table, advancing `pos` past the skeleton.
-    pub(crate) fn read(body: &[u8], pos: &mut usize) -> (Vec<u8>, Vec<CoordSpan>) {
-        let n_spans = read_varint(body, pos) as usize;
-        let mut payload = Vec::new();
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            let gap = read_varint(body, pos) as usize;
-            payload.extend_from_slice(&body[*pos..*pos + gap]);
-            *pos += gap;
-            let rows = read_varint(body, pos) as usize;
-            let dim = read_varint(body, pos) as usize;
-            let span = CoordSpan {
-                start: payload.len(),
-                rows,
-                dim,
-            };
-            payload.resize(payload.len() + span.byte_len(), 0);
-            spans.push(span);
-        }
-        let tail = read_varint(body, pos) as usize;
-        payload.extend_from_slice(&body[*pos..*pos + tail]);
-        *pos += tail;
-        (payload, spans)
-    }
-
-    /// Iterates the doubles of one span inside a payload.
-    pub(crate) fn span_values(payload: &[u8], span: &CoordSpan) -> Vec<f64> {
-        (0..span.values())
-            .map(|i| {
-                let at = span.start + i * 8;
-                f64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
-            })
-            .collect()
-    }
-
-    /// Writes doubles back into one span of a payload.
-    pub(crate) fn write_span_values(payload: &mut [u8], span: &CoordSpan, values: &[f64]) {
-        debug_assert_eq!(values.len(), span.values());
-        for (i, v) in values.iter().enumerate() {
-            let at = span.start + i * 8;
-            payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +246,41 @@ mod tests {
         w.put_point(&[5.0, 6.0]);
         w.put_varint(999);
         w
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact framed bytes of the sample under every framed mode: the
+    /// wire format itself, not just its round trip, is the contract.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // A dictionary that differs from the sample in one coordinate
+        // (4.0 -> 4.5), so the RLZ body mixes copies and a literal.
+        let mut drifted = WireWriter::new();
+        drifted.put_varint(3);
+        drifted.put_point(&[1.5, -2.25]);
+        drifted.put_f64(0.125);
+        drifted.put_point(&[3.0, 4.5]);
+        drifted.put_point(&[5.0, 6.0]);
+        drifted.put_varint(999);
+        let dict = drifted.finish();
+        assert_eq!(
+            hex(&frame(Encoding::F32, sample_writer(), &[])),
+            "01013b020103010208000000000000c03f020202e707\
+             010000c03f000010c00100004040000080400000a0400000c040"
+        );
+        assert_eq!(
+            hex(&frame(Encoding::Rlz, sample_writer(), &[])),
+            "01043b25232284e49cf2cb7603000000000000f83f00000000000002c0\
+             000000000000c03f000000000000084000000000000010400000000000\
+             0014400000000000001840e707"
+        );
+        assert_eq!(
+            hex(&frame(Encoding::Rlz, sample_writer(), &dict)),
+            "01043bc007f5410053d8504f0002102728"
+        );
     }
 
     #[test]
@@ -403,7 +310,7 @@ mod tests {
     #[test]
     fn lossy_modes_respect_declared_eps_on_the_sample() {
         let plain = sample_writer().finish();
-        for enc in [Encoding::F32, Encoding::F16] {
+        for enc in Encoding::ALL.into_iter().filter(|e| !e.is_lossless()) {
             let back = unframe(enc, frame(enc, sample_writer(), &[]), &[]);
             assert_eq!(back.len(), plain.len(), "{enc}");
             // Coordinates: positions after the 1-byte varint.
@@ -438,7 +345,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "configured for")]
     fn unframe_rejects_mode_mismatch() {
-        let framed = frame(Encoding::Delta, sample_writer(), &[]);
+        let framed = frame(Encoding::Rlz, sample_writer(), &[]);
         unframe(Encoding::F32, framed, &[]);
     }
 

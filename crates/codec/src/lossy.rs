@@ -1,21 +1,23 @@
-//! Lossy coordinate narrowing: `F32` (binary32, 4 bytes/coordinate) and
-//! `F16` (binary16, 2 bytes/coordinate).
+//! Lossy coordinate narrowing: `F32` (binary32, 4 bytes/coordinate).
 //!
-//! Both modes cast each coordinate directly to the narrower type —
-//! there is deliberately no shared scale factor. A per-span or
-//! per-frame scale would make the error *absolute* in the span's range,
-//! so one far outlier (exactly what partial clustering workloads
-//! contain) would destroy the precision of every clustered coordinate.
-//! A direct cast keeps the error *relative* to each coordinate's own
-//! magnitude, which is what the declared envelopes promise.
+//! Each coordinate is cast directly to `f32` — there is deliberately no
+//! shared scale factor. A per-span or per-frame scale would make the
+//! error *absolute* in the span's range, so one far outlier (exactly
+//! what partial clustering workloads contain) would destroy the
+//! precision of every clustered coordinate. A direct cast keeps the
+//! error *relative* to each coordinate's own magnitude, which is what
+//! the declared envelope promises.
 //!
-//! A span whose values exceed the narrow type's finite range falls back
-//! to verbatim `f64` storage (one flag byte per span), so the envelope
+//! A span whose values exceed `f32`'s finite range falls back to
+//! verbatim `f64` storage (one flag byte per span), so the envelope
 //! holds for every payload, not just well-scaled ones. NaN and ±∞
 //! survive as themselves.
+//!
+//! The body is a skeleton — the payload's non-coordinate bytes verbatim
+//! plus the span table — followed by each span's flag and values, so
+//! decoding needs no knowledge of any message's layout.
 
-use crate::{skeleton, Codec, CoordSpan, Encoding};
-use half::f16;
+use crate::{push_varint, read_varint, CoordSpan};
 
 /// Declared per-coordinate error envelope of [`Encoding::F32`]:
 /// `|x|·2⁻²³ + 2⁻¹⁴⁰`.
@@ -24,144 +26,130 @@ use half::f16;
 /// the declared bound doubles it for slack and adds a tiny absolute
 /// floor covering subnormal underflow (values below the binary32
 /// subnormal range round to zero with absolute error < `2⁻¹⁴⁹`).
+///
+/// [`Encoding::F32`]: crate::Encoding::F32
 pub fn f32_declared_eps(x: f64) -> f64 {
     x.abs() * (2.0f64).powi(-23) + (2.0f64).powi(-140)
 }
 
-/// Declared per-coordinate error envelope of [`Encoding::F16`]:
-/// `|x|·2⁻¹⁰ + 2⁻²⁴`.
-///
-/// A binary16 round-to-nearest carries relative error at most `2⁻¹¹`;
-/// the declared bound doubles it to cover the f64 → f32 → f16 double
-/// rounding, and the absolute floor covers subnormal underflow (the
-/// smallest positive binary16 subnormal is `2⁻²⁴`).
-pub fn f16_declared_eps(x: f64) -> f64 {
-    x.abs() * (2.0f64).powi(-10) + (2.0f64).powi(-24)
-}
+/// Largest finite `f32`, widened.
+const F32_MAX: f64 = f32::MAX as f64;
 
-/// Whether every value of a span survives the narrow type's finite
-/// range (NaN and ±∞ map to themselves and never block narrowing).
-fn fits(values: &[f64], max_finite: f64) -> bool {
-    values
-        .iter()
-        .all(|v| !v.is_finite() || v.abs() <= max_finite)
-}
-
-/// Span flag: values stored in the narrow type.
+/// Span flag: values stored as `f32`.
 const NARROW: u8 = 1;
 /// Span flag: values stored verbatim as `f64` (out-of-range fallback).
 const VERBATIM: u8 = 0;
 
-fn encode_with<F: Fn(f64) -> Vec<u8>>(
-    payload: &[u8],
-    spans: &[CoordSpan],
-    max_finite: f64,
-    narrow: F,
-) -> Vec<u8> {
+/// Transforms a raw payload into an `F32` frame body.
+pub(crate) fn encode(payload: &[u8], spans: &[CoordSpan]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() / 2 + 16);
-    skeleton::write(&mut out, payload, spans);
+    write_skeleton(&mut out, payload, spans);
     for span in spans {
-        let values = skeleton::span_values(payload, span);
-        if fits(&values, max_finite) {
+        let bytes = &payload[span.start..span.start + span.byte_len()];
+        let values: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
+        // NaN and ±∞ map to themselves and never block narrowing.
+        if values.iter().all(|v| !v.is_finite() || v.abs() <= F32_MAX) {
             out.push(NARROW);
             for v in values {
-                out.extend_from_slice(&narrow(v));
+                out.extend_from_slice(&(v as f32).to_le_bytes());
             }
         } else {
             out.push(VERBATIM);
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            out.extend_from_slice(bytes);
         }
     }
     out
 }
 
-fn decode_with<F: Fn(&[u8]) -> f64>(
-    body: &[u8],
-    raw_len: usize,
-    width: usize,
-    widen: F,
-) -> Vec<u8> {
+/// Inverts [`encode`], reconstructing exactly `raw_len` payload bytes.
+///
+/// # Panics
+/// Panics on a malformed body.
+pub(crate) fn decode(body: &[u8], raw_len: usize) -> Vec<u8> {
     let mut pos = 0usize;
-    let (mut payload, spans) = skeleton::read(body, &mut pos);
+    let (mut payload, spans) = read_skeleton(body, &mut pos);
     for span in &spans {
         let flag = body[pos];
         pos += 1;
-        let values: Vec<f64> = match flag {
-            NARROW => (0..span.values())
-                .map(|i| widen(&body[pos + i * width..pos + (i + 1) * width]))
-                .collect(),
-            VERBATIM => (0..span.values())
-                .map(|i| {
-                    f64::from_le_bytes(body[pos + i * 8..pos + (i + 1) * 8].try_into().unwrap())
-                })
-                .collect(),
+        let region = &mut payload[span.start..span.start + span.byte_len()];
+        match flag {
+            NARROW => {
+                let narrow = &body[pos..pos + span.values() * 4];
+                for (out, b) in region.chunks_exact_mut(8).zip(narrow.chunks_exact(4)) {
+                    let v = f64::from(f32::from_le_bytes(b.try_into().expect("4-byte chunk")));
+                    out.copy_from_slice(&v.to_le_bytes());
+                }
+                pos += narrow.len();
+            }
+            VERBATIM => {
+                region.copy_from_slice(&body[pos..pos + region.len()]);
+                pos += region.len();
+            }
             other => panic!("lossy codec: bad span flag {other}"),
-        };
-        pos += span.values() * if flag == NARROW { width } else { 8 };
-        skeleton::write_span_values(&mut payload, span, &values);
+        }
     }
     assert_eq!(pos, body.len(), "lossy codec: trailing bytes in body");
     assert_eq!(payload.len(), raw_len, "lossy codec: length mismatch");
     payload
 }
 
-/// [`Encoding::F32`]: coordinates as binary32.
-pub struct F32Codec;
-
-impl Codec for F32Codec {
-    fn encoding(&self) -> Encoding {
-        Encoding::F32
+/// Writes the gap/tail bytes and the span table.
+fn write_skeleton(out: &mut Vec<u8>, payload: &[u8], spans: &[CoordSpan]) {
+    push_varint(out, spans.len() as u64);
+    let mut cursor = 0usize;
+    for s in spans {
+        push_varint(out, (s.start - cursor) as u64);
+        out.extend_from_slice(&payload[cursor..s.start]);
+        push_varint(out, s.rows as u64);
+        push_varint(out, s.dim as u64);
+        cursor = s.start + s.byte_len();
     }
-
-    fn encode_body(&self, payload: &[u8], spans: &[CoordSpan], _dict: &[u8]) -> Vec<u8> {
-        encode_with(payload, spans, f64::from(f32::MAX), |v| {
-            (v as f32).to_le_bytes().to_vec()
-        })
-    }
-
-    fn decode_body(&self, body: &[u8], raw_len: usize, _dict: &[u8]) -> Vec<u8> {
-        decode_with(body, raw_len, 4, |b| {
-            f64::from(f32::from_le_bytes(b.try_into().unwrap()))
-        })
-    }
+    push_varint(out, (payload.len() - cursor) as u64);
+    out.extend_from_slice(&payload[cursor..]);
 }
 
-/// [`Encoding::F16`]: coordinates as binary16.
-pub struct F16Codec;
-
-impl Codec for F16Codec {
-    fn encoding(&self) -> Encoding {
-        Encoding::F16
+/// Reads the skeleton back: returns the reconstructed payload with span
+/// regions zero-filled (for the span values to overwrite) and the span
+/// table, advancing `pos` past the skeleton.
+fn read_skeleton(body: &[u8], pos: &mut usize) -> (Vec<u8>, Vec<CoordSpan>) {
+    let n_spans = read_varint(body, pos) as usize;
+    let mut payload = Vec::new();
+    let mut spans = Vec::with_capacity(n_spans);
+    for _ in 0..n_spans {
+        let gap = read_varint(body, pos) as usize;
+        payload.extend_from_slice(&body[*pos..*pos + gap]);
+        *pos += gap;
+        let rows = read_varint(body, pos) as usize;
+        let dim = read_varint(body, pos) as usize;
+        let span = CoordSpan {
+            start: payload.len(),
+            rows,
+            dim,
+        };
+        payload.resize(payload.len() + span.byte_len(), 0);
+        spans.push(span);
     }
-
-    fn encode_body(&self, payload: &[u8], spans: &[CoordSpan], _dict: &[u8]) -> Vec<u8> {
-        encode_with(payload, spans, f16::MAX.to_f64(), |v| {
-            f16::from_f64(v).to_bits().to_le_bytes().to_vec()
-        })
-    }
-
-    fn decode_body(&self, body: &[u8], raw_len: usize, _dict: &[u8]) -> Vec<u8> {
-        decode_with(body, raw_len, 2, |b| {
-            f16::from_bits(u16::from_le_bytes(b.try_into().unwrap())).to_f64()
-        })
-    }
+    let tail = read_varint(body, pos) as usize;
+    payload.extend_from_slice(&body[*pos..*pos + tail]);
+    *pos += tail;
+    (payload, spans)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(codec: &dyn Codec, values: &[f64]) -> Vec<f64> {
+    fn roundtrip(values: &[f64]) -> Vec<f64> {
         let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let spans = [CoordSpan {
             start: 0,
             rows: 1,
             dim: values.len(),
         }];
-        let body = codec.encode_body(&payload, &spans, &[]);
-        let back = codec.decode_body(&body, payload.len(), &[]);
+        let back = decode(&encode(&payload, &spans), payload.len());
         back.chunks(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect()
@@ -171,38 +159,23 @@ mod tests {
     fn f32_error_within_declared_envelope() {
         let values = [0.0, 1.0, -1.0, std::f64::consts::PI, 1e-40, 1e39, -400.125];
         // 1e39 exceeds f32::MAX: whole span falls back to verbatim.
-        let back = roundtrip(&F32Codec, &values);
+        let back = roundtrip(&values);
         assert_eq!(back, values, "out-of-range span must be verbatim");
         let small = [0.0, 1.0000001, -123.456, 1e-30, 9.9e4];
-        for (x, y) in small.iter().zip(roundtrip(&F32Codec, &small)) {
+        for (x, y) in small.iter().zip(roundtrip(&small)) {
             assert!((x - y).abs() <= f32_declared_eps(*x), "{x} -> {y}");
         }
     }
 
     #[test]
-    fn f16_error_within_declared_envelope() {
-        let values = [0.0, 1.0, -1.0, 0.333, 401.7, -65504.0, 1e-9];
-        for (x, y) in values.iter().zip(roundtrip(&F16Codec, &values)) {
-            assert!((x - y).abs() <= f16_declared_eps(*x), "{x} -> {y}");
-        }
-        // A span with one huge value ships verbatim — outliers never
-        // cost the clustered coordinates their precision, and never
-        // round to infinity.
-        let with_outlier = [1.0, 2.0, 9e4];
-        assert_eq!(roundtrip(&F16Codec, &with_outlier), with_outlier);
-    }
-
-    #[test]
     fn specials_survive() {
-        for codec in [&F32Codec as &dyn Codec, &F16Codec] {
-            let values = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
-            let back = roundtrip(codec, &values);
-            assert_eq!(back[0], f64::INFINITY);
-            assert_eq!(back[1], f64::NEG_INFINITY);
-            assert!(back[2].is_nan());
-            assert_eq!(back[3].to_bits(), 0.0f64.to_bits());
-            assert_eq!(back[4].to_bits(), (-0.0f64).to_bits());
-        }
+        let values = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
+        let back = roundtrip(&values);
+        assert_eq!(back[0], f64::INFINITY);
+        assert_eq!(back[1], f64::NEG_INFINITY);
+        assert!(back[2].is_nan());
+        assert_eq!(back[3].to_bits(), 0.0f64.to_bits());
+        assert_eq!(back[4].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -214,9 +187,7 @@ mod tests {
             rows: 16,
             dim: 4,
         }];
-        let f32_body = F32Codec.encode_body(&payload, &spans, &[]);
-        let f16_body = F16Codec.encode_body(&payload, &spans, &[]);
-        assert!(f32_body.len() < payload.len() * 3 / 5, "{}", f32_body.len());
-        assert!(f16_body.len() < payload.len() * 2 / 5, "{}", f16_body.len());
+        let body = encode(&payload, &spans);
+        assert!(body.len() < payload.len() * 3 / 5, "{}", body.len());
     }
 }

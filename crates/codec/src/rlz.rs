@@ -12,7 +12,7 @@
 //! reference coding — panics immediately instead of silently
 //! reconstructing corrupt coordinates.
 
-use crate::{push_varint, read_varint, Codec, CoordSpan, Encoding};
+use crate::{push_varint, read_varint};
 use std::collections::HashMap;
 
 /// Minimum copy length: shorter matches cost more to describe than to
@@ -53,83 +53,82 @@ fn push_literal(out: &mut Vec<u8>, lit: &[u8]) {
     out.extend_from_slice(lit);
 }
 
-/// [`Encoding::Rlz`].
-pub struct RlzCodec;
-
-impl Codec for RlzCodec {
-    fn encoding(&self) -> Encoding {
-        Encoding::Rlz
-    }
-
-    fn encode_body(&self, payload: &[u8], _spans: &[CoordSpan], dict: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(payload.len() / 4 + 16);
-        out.extend_from_slice(&fnv1a(dict).to_le_bytes());
-        // Index the dictionary by 8-byte anchors.
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        if dict.len() >= MIN_MATCH {
-            for at in 0..=dict.len() - MIN_MATCH {
-                let slots = index.entry(anchor(dict, at)).or_default();
-                if slots.len() < MAX_CHAIN {
-                    slots.push(at);
-                }
+/// Transforms a raw payload into an `Rlz` frame body: the dictionary's
+/// checksum, then copy/literal phrases against `dict`.
+pub(crate) fn encode(payload: &[u8], dict: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() / 4 + 16);
+    out.extend_from_slice(&fnv1a(dict).to_le_bytes());
+    // Index the dictionary by 8-byte anchors.
+    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
+    if dict.len() >= MIN_MATCH {
+        for at in 0..=dict.len() - MIN_MATCH {
+            let slots = index.entry(anchor(dict, at)).or_default();
+            if slots.len() < MAX_CHAIN {
+                slots.push(at);
             }
         }
-        let mut lit_start = 0usize;
-        let mut i = 0usize;
-        while i + MIN_MATCH <= payload.len() {
-            let best = index
-                .get(&anchor(payload, i))
-                .into_iter()
-                .flatten()
-                .map(|&at| (common_prefix(&payload[i..], &dict[at..]), at))
-                .max();
-            match best {
-                Some((len, at)) if len >= MIN_MATCH => {
-                    push_literal(&mut out, &payload[lit_start..i]);
-                    push_varint(&mut out, ((len as u64) << 1) | 1);
-                    push_varint(&mut out, at as u64);
-                    i += len;
-                    lit_start = i;
-                }
-                _ => i += 1,
-            }
-        }
-        push_literal(&mut out, &payload[lit_start..]);
-        out
     }
+    let mut lit_start = 0usize;
+    let mut i = 0usize;
+    while i + MIN_MATCH <= payload.len() {
+        let best = index
+            .get(&anchor(payload, i))
+            .into_iter()
+            .flatten()
+            .map(|&at| (common_prefix(&payload[i..], &dict[at..]), at))
+            .max();
+        match best {
+            Some((len, at)) if len >= MIN_MATCH => {
+                push_literal(&mut out, &payload[lit_start..i]);
+                push_varint(&mut out, ((len as u64) << 1) | 1);
+                push_varint(&mut out, at as u64);
+                i += len;
+                lit_start = i;
+            }
+            _ => i += 1,
+        }
+    }
+    push_literal(&mut out, &payload[lit_start..]);
+    out
+}
 
-    fn decode_body(&self, body: &[u8], raw_len: usize, dict: &[u8]) -> Vec<u8> {
-        assert!(body.len() >= 8, "rlz codec: truncated body");
-        let want = u64::from_le_bytes(body[..8].try_into().unwrap());
-        assert_eq!(
-            want,
-            fnv1a(dict),
-            "RLZ reference mismatch: this frame was encoded against a \
-             different dictionary (checksum {want:#018x}); refusing to \
-             decode rather than silently corrupt the payload"
-        );
-        let mut out = Vec::with_capacity(raw_len);
-        let mut pos = 8usize;
-        while pos < body.len() {
-            let head = read_varint(body, &mut pos);
-            let len = (head >> 1) as usize;
-            if head & 1 == 1 {
-                let at = read_varint(body, &mut pos) as usize;
-                let end = at.checked_add(len).expect("rlz codec: copy overflow");
-                assert!(
-                    end <= dict.len(),
-                    "rlz codec: copy [{at}, {end}) exceeds the {}-byte dictionary",
-                    dict.len()
-                );
-                out.extend_from_slice(&dict[at..end]);
-            } else {
-                out.extend_from_slice(&body[pos..pos + len]);
-                pos += len;
-            }
+/// Inverts [`encode`], reconstructing exactly `raw_len` payload bytes.
+///
+/// # Panics
+/// Panics on a malformed body, or on a dictionary that does not match
+/// the one the body was encoded against — loud failure, never silent
+/// corruption.
+pub(crate) fn decode(body: &[u8], raw_len: usize, dict: &[u8]) -> Vec<u8> {
+    assert!(body.len() >= 8, "rlz codec: truncated body");
+    let want = u64::from_le_bytes(body[..8].try_into().expect("8-byte checksum"));
+    assert_eq!(
+        want,
+        fnv1a(dict),
+        "RLZ reference mismatch: this frame was encoded against a \
+         different dictionary (checksum {want:#018x}); refusing to \
+         decode rather than silently corrupt the payload"
+    );
+    let mut out = Vec::with_capacity(raw_len);
+    let mut pos = 8usize;
+    while pos < body.len() {
+        let head = read_varint(body, &mut pos);
+        let len = (head >> 1) as usize;
+        if head & 1 == 1 {
+            let at = read_varint(body, &mut pos) as usize;
+            let end = at.checked_add(len).expect("rlz codec: copy overflow");
+            assert!(
+                end <= dict.len(),
+                "rlz codec: copy [{at}, {end}) exceeds the {}-byte dictionary",
+                dict.len()
+            );
+            out.extend_from_slice(&dict[at..end]);
+        } else {
+            out.extend_from_slice(&body[pos..pos + len]);
+            pos += len;
         }
-        assert_eq!(out.len(), raw_len, "rlz codec: length mismatch");
-        out
     }
+    assert_eq!(out.len(), raw_len, "rlz codec: length mismatch");
+    out
 }
 
 #[cfg(test)]
@@ -137,8 +136,8 @@ mod tests {
     use super::*;
 
     fn roundtrip(payload: &[u8], dict: &[u8]) -> usize {
-        let body = RlzCodec.encode_body(payload, &[], dict);
-        assert_eq!(RlzCodec.decode_body(&body, payload.len(), dict), payload);
+        let body = encode(payload, dict);
+        assert_eq!(decode(&body, payload.len(), dict), payload);
         body.len()
     }
 
@@ -173,10 +172,10 @@ mod tests {
     #[should_panic(expected = "RLZ reference mismatch")]
     fn wrong_reference_fails_loudly() {
         let dict: Vec<u8> = (0..256).map(|i| i as u8).collect();
-        let body = RlzCodec.encode_body(&dict, &[], &dict);
+        let body = encode(&dict, &dict);
         let mut wrong = dict.clone();
         wrong[10] = 99;
-        RlzCodec.decode_body(&body, dict.len(), &wrong);
+        decode(&body, dict.len(), &wrong);
     }
 
     #[test]
@@ -186,6 +185,6 @@ mod tests {
         let mut body = fnv1a(&dict).to_le_bytes().to_vec();
         push_varint(&mut body, (100u64 << 1) | 1); // copy of len 100
         push_varint(&mut body, 0);
-        RlzCodec.decode_body(&body, 100, &dict);
+        decode(&body, 100, &dict);
     }
 }

@@ -1,8 +1,8 @@
 //! Properties of the wire codec subsystem, over arbitrary messages
 //! built from the same ops real protocol messages use:
 //!
-//! * lossless modes (`raw`, `delta`, `rlz`) round-trip **bit-identically**;
-//! * lossy modes (`f32`, `f16`) keep every coordinate within its
+//! * lossless modes (`raw`, `rlz`) round-trip **bit-identically**;
+//! * the lossy mode (`f32`) keeps every coordinate within its
 //!   declared error envelope and leave every non-coordinate byte —
 //!   varints, weights, costs — bit-exact;
 //! * `rlz` decoded against the wrong reference dictionary fails loudly
@@ -29,8 +29,8 @@ enum Op {
 }
 
 /// Coordinate values: clustered magnitudes, unit-scale values, signed
-/// zeros, subnormal-adjacent values, and values beyond the f32/f16
-/// finite ranges (which must trigger the verbatim span fallback).
+/// zeros, subnormal-adjacent values, and values beyond the f32
+/// finite range (which must trigger the verbatim span fallback).
 fn coord() -> impl Strategy<Value = f64> {
     (0u64..12, -1.0f64..1.0).prop_map(|(sel, u)| match sel {
         0..=4 => u * 1e6,
@@ -107,7 +107,7 @@ proptest! {
         dict in prop::collection::vec(0u8..=255, 0..256),
     ) {
         let raw = build(&ops).0.finish();
-        for enc in [Encoding::Raw, Encoding::Delta, Encoding::Rlz] {
+        for enc in Encoding::ALL.into_iter().filter(|e| e.is_lossless()) {
             let framed = frame(enc, build(&ops).0, &dict);
             if enc != Encoding::Raw {
                 prop_assert_eq!(peek_raw_len(&framed), raw.len(), "{}", enc);
@@ -123,7 +123,7 @@ proptest! {
     fn lossy_modes_respect_the_declared_envelope(ops in message()) {
         let (w, coords, exact) = build(&ops);
         let raw = w.finish();
-        for enc in [Encoding::F32, Encoding::F16] {
+        for enc in Encoding::ALL.into_iter().filter(|e| !e.is_lossless()) {
             let back = unframe(enc, frame(enc, build(&ops).0, &[]), &[]);
             prop_assert_eq!(back.len(), raw.len(), "{}", enc);
             // Every coordinate honors the per-value error bound.

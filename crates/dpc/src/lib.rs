@@ -17,9 +17,9 @@
 //! * [`cluster`] — centralized substrates (Gonzalez, Charikar-style
 //!   `(k,t)`-center, Lagrangian bicriteria `(k,t)`-median/means, Lloyd,
 //!   exact oracles);
-//! * [`codec`] — the wire codec subsystem: pluggable lossless and lossy
-//!   message encodings (`raw`/`f32`/`f16`/`delta`/`rlz`) that trade wire
-//!   bytes against solution quality;
+//! * [`codec`] — the wire codec subsystem: lossless and lossy message
+//!   encodings (`raw`/`f32`/`rlz`) that trade wire bytes against
+//!   solution quality;
 //! * [`coordinator`] — the transport-abstracted coordinator-model
 //!   runtime: persistent in-process site workers or loopback TCP sockets
 //!   behind one `Transport` trait, exact byte accounting, and a simulated

@@ -769,7 +769,7 @@ fn s1_stream_throughput() {
 /// B1 — the bulk-kernel speedup record: scalar per-pair loops vs the
 /// blocked bulk layer vs bulk + threads, for the assignment shape every
 /// protocol bottoms out in (nearest-center over a `k + t` candidate set,
-/// the paper's `t ≫ k` regime), at d ∈ {4, 8, 32, 128} on 50k points with
+/// the paper's `t ≫ k` regime), at d ∈ {4, 6, 8, 32, 128} on 50k points with
 /// 64 candidates, plus the local search's swap scoring at the same dims
 /// ([`swap_delta_rows`]).
 ///
@@ -798,7 +798,7 @@ fn b1_kernels(threads_override: Option<usize>) {
     /// Candidate-set size: `k + t` with `k = 16`, `t = 48` — the sites'
     /// Gonzalez-prefix / coordinator-instance shape of Table 1.
     const K: usize = 64;
-    let dims = [4usize, 8, 32, 128];
+    let dims = [4usize, 6, 8, 32, 128];
 
     println!(
         "{:>5} {:>16} {:>12} {:>12} {:>14} {:>9} {:>9}",
@@ -910,7 +910,7 @@ fn b1_kernels(threads_override: Option<usize>) {
         // slightly drifted center set (alternating between two offset
         // copies so every timed call sees a real non-zero drift, like a
         // settling Lloyd run). Baseline ("scalar" column) is the fresh
-        // blocked pass every pre-v2 iteration paid; bulk / bulk+thr are
+        // blocked pass an unbounded iteration pays; bulk / bulk+thr are
         // the bounded pass at serial / recorded budget. `skip_rate` is
         // the fraction of queries certified by the bounds (measured via
         // the dpc_obs counters on an untimed pass).

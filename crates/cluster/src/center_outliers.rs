@@ -128,7 +128,7 @@ impl DistMatrix {
         let n = ids.len();
         let mut flat = vec![0.0; n * n];
         let mut rows: Vec<&mut [f64]> = flat.chunks_mut(n).collect();
-        par_chunks_mut(threads, &mut rows, |start, rows| {
+        par_chunks_mut(threads, &mut rows[..], |start, rows| {
             for (c, row) in rows.iter_mut().enumerate() {
                 metric.dist_to_many_into(ids[start + c], ids, row);
             }

@@ -33,20 +33,6 @@ impl GonzalezOrdering {
     pub fn prefix_len(&self) -> usize {
         self.order.len()
     }
-
-    /// The maximum assignment distance when only the first `r` selections
-    /// are used as centers equals `radii[r]`'s successor; this helper
-    /// returns the classic 2-approximation certificate: using `r` centers,
-    /// every point is within `radii[r]` of a center **if** `r` equals the
-    /// full prefix, and within `radii[r]` of *some* point of the prefix in
-    /// general (radii are non-increasing).
-    pub fn radius_at(&self, r: usize) -> f64 {
-        if r >= self.radii.len() {
-            0.0
-        } else {
-            self.radii[r]
-        }
-    }
 }
 
 /// Runs the farthest-first traversal over `ids`, selecting at most
@@ -69,16 +55,13 @@ pub fn gonzalez<M: Metric>(
 /// [`gonzalez`] with an explicit thread budget for the per-step relax
 /// scan (the `O(n)` distance pass against the newest selection).
 ///
-/// The relax runs through a bulk kernel —
-/// [`Metric::relax_min_block_bounded`] for metrics with per-point norms
-/// ([`Metric::relax_norms`], i.e. Euclidean), which skips points the
-/// reverse triangle inequality proves cannot improve, else
-/// [`Metric::relax_min_block`] — and the farthest-point scan stays on the
-/// calling thread in index order. A serial traversal over a metric
-/// without norms instead fuses the relax and the farthest scan into one
-/// pass over the state, sparing the second full sweep. The ordering,
-/// radii, and assignments are identical to the scalar traversal on every
-/// path, at any budget.
+/// Each step relaxes the state against the newest selection through the
+/// bulk [`Metric::relax_min_block`] hook, handing it the per-point norms
+/// of [`Metric::relax_norms`] (Euclidean; empty for other metrics) so it
+/// can skip points the reverse triangle inequality proves cannot improve.
+/// The farthest-point scan then runs on the calling thread in index
+/// order. Both follow the scalar traversal's strict-`<` rules, so the
+/// ordering, radii, and assignments are identical to it at any budget.
 pub fn gonzalez_with<M: Metric>(
     metric: &M,
     ids: &[usize],
@@ -117,7 +100,6 @@ pub fn gonzalez_recorded<M: Metric>(
     // O(1) per point regardless of dimension, so the bulk relax wins
     // even where partial-distance pruning cannot pay for itself.
     let norms = metric.relax_norms(ids);
-    let fused = threads.is_serial() && norms.is_empty();
 
     let mut order = Vec::with_capacity(m);
     let mut radii = Vec::with_capacity(m);
@@ -131,46 +113,16 @@ pub fn gonzalez_recorded<M: Metric>(
         let chosen = next;
         order.push(ids[chosen]);
         radii.push(next_d);
+        // Bulk relax against the newly selected point (norm-bounded and/or
+        // partial-distance pruned for Euclidean metrics), then find the
+        // next farthest point in a sequential first-wins scan.
+        assigner.relax_min(ids[chosen], ids, &norms, &mut best_d, &mut best_pos, step);
         let mut far_idx = 0usize;
         let mut far_d = -1.0f64;
-        if fused {
-            // Single pass: relax against the new selection and track the
-            // farthest survivor as the state streams by. Same strict-`<`
-            // relax rule and first-wins farthest rule as the split path.
-            let c = ids[chosen];
-            let zipped = best_d.iter_mut().zip(best_pos.iter_mut()).zip(ids);
-            for (idx, ((bd, bp), &i)) in zipped.enumerate() {
-                let d = metric.dist(i, c);
-                if d < *bd {
-                    *bd = d;
-                    *bp = step;
-                }
-                if *bd > far_d {
-                    far_d = *bd;
-                    far_idx = idx;
-                }
-            }
-        } else {
-            // Bulk relax against the newly selected point (norm-bounded
-            // and/or partial-distance pruned for Euclidean metrics), then
-            // find the next farthest point in a sequential scan.
-            if norms.is_empty() {
-                assigner.relax_min(ids[chosen], ids, &mut best_d, &mut best_pos, step);
-            } else {
-                assigner.relax_min_bounded(
-                    ids[chosen],
-                    ids,
-                    &norms,
-                    &mut best_d,
-                    &mut best_pos,
-                    step,
-                );
-            }
-            for (idx, &bd) in best_d.iter().enumerate() {
-                if bd > far_d {
-                    far_d = bd;
-                    far_idx = idx;
-                }
+        for (idx, &bd) in best_d.iter().enumerate() {
+            if bd > far_d {
+                far_d = bd;
+                far_idx = idx;
             }
         }
         next = far_idx;
@@ -271,7 +223,6 @@ mod tests {
         let m = EuclideanMetric::new(&ps);
         let g = gonzalez(&m, &ids(2), 10, 0);
         assert_eq!(g.prefix_len(), 2);
-        assert_eq!(g.radius_at(5), 0.0);
     }
 
     #[test]

@@ -495,6 +495,75 @@ fn assert_local_search_matches_reference<M: Metric>(
     }
 }
 
+/// The serial farthest-first traversal with the relax and the farthest
+/// scan fused into one pass over [`Metric::dist`]: strict `<` relaxes,
+/// the first strictly farthest point is selected next. The bulk
+/// traversal must reproduce it bit for bit at every thread budget.
+fn reference_gonzalez<M: Metric>(
+    metric: &M,
+    ids: &[usize],
+    prefix_len: usize,
+    start: usize,
+) -> GonzalezOrdering {
+    let n = ids.len();
+    let m = prefix_len.min(n);
+    let mut order = Vec::with_capacity(m);
+    let mut radii = Vec::with_capacity(m);
+    let mut best_d = vec![f64::INFINITY; n];
+    let mut best_pos = vec![0usize; n];
+    let (mut next, mut next_d) = (start, f64::INFINITY);
+    for step in 0..m {
+        let c = ids[next];
+        order.push(c);
+        radii.push(next_d);
+        let (mut far_idx, mut far_d) = (0usize, -1.0f64);
+        let zipped = best_d.iter_mut().zip(best_pos.iter_mut()).zip(ids);
+        for (idx, ((bd, bp), &i)) in zipped.enumerate() {
+            let d = metric.dist(i, c);
+            if d < *bd {
+                *bd = d;
+                *bp = step;
+            }
+            if *bd > far_d {
+                far_d = *bd;
+                far_idx = idx;
+            }
+        }
+        next = far_idx;
+        next_d = far_d;
+    }
+    GonzalezOrdering {
+        order,
+        radii,
+        assignment: best_pos,
+        dist_to_center: best_d,
+    }
+}
+
+/// Pins [`gonzalez_with`] at budgets 1 and 4 against
+/// [`reference_gonzalez`]: order, assignment, and radii and distances
+/// bit for bit.
+fn assert_gonzalez_matches_reference<M: Metric>(
+    metric: &M,
+    ids: &[usize],
+    prefix_len: usize,
+    start: usize,
+) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = reference_gonzalez(metric, ids, prefix_len, start);
+    for threads in [ThreadBudget::serial(), ThreadBudget::new(4)] {
+        let got = gonzalez_with(metric, ids, prefix_len, start, threads);
+        assert_eq!(got.order, want.order, "order ({threads:?})");
+        assert_eq!(bits(&got.radii), bits(&want.radii), "radii ({threads:?})");
+        assert_eq!(got.assignment, want.assignment, "assignment ({threads:?})");
+        assert_eq!(
+            bits(&got.dist_to_center),
+            bits(&want.dist_to_center),
+            "dist_to_center ({threads:?})"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -506,6 +575,50 @@ proptest! {
         for w in g.radii.windows(2) {
             prop_assert!(w[0] >= w[1] - 1e-12);
         }
+    }
+
+    #[test]
+    fn gonzalez_bulk_matches_fused_reference(
+        n in 1usize..700,
+        dim_ix in 0usize..4,
+        lattice in any::<bool>(),
+        seed in any::<u64>(),
+        prefix_len in 1usize..12,
+        start_pick in any::<usize>(),
+        tau in 0.0f64..3.0,
+    ) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Up to 700 points, so budget 4 really splits the relax into
+        // chunks; dims below, inside and above the relax's abort band. A
+        // coarse lattice makes distance ties and coincident points.
+        let dim = [1usize, 4, 8, 12][dim_ix];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| {
+                        if lattice {
+                            f64::from(rng.gen_range(-3i32..=3))
+                        } else {
+                            rng.gen_range(-1e3f64..1e3)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ps = PointSet::from_rows(&rows);
+        // Every other case traverses a reversed subset of the ids.
+        let ids: Vec<usize> = if seed % 2 == 0 {
+            (0..n).collect()
+        } else {
+            (0..n).rev().step_by(2).collect()
+        };
+        let start = start_pick % ids.len();
+        let e = EuclideanMetric::new(&ps);
+        assert_gonzalez_matches_reference(&e, &ids, prefix_len, start);
+        assert_gonzalez_matches_reference(&SquaredMetric::new(e), &ids, prefix_len, start);
+        assert_gonzalez_matches_reference(&TruncatedMetric::new(e, tau), &ids, prefix_len, start);
+        assert_gonzalez_matches_reference(&MatrixMetric::from_metric(&e), &ids, prefix_len, start);
     }
 
     #[test]

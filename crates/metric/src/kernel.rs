@@ -8,19 +8,20 @@
 //! every candidate, including the overwhelming majority that lose by a
 //! mile. The bulk layer restructures the loop around three levers:
 //!
-//! * **norm-bound pruning** — [`EuclideanMetric`] assignment precomputes
-//!   `‖c‖` per center once per block; `d(x,c) ≥ |‖x‖ − ‖c‖|` then rejects
-//!   most losing candidates in O(1), before any per-coordinate work. On
-//!   clustered data this is where the order of magnitude comes from.
-//! * **the dot form** — survivors are scored as `‖x‖² + ‖c‖² − 2·x·c`
-//!   with precomputed squared norms (cheaper and better-pipelined than
-//!   the difference form), and only candidates whose score lands within a
-//!   conservative error tolerance of the incumbent pay for an exact pass.
+//! * **pruning** — [`EuclideanMetric`] assignment precomputes `‖c‖` per
+//!   center once per block; `d(x,c) ≥ |‖x‖ − ‖c‖|` then rejects most
+//!   losing candidates in O(1), and survivors run a partial-distance sum
+//!   that aborts the moment it exceeds the incumbent. On clustered data
+//!   this is where the order of magnitude comes from.
+//! * **register-blocked tiles** — at small dimensions, where the
+//!   partial-distance screen cannot pay for itself, [`TILE_Q`] queries
+//!   march through every center row together in the exact `(x−c)²`
+//!   form: the scalar loop verbatim, four lanes wide.
 //! * **thread-level parallelism** — per-query results are independent, so
 //!   chunks of queries fan out across a [`ThreadBudget`] with no change
 //!   in any output value.
 //!
-//! Both pruning rules are margin-deflated so floating-point error can
+//! The pruning rules are margin-deflated so floating-point error can
 //! never discard a true winner, and every surviving comparison runs on
 //! the exact [`sq_dist`] summation under the same strict-`<`, first-wins
 //! rule as the scalar path — selected ids, tie-breaks, and distance
@@ -95,15 +96,17 @@ impl Default for ThreadBudget {
 }
 
 /// Runs `work(start, out_chunk)` over disjoint chunks of `out`, in
-/// parallel up to the budget. `start` is the offset of the chunk within
+/// parallel up to the budget. `out` is one mutable slice or a pair of
+/// equally long split sets (`(pos, dist)`, `(state, (pos, dist))`, …),
+/// all cut at the same offsets; `start` is the offset of the chunk within
 /// `out`. Falls back to one inline call when the budget is serial or the
-/// input is small. The building block for custom bulk passes whose
-/// per-element results are independent (each chunk writes only its own
-/// slice, so outputs are identical at any budget).
-pub fn par_chunks_mut<T: Send>(
+/// input is small. The building block for bulk passes whose per-element
+/// results are independent (each chunk writes only its own slices, so
+/// outputs are identical at any budget).
+pub fn par_chunks_mut<S: split::SplitMut>(
     budget: ThreadBudget,
-    out: &mut [T],
-    work: impl Fn(usize, &mut [T]) + Sync,
+    out: S,
+    work: impl Fn(usize, S) + Sync,
 ) {
     let n = out.len();
     let threads = budget.get().min(n.div_ceil(MIN_CHUNK)).max(1);
@@ -113,66 +116,45 @@ pub fn par_chunks_mut<T: Send>(
     }
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
-        for (c, slice) in out.chunks_mut(chunk).enumerate() {
-            let work = &work;
-            scope.spawn(move || work(c * chunk, slice));
+        let work = &work;
+        let (mut rest, mut start) = (out, 0);
+        while rest.len() > chunk {
+            let (head, tail) = rest.split_at(chunk);
+            scope.spawn(move || work(start, head));
+            (rest, start) = (tail, start + chunk);
         }
+        scope.spawn(move || work(start, rest));
     });
 }
 
-/// Like [`par_chunks_mut`] over three parallel output slices that must be
-/// chunked identically (bound state, positions, distances).
-pub(crate) fn par_chunks_mut3<A: Send, B: Send, C: Send>(
-    budget: ThreadBudget,
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    work: impl Fn(usize, &mut [A], &mut [B], &mut [C]) + Sync,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), c.len());
-    let n = a.len();
-    let threads = budget.get().min(n.div_ceil(MIN_CHUNK)).max(1);
-    if threads <= 1 {
-        work(0, a, b, c);
-        return;
+mod split {
+    /// Output slices [`par_chunks_mut`](super::par_chunks_mut) can cut
+    /// at one offset: a mutable slice, or a pair of equally long sets.
+    pub trait SplitMut: Send + Sized {
+        fn len(&self) -> usize;
+        fn split_at(self, mid: usize) -> (Self, Self);
     }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let iter = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .zip(c.chunks_mut(chunk))
-            .enumerate();
-        for (i, ((sa, sb), sc)) in iter {
-            let work = &work;
-            scope.spawn(move || work(i * chunk, sa, sb, sc));
-        }
-    });
-}
 
-/// Like [`par_chunks_mut`] over two parallel output slices (positions and
-/// distances) that must be chunked identically.
-pub(crate) fn par_chunks_mut2<A: Send, B: Send>(
-    budget: ThreadBudget,
-    a: &mut [A],
-    b: &mut [B],
-    work: impl Fn(usize, &mut [A], &mut [B]) + Sync,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let threads = budget.get().min(n.div_ceil(MIN_CHUNK)).max(1);
-    if threads <= 1 {
-        work(0, a, b);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, (sa, sb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let work = &work;
-            scope.spawn(move || work(c * chunk, sa, sb));
+    impl<T: Send> SplitMut for &mut [T] {
+        fn len(&self) -> usize {
+            <[T]>::len(self)
         }
-    });
+        fn split_at(self, mid: usize) -> (Self, Self) {
+            self.split_at_mut(mid)
+        }
+    }
+
+    impl<A: SplitMut, B: SplitMut> SplitMut for (A, B) {
+        fn len(&self) -> usize {
+            debug_assert_eq!(self.0.len(), self.1.len());
+            self.0.len()
+        }
+        fn split_at(self, mid: usize) -> (Self, Self) {
+            let (a0, a1) = self.0.split_at(mid);
+            let (b0, b1) = self.1.split_at(mid);
+            ((a0, b0), (a1, b1))
+        }
+    }
 }
 
 /// A full point→center assignment: for each queried point, the position
@@ -325,7 +307,8 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         out.dist.clear();
         out.dist.resize(ids.len(), 0.0);
         let metric = self.metric;
-        par_chunks_mut2(self.threads, &mut out.pos, &mut out.dist, |start, p, d| {
+        let slices = (&mut out.pos[..], &mut out.dist[..]);
+        par_chunks_mut(self.threads, slices, |start, (p, d)| {
             metric.assign_block(&ids[start..start + p.len()], centers, p, d);
         });
         self.tally(ids.len(), centers.len());
@@ -339,7 +322,8 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         out.pos.resize(ids.len(), 0);
         out.dist.resize(ids.len(), 0.0);
         let metric = self.metric;
-        par_chunks_mut2(self.threads, &mut out.pos, &mut out.dist, |start, p, d| {
+        let slices = (&mut out.pos[..], &mut out.dist[..]);
+        par_chunks_mut(self.threads, slices, |start, (p, d)| {
             metric.assign_block_sq(&ids[start..start + p.len()], centers, p, d);
         });
         self.tally(ids.len(), centers.len());
@@ -356,28 +340,11 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         if centers.is_empty() {
             return out;
         }
+        self.tally(ids.len(), centers.len());
         let metric = self.metric;
-        let n = ids.len();
-        self.tally(n, centers.len());
-        let threads = self.threads.get().min(n.div_ceil(MIN_CHUNK)).max(1);
-        if threads <= 1 {
-            metric.assign2_block(ids, centers, &mut out.c1, &mut out.d1, &mut out.d2);
-            return out;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let iter = out
-                .c1
-                .chunks_mut(chunk)
-                .zip(out.d1.chunks_mut(chunk))
-                .zip(out.d2.chunks_mut(chunk))
-                .enumerate();
-            for (c, ((sc, sd1), sd2)) in iter {
-                let start = c * chunk;
-                scope.spawn(move || {
-                    metric.assign2_block(&ids[start..start + sc.len()], centers, sc, sd1, sd2);
-                });
-            }
+        let slices = (&mut out.c1[..], (&mut out.d1[..], &mut out.d2[..]));
+        par_chunks_mut(self.threads, slices, |start, (c1, (d1, d2))| {
+            metric.assign2_block(&ids[start..start + c1.len()], centers, c1, d1, d2);
         });
         out
     }
@@ -395,43 +362,14 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         if centers.is_empty() {
             return out;
         }
+        self.tally(ids.len(), centers.len());
         let metric = self.metric;
-        let n = ids.len();
-        self.tally(n, centers.len());
-        let threads = self.threads.get().min(n.div_ceil(MIN_CHUNK)).max(1);
-        if threads <= 1 {
-            metric.assign2c_block(
-                ids,
-                centers,
-                &mut out.c1,
-                &mut out.c2,
-                &mut out.d1,
-                &mut out.d2,
-            );
-            return out;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let iter = out
-                .c1
-                .chunks_mut(chunk)
-                .zip(out.c2.chunks_mut(chunk))
-                .zip(out.d1.chunks_mut(chunk))
-                .zip(out.d2.chunks_mut(chunk))
-                .enumerate();
-            for (c, (((sc1, sc2), sd1), sd2)) in iter {
-                let start = c * chunk;
-                scope.spawn(move || {
-                    metric.assign2c_block(
-                        &ids[start..start + sc1.len()],
-                        centers,
-                        sc1,
-                        sc2,
-                        sd1,
-                        sd2,
-                    );
-                });
-            }
+        let slices = (
+            (&mut out.c1[..], &mut out.c2[..]),
+            (&mut out.d1[..], &mut out.d2[..]),
+        );
+        par_chunks_mut(self.threads, slices, |start, ((c1, c2), (d1, d2))| {
+            metric.assign2c_block(&ids[start..start + c1.len()], centers, c1, c2, d1, d2);
         });
         out
     }
@@ -442,7 +380,7 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         out.clear();
         out.resize(ids.len(), 0.0);
         let metric = self.metric;
-        par_chunks_mut(self.threads, out, |start, d| {
+        par_chunks_mut(self.threads, &mut out[..], |start, d| {
             metric.dist_to_many_into(from, &ids[start..start + d.len()], d);
         });
         self.tally(ids.len(), 1);
@@ -453,7 +391,7 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
         out.clear();
         out.resize(ids.len(), 0.0);
         let metric = self.metric;
-        par_chunks_mut(self.threads, out, |start, d| {
+        par_chunks_mut(self.threads, &mut out[..], |start, d| {
             metric.sq_dist_to_many_into(from, &ids[start..start + d.len()], d);
         });
         self.tally(ids.len(), 1);
@@ -462,29 +400,11 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
     /// Relaxes nearest-candidate state against a new candidate `c` in
     /// bulk ([`Metric::relax_min_block`] per chunk): wherever
     /// `dist(id, c) < best_d`, writes the distance and `mark`. The
-    /// farthest-first traversal's inner loop.
+    /// farthest-first traversal's inner loop. `norms` holds per-query
+    /// root norms from [`Metric::relax_norms`] (`norms[e] = ‖x_{ids[e]}‖`),
+    /// or is empty for a metric with no norm bound. State is identical to
+    /// the scalar relax loop either way.
     pub fn relax_min(
-        &self,
-        c: usize,
-        ids: &[usize],
-        best_d: &mut [f64],
-        best_pos: &mut [usize],
-        mark: usize,
-    ) {
-        let metric = self.metric;
-        par_chunks_mut2(self.threads, best_d, best_pos, |start, bd, bp| {
-            metric.relax_min_block(c, &ids[start..start + bd.len()], bd, bp, mark);
-        });
-        self.tally(ids.len(), 1);
-    }
-
-    /// [`Self::relax_min`] with precomputed per-query root norms
-    /// (`norms[e] = ‖x_{ids[e]}‖`, from [`Metric::relax_norms`]): metrics
-    /// that can exploit them skip queries in O(1) via the reverse
-    /// triangle inequality before any per-coordinate work. Empty `norms`
-    /// (a metric with no such bound) degrades to [`Self::relax_min`].
-    /// State is identical to the scalar relax loop either way.
-    pub fn relax_min_bounded(
         &self,
         c: usize,
         ids: &[usize],
@@ -495,13 +415,14 @@ impl<'a, M: Metric + ?Sized> NearestAssigner<'a, M> {
     ) {
         debug_assert!(norms.is_empty() || norms.len() == ids.len());
         let metric = self.metric;
-        par_chunks_mut2(self.threads, best_d, best_pos, |start, bd, bp| {
+        par_chunks_mut(self.threads, (best_d, best_pos), |start, (bd, bp)| {
+            let range = start..start + bd.len();
             let nchunk = if norms.is_empty() {
-                &[][..]
+                norms
             } else {
-                &norms[start..start + bd.len()]
+                &norms[range.clone()]
             };
-            metric.relax_min_block_bounded(c, &ids[start..start + bd.len()], nchunk, bd, bp, mark);
+            metric.relax_min_block(c, &ids[range], nchunk, bd, bp, mark);
         });
         self.tally(ids.len(), 1);
     }
@@ -632,7 +553,6 @@ pub(crate) fn sq_dists_tiled(points: &PointSet, anchors: &[usize], ids: &[usize]
 pub(crate) struct GatheredRows {
     pub rows: Vec<f64>,
     pub root_norms: Vec<f64>,
-    pub sq_norms: Vec<f64>,
 }
 
 /// Gathers the listed rows of `points` (the center-side precomputation of
@@ -641,19 +561,12 @@ pub(crate) fn gather_rows(points: &PointSet, ids: &[usize]) -> GatheredRows {
     let dim = points.dim();
     let mut rows = Vec::with_capacity(ids.len() * dim);
     let mut root_norms = Vec::with_capacity(ids.len());
-    let mut sq_norms = Vec::with_capacity(ids.len());
     for &i in ids {
         let r = points.point(i);
         rows.extend_from_slice(r);
-        let n: f64 = r.iter().map(|&v| v * v).sum();
-        root_norms.push(n.sqrt());
-        sq_norms.push(n);
+        root_norms.push(r.iter().map(|&v| v * v).sum::<f64>().sqrt());
     }
-    GatheredRows {
-        rows,
-        root_norms,
-        sq_norms,
-    }
+    GatheredRows { rows, root_norms }
 }
 
 /// Dot product with interleaved accumulators — used only for the
@@ -737,8 +650,8 @@ pub(crate) struct ScanStats {
     /// Candidates whose exact sum ran to completion; the rest were
     /// pruned by an O(1) bound or a partial-distance abort.
     pub completed: u64,
-    /// Approximate candidate scores produced by the tiled dot-form
-    /// micro-kernel (rows × centers pushed through the tiles).
+    /// Exact candidate scores produced by the register-blocked tile
+    /// ([`assign_sq_tiled`]: rows × centers pushed through the tiles).
     pub tiled: u64,
     /// Queries whose full candidate scan was skipped outright because
     /// maintained triangle-inequality bounds already proved the winner.
@@ -972,41 +885,24 @@ pub(crate) fn top2_row_pruned(
 }
 
 // ---------------------------------------------------------------------------
-// Tiled GEMM-style assignment (kernel layer v2).
+// Register-blocked tile assignment.
 // ---------------------------------------------------------------------------
 
-/// Query rows one GEMM-style tile carries through the candidate block.
-/// Four queries reuse every center row four times from registers, and the
-/// four dot accumulators form one contiguous lane vector the compiler can
-/// keep in SIMD registers.
+/// Query rows one register-blocked tile carries through the candidate
+/// block. Four queries reuse every center row four times from registers,
+/// and the four accumulators form one contiguous lane vector the compiler
+/// can keep in SIMD registers.
 pub const TILE_Q: usize = 4;
 
-/// Relative coefficient of the tiled score's absolute error envelope
-/// `E = TILE_EPS · (‖x‖ + max‖c‖)²`. The reassociated dot form's true error
-/// is below `dim · ε · (‖x‖ + ‖c‖)²` with `ε = 2⁻⁵²` — under 3e-12 even
-/// at dim 10⁴ — so 1e-9 over-covers it by orders of magnitude. Only
-/// candidates whose score lands within the envelope of the incumbent pay
-/// for an exact pass, and every exact pass runs the canonical
-/// [`sq_dist`] order, so winners stay bit-identical to the scalar scan.
-const TILE_EPS: f64 = 1e-9;
-
-/// Smallest candidate count at which the tiled dot-form pass engages:
-/// below it the tile transpose and score buffer cannot amortize.
+/// Smallest candidate count at which the tiled pass engages: below it
+/// the query transpose cannot amortize.
 const TILE_MIN_K: usize = 8;
 
-/// Largest dimension routed to the *exact* blocked kernel instead of the
-/// dot form. At very small dimensions the dot form's exactness repair
-/// (score buffer, incumbent resolve, margin pass) costs more than the
-/// distance arithmetic itself, while the direct `(x−c)²` tile is the
-/// scalar loop verbatim — just four lanes wide.
-const TILE_EXACT_MAX_DIM: usize = 4;
-
-/// Whether a register-blocked tile path beats the screened
-/// partial-distance scan for this shape. At and below [`ABORT_STRIDE`]
-/// coordinates the screen/abort machinery cannot pay for itself (the
-/// per-query scan is a plain exact loop), while the tile turns the same
-/// work into `TILE_Q` register-blocked rows per center — that band is
-/// where GEMM-style blocking wins. Above it, the screened scan touches
+/// Whether the register-blocked tile beats the screened partial-distance
+/// scan for this shape. At and below [`ABORT_STRIDE`] coordinates the
+/// screen/abort machinery cannot pay for itself (the per-query scan is a
+/// plain exact loop), while the tile turns the same work into `TILE_Q`
+/// register-blocked rows per center. Above it, the screened scan touches
 /// only a handful of coordinates per losing candidate, which no amount
 /// of vectorized full-row work can undercut.
 #[inline]
@@ -1014,15 +910,16 @@ pub(crate) fn tiled_engages(dim: usize, k: usize) -> bool {
     dim > 2 && dim <= ABORT_STRIDE && k >= TILE_MIN_K
 }
 
-/// Exact register-blocked assignment for the smallest dimensions:
-/// [`TILE_Q`] query lanes march through every candidate row accumulating
-/// `(x−c)²` in the canonical left-to-right coordinate order, so each
-/// lane's arithmetic is *identical* to the scalar [`sq_dist`] loop and
-/// outputs are bit-exact by construction — no score buffer, no error
-/// envelope, no resolve pass. The four independent accumulator chains
-/// supply the instruction-level parallelism the one-query-at-a-time
-/// scalar loop lacks, and each center row is loaded once per tile.
-fn assign_sq_tiled_exact(
+/// Exact register-blocked nearest-center assignment over gathered
+/// candidate rows: [`TILE_Q`] query lanes march through every candidate
+/// row accumulating `(x−c)²` in the canonical left-to-right coordinate
+/// order, so each lane's arithmetic is *identical* to the scalar
+/// [`sq_dist`] loop and outputs (positions, exact squared distances,
+/// tie-breaks) are bit-exact by construction. The four independent
+/// accumulator chains supply the instruction-level parallelism the
+/// one-query-at-a-time scalar loop lacks, and each center row is loaded
+/// once per tile.
+pub(crate) fn assign_sq_tiled(
     points: &PointSet,
     ids: &[usize],
     rows: &[f64],
@@ -1079,174 +976,14 @@ fn assign_sq_tiled_exact(
     }
 }
 
-/// Scores one transposed query tile against every candidate row in the
-/// dot form `‖x‖² + ‖c‖² − 2·x·c`. `xt` is the tile laid out lane-major
-/// (`dim × TILE_Q`): the inner loop broadcasts one center coordinate
-/// against a contiguous [`TILE_Q`]-lane query vector — the GEMM
-/// micro-kernel shape LLVM autovectorizes — and each center row is
-/// loaded once for all four queries. Scores land candidate-major at
-/// `scores[c * TILE_Q + t]` so each candidate stores one contiguous
-/// [`TILE_Q`]-wide vector; they are *approximate* (reassociated) and
-/// only ever feed the margin test in [`nearest_from_scores`].
-#[allow(clippy::too_many_arguments)]
-fn tile_score_block(
-    xt: &[f64],
-    xnorm_sq: &[f64; TILE_Q],
-    rows: &[f64],
-    sq_norms: &[f64],
-    dim: usize,
-    scores: &mut [f64],
-    amin: &mut [f64; TILE_Q],
-    apos: &mut [usize; TILE_Q],
-) {
-    let k = sq_norms.len();
-    debug_assert_eq!(xt.len(), dim * TILE_Q);
-    debug_assert_eq!(scores.len(), TILE_Q * k);
-    *amin = [f64::INFINITY; TILE_Q];
-    *apos = [0usize; TILE_Q];
-    for (c, ((row, &cn), out)) in rows
-        .chunks_exact(dim)
-        .zip(sq_norms)
-        .zip(scores.chunks_exact_mut(TILE_Q))
-        .enumerate()
-    {
-        let mut acc = [0.0f64; TILE_Q];
-        for (xv, &rv) in xt.chunks_exact(TILE_Q).zip(row) {
-            acc[0] += xv[0] * rv;
-            acc[1] += xv[1] * rv;
-            acc[2] += xv[2] * rv;
-            acc[3] += xv[3] * rv;
-        }
-        for (t, (o, (&xn, &a))) in out.iter_mut().zip(xnorm_sq.iter().zip(&acc)).enumerate() {
-            let s = xn + cn - 2.0 * a;
-            *o = s;
-            if s < amin[t] {
-                amin[t] = s;
-                apos[t] = c;
-            }
-        }
-    }
-}
-
-/// Resolves one query's winner from its lane of a candidate-major score
-/// buffer. The minimal approximate score (`ap`, tracked during scoring)
-/// is resolved exactly first — a tight incumbent — then every candidate
-/// must beat the incumbent by more than `env`, the query's hoisted
-/// absolute error envelope, to earn an exact pass. Winners compare as
-/// `(sq, position)` lexicographic over exact canonical sums, so the
-/// result is bit-identical to the scalar scan.
-#[allow(clippy::too_many_arguments)]
-fn nearest_from_scores(
-    x: &[f64],
-    rows: &[f64],
-    dim: usize,
-    env: f64,
-    scores: &[f64],
-    lane: usize,
-    ap: usize,
-    stats: &mut ScanStats,
-) -> (usize, f64) {
-    let k = scores.len() / TILE_Q;
-    debug_assert!(k > 0);
-    stats.scanned += k as u64;
-    let mut best_pos = ap;
-    let mut best_sq = resume_sq_abort(x, &rows[ap * dim..(ap + 1) * dim], 0.0, 0, f64::INFINITY)
-        .expect("infinite limit never aborts");
-    stats.completed += 1;
-    for (c, s) in scores.chunks_exact(TILE_Q).enumerate() {
-        if c == ap || s[lane] - env > best_sq {
-            continue;
-        }
-        let row = &rows[c * dim..(c + 1) * dim];
-        if let Some(sq) = resume_sq_abort(x, row, 0.0, 0, best_sq) {
-            stats.completed += 1;
-            if sq < best_sq || (sq == best_sq && c < best_pos) {
-                best_sq = sq;
-                best_pos = c;
-            }
-        }
-    }
-    (best_pos, best_sq)
-}
-
-/// Tiled nearest-center assignment over gathered candidate rows. At and
-/// below [`TILE_EXACT_MAX_DIM`] coordinates queries take the direct
-/// exact tile ([`assign_sq_tiled_exact`]); above it they stream through
-/// the dot-form [`tile_score_block`] in tiles of [`TILE_Q`] and winners
-/// resolve exactly through [`nearest_from_scores`]. Either way outputs
-/// (positions, exact squared distances, tie-breaks) are bit-identical to
-/// the scalar scan; only the cost of losing candidates changes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assign_sq_tiled(
-    points: &PointSet,
-    ids: &[usize],
-    rows: &[f64],
-    root_norms: &[f64],
-    sq_norms: &[f64],
-    dim: usize,
-    pos: &mut [usize],
-    dist: &mut [f64],
-    stats: &mut ScanStats,
-) {
-    if dim <= TILE_EXACT_MAX_DIM {
-        return assign_sq_tiled_exact(points, ids, rows, dim, pos, dist, stats);
-    }
-    let k = sq_norms.len();
-    let n = ids.len();
-    debug_assert_eq!(pos.len(), n);
-    debug_assert_eq!(dist.len(), n);
-    // One conservative norm bound covers every candidate, so the error
-    // envelope hoists to a single multiply per query instead of two per
-    // candidate. Widening `‖c‖` to `max ‖c‖` only enlarges the envelope,
-    // which can never flip an exact-vs-skip decision the wrong way.
-    let rmax = root_norms.iter().fold(0.0f64, |a, &b| a.max(b));
-    let mut xt = vec![0.0f64; dim * TILE_Q];
-    let mut scores = vec![0.0f64; TILE_Q * k];
-    let mut q = 0usize;
-    while q < n {
-        let tq = TILE_Q.min(n - q);
-        let mut xnorm = [0.0f64; TILE_Q];
-        let mut env = [0.0f64; TILE_Q];
-        let mut amin = [0.0f64; TILE_Q];
-        let mut apos = [0usize; TILE_Q];
-        for t in 0..TILE_Q {
-            // Short tails repeat the tile's first query: the lanes stay
-            // full and the duplicate outputs are simply not read back.
-            let x = points.point(ids[q + t.min(tq - 1)]);
-            for (d, &xv) in x.iter().enumerate() {
-                xt[d * TILE_Q + t] = xv;
-            }
-            let nsq = dot_approx(x, x);
-            xnorm[t] = nsq;
-            let spread = nsq.sqrt() + rmax;
-            env[t] = TILE_EPS * spread * spread;
-        }
-        tile_score_block(
-            &xt,
-            &xnorm,
-            rows,
-            sq_norms,
-            dim,
-            &mut scores,
-            &mut amin,
-            &mut apos,
-        );
-        stats.tiled += (tq * k) as u64;
-        for t in 0..tq {
-            let x = points.point(ids[q + t]);
-            let (bp, bsq) = nearest_from_scores(x, rows, dim, env[t], &scores, t, apos[t], stats);
-            pos[q + t] = bp;
-            dist[q + t] = bsq;
-        }
-        q += tq;
-    }
-}
-
+/// A gathered block of center coordinates with precomputed norms: the
+/// coordinate-space form of nearest-center assignment, for callers whose
+/// centers are not rows of the query set (Lloyd centroids, coordinator
+/// evaluation).
 pub struct CenterBlock {
     dim: usize,
     rows: Vec<f64>,
     root_norms: Vec<f64>,
-    sq_norms: Vec<f64>,
     recorder: RecorderHandle,
 }
 
@@ -1282,16 +1019,14 @@ impl CenterBlock {
             rows.len().is_multiple_of(dim),
             "flat center buffer length mismatch"
         );
-        let sq_norms: Vec<f64> = rows
+        let root_norms: Vec<f64> = rows
             .chunks_exact(dim)
-            .map(|r| r.iter().map(|&v| v * v).sum::<f64>())
+            .map(|r| r.iter().map(|&v| v * v).sum::<f64>().sqrt())
             .collect();
-        let root_norms: Vec<f64> = sq_norms.iter().map(|&n| n.sqrt()).collect();
         Self {
             dim,
             rows,
             root_norms,
-            sq_norms,
             recorder: RecorderHandle::noop(),
         }
     }
@@ -1319,8 +1054,8 @@ impl CenterBlock {
     }
 
     /// Nearest center to one coordinate row: `(position, exact squared
-    /// distance)`. Uses the pruned dot-form kernel with exact winner
-    /// resolution.
+    /// distance)`, from the screened partial-distance scan
+    /// (`nearest_row_pruned`).
     ///
     /// # Panics
     /// Panics when the block is empty.
@@ -1367,20 +1102,12 @@ impl CenterBlock {
         out.pos.resize(ids.len(), 0);
         out.dist.resize(ids.len(), 0.0);
         let tiled = tiled_engages(self.dim, self.len());
-        par_chunks_mut2(threads, &mut out.pos, &mut out.dist, |start, pos, dist| {
+        let slices = (&mut out.pos[..], &mut out.dist[..]);
+        par_chunks_mut(threads, slices, |start, (pos, dist)| {
             let mut stats = ScanStats::default();
             if tiled {
-                assign_sq_tiled(
-                    points,
-                    &ids[start..start + pos.len()],
-                    &self.rows,
-                    &self.root_norms,
-                    &self.sq_norms,
-                    self.dim,
-                    pos,
-                    dist,
-                    &mut stats,
-                );
+                let ids = &ids[start..start + pos.len()];
+                assign_sq_tiled(points, ids, &self.rows, self.dim, pos, dist, &mut stats);
             } else {
                 let mut screen = Vec::with_capacity(self.len());
                 for (o, (p, d)) in pos.iter_mut().zip(dist.iter_mut()).enumerate() {
@@ -1433,8 +1160,8 @@ impl CenterBlock {
     }
 
     /// Exact squared distances from one coordinate row to every center, in
-    /// center order, using the blocked exact kernel (no dot-form rounding
-    /// — safe for accumulation into costs).
+    /// center order, using the blocked exact kernel (safe for
+    /// accumulation into costs).
     pub fn sq_dists_to_all(&self, coords: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.len(), 0.0);
@@ -1606,37 +1333,35 @@ impl BoundedAssigner {
         let dim = self.dim;
         let qrows = &self.qrows;
         let rec = &self.recorder;
-        par_chunks_mut3(
-            threads,
-            &mut self.state,
-            &mut self.perm_pos,
-            &mut self.perm_dist,
-            |start, st, pos, dist| {
-                let mut screen = Vec::with_capacity(block.len());
-                let mut stats = ScanStats::default();
-                for (o, ((s, p), d)) in st
-                    .iter_mut()
-                    .zip(pos.iter_mut())
-                    .zip(dist.iter_mut())
-                    .enumerate()
-                {
-                    let x = &qrows[(start + o) * dim..(start + o + 1) * dim];
-                    let (c1, _c2, b1, b2) = top2_row_pruned(
-                        x,
-                        &block.rows,
-                        &block.root_norms,
-                        dim,
-                        &mut screen,
-                        &mut stats,
-                    );
-                    s.assigned = c1;
-                    s.lower = b2.sqrt();
-                    *p = c1;
-                    *d = b1;
-                }
-                stats.flush(rec, pos.len() as u64);
-            },
+        let slices = (
+            &mut self.state[..],
+            (&mut self.perm_pos[..], &mut self.perm_dist[..]),
         );
+        par_chunks_mut(threads, slices, |start, (st, (pos, dist))| {
+            let mut screen = Vec::with_capacity(block.len());
+            let mut stats = ScanStats::default();
+            for (o, ((s, p), d)) in st
+                .iter_mut()
+                .zip(pos.iter_mut())
+                .zip(dist.iter_mut())
+                .enumerate()
+            {
+                let x = &qrows[(start + o) * dim..(start + o + 1) * dim];
+                let (c1, _c2, b1, b2) = top2_row_pruned(
+                    x,
+                    &block.rows,
+                    &block.root_norms,
+                    dim,
+                    &mut screen,
+                    &mut stats,
+                );
+                s.assigned = c1;
+                s.lower = b2.sqrt();
+                *p = c1;
+                *d = b1;
+            }
+            stats.flush(rec, pos.len() as u64);
+        });
     }
 
     /// Drift-updated pass: certify-or-rescan per query.
@@ -1657,57 +1382,55 @@ impl BoundedAssigner {
         let max_drift = drift.iter().cloned().fold(0.0f64, f64::max);
         let qrows = &self.qrows;
         let rec = &self.recorder;
-        par_chunks_mut3(
-            threads,
-            &mut self.state,
-            &mut self.perm_pos,
-            &mut self.perm_dist,
-            |start, st, pos, dist| {
-                let mut screen = Vec::with_capacity(block.len());
-                let mut stats = ScanStats::default();
-                for (o, ((s, p), d)) in st
-                    .iter_mut()
-                    .zip(pos.iter_mut())
-                    .zip(dist.iter_mut())
-                    .enumerate()
-                {
-                    let x = &qrows[(start + o) * dim..(start + o + 1) * dim];
-                    let a = s.assigned;
-                    let l = (s.lower - max_drift).max(0.0);
-                    // The output contract needs the exact distance to the
-                    // winner regardless, so tighten the upper bound with
-                    // it and test once: one canonical sum instead of k.
-                    let row = &block.rows[a * dim..(a + 1) * dim];
-                    let sq_a = resume_sq_abort(x, row, 0.0, 0, f64::INFINITY)
-                        .expect("infinite limit never aborts");
-                    let u = sq_a.sqrt();
-                    if u * BOUND_INFLATE < l * BOUND_DEFLATE {
-                        // Margin-certified: no other center can have won,
-                        // and the margin rules out exact ties entirely.
-                        s.lower = l;
-                        stats.scanned += 1;
-                        stats.completed += 1;
-                        stats.bound_skips += 1;
-                        *p = a;
-                        *d = sq_a;
-                    } else {
-                        let (c1, _c2, b1, b2) = top2_row_pruned(
-                            x,
-                            &block.rows,
-                            &block.root_norms,
-                            dim,
-                            &mut screen,
-                            &mut stats,
-                        );
-                        s.assigned = c1;
-                        s.lower = b2.sqrt();
-                        *p = c1;
-                        *d = b1;
-                    }
-                }
-                stats.flush(rec, pos.len() as u64);
-            },
+        let slices = (
+            &mut self.state[..],
+            (&mut self.perm_pos[..], &mut self.perm_dist[..]),
         );
+        par_chunks_mut(threads, slices, |start, (st, (pos, dist))| {
+            let mut screen = Vec::with_capacity(block.len());
+            let mut stats = ScanStats::default();
+            for (o, ((s, p), d)) in st
+                .iter_mut()
+                .zip(pos.iter_mut())
+                .zip(dist.iter_mut())
+                .enumerate()
+            {
+                let x = &qrows[(start + o) * dim..(start + o + 1) * dim];
+                let a = s.assigned;
+                let l = (s.lower - max_drift).max(0.0);
+                // The output contract needs the exact distance to the
+                // winner regardless, so tighten the upper bound with
+                // it and test once: one canonical sum instead of k.
+                let row = &block.rows[a * dim..(a + 1) * dim];
+                let sq_a = resume_sq_abort(x, row, 0.0, 0, f64::INFINITY)
+                    .expect("infinite limit never aborts");
+                let u = sq_a.sqrt();
+                if u * BOUND_INFLATE < l * BOUND_DEFLATE {
+                    // Margin-certified: no other center can have won,
+                    // and the margin rules out exact ties entirely.
+                    s.lower = l;
+                    stats.scanned += 1;
+                    stats.completed += 1;
+                    stats.bound_skips += 1;
+                    *p = a;
+                    *d = sq_a;
+                } else {
+                    let (c1, _c2, b1, b2) = top2_row_pruned(
+                        x,
+                        &block.rows,
+                        &block.root_norms,
+                        dim,
+                        &mut screen,
+                        &mut stats,
+                    );
+                    s.assigned = c1;
+                    s.lower = b2.sqrt();
+                    *p = c1;
+                    *d = b1;
+                }
+            }
+            stats.flush(rec, pos.len() as u64);
+        });
     }
 }
 
@@ -1729,7 +1452,7 @@ pub fn sq_dists_to_coords(
 ) {
     out.clear();
     out.resize(ids.len(), 0.0);
-    par_chunks_mut(threads, out, |start, chunk| {
+    par_chunks_mut(threads, &mut out[..], |start, chunk| {
         for (o, d) in chunk.iter_mut().enumerate() {
             *d = crate::points::sq_dist(points.point(ids[start + o]), coords);
         }
@@ -1771,7 +1494,7 @@ mod tests {
 
     #[test]
     fn nearest_row_pruned_matches_scalar_scan_with_ties() {
-        // Duplicated candidate rows force exact ties; the pruned dot form
+        // Duplicated candidate rows force exact ties; the pruned scan
         // must still pick the first, like the scalar strict-< scan.
         let rows = vec![
             5.0, 5.0, // far

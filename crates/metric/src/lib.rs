@@ -21,22 +21,21 @@
 //!   that group spatially close queries into adjacent slots before a
 //!   blocked scan, with results scattered back to original positions.
 //!
-//! # The kernel layer (v2)
+//! # The kernel layer
 //!
 //! Every solver's hot path is "distances from one point to many
 //! candidates". The [`Metric`] trait therefore carries bulk hooks
 //! ([`Metric::dist_to_many`], [`Metric::assign_block`], …) next to the
 //! one-pair [`Metric::dist`]; concrete metrics override them with blocked
-//! kernels ([`EuclideanMetric`] uses `‖x‖² + ‖c‖² − 2x·c` with precomputed
-//! squared norms and exact winner resolution). Three v2 mechanisms sit
-//! behind those hooks, each engaging only where it wins:
+//! kernels ([`EuclideanMetric`] prunes candidates with precomputed center
+//! norms and partial-distance aborts, resolving every winner on the exact
+//! squared sum). Three mechanisms sit behind those hooks, each engaging
+//! only where it wins:
 //!
-//! * **GEMM-style tiles** — low dimensions with enough candidates run a
-//!   register-blocked micro-kernel: queries transposed into lane-major
-//!   tiles of [`kernel::TILE_Q`], dot-form scores accumulated with
-//!   `chunks_exact` so LLVM autovectorizes, and every winner re-resolved
-//!   through the canonical scalar sum (an absolute error envelope on the
-//!   approximate scores decides which candidates can be skipped safely).
+//! * **Register-blocked tiles** — low dimensions with enough candidates
+//!   run queries transposed into lane-major tiles of [`kernel::TILE_Q`],
+//!   accumulating the exact `(x−c)²` sums with `chunks_exact` so LLVM
+//!   autovectorizes; each lane's arithmetic is the scalar loop's.
 //! * **Triangle-inequality bounds** — iterative callers (Lloyd) hold a
 //!   [`BoundedAssigner`] whose per-query lower bounds shrink by center
 //!   drift each round, so most queries pay one exact distance instead of

@@ -156,13 +156,17 @@ pub trait Metric: Sync {
 
     /// Relaxes per-query nearest state against one new candidate `c`:
     /// wherever `dist(id, c) < best_d`, the distance and `mark` are
-    /// written. The farthest-first traversal's inner loop. Overrides may
-    /// skip queries provably unable to improve (partial-distance abort);
-    /// the resulting state is identical to the scalar loop either way.
+    /// written. The farthest-first traversal's inner loop. `norms` is
+    /// either empty (no norm bound) or [`Metric::relax_norms`] of `ids`.
+    /// Overrides may skip queries provably unable to improve (the reverse
+    /// triangle inequality `|‖x‖ − ‖c‖| ≤ d(x, c)` over `norms`, or a
+    /// partial-distance abort); the resulting state is identical to the
+    /// scalar loop either way.
     fn relax_min_block(
         &self,
         c: usize,
         ids: &[usize],
+        _norms: &[f64],
         best_d: &mut [f64],
         best_pos: &mut [usize],
         mark: usize,
@@ -240,30 +244,12 @@ pub trait Metric: Sync {
         }
     }
 
-    /// Per-query norms supporting [`Metric::relax_min_block_bounded`]'s
-    /// O(1) skip test. Empty (the default) means the metric has no such
-    /// bound and callers should use the plain [`Metric::relax_min_block`];
-    /// the farthest-first traversal computes this once and amortizes it
-    /// over every relax round.
+    /// Per-query norms supporting [`Metric::relax_min_block`]'s O(1) skip
+    /// test. Empty (the default) means the metric has no such bound; the
+    /// farthest-first traversal computes this once and amortizes it over
+    /// every relax round.
     fn relax_norms(&self, _ids: &[usize]) -> Vec<f64> {
         Vec::new()
-    }
-
-    /// [`Metric::relax_min_block`] with per-query norms from
-    /// [`Metric::relax_norms`]: overrides may use the reverse triangle
-    /// inequality `|‖x‖ − ‖c‖| ≤ d(x, c)` to skip queries whose incumbent
-    /// already beats that lower bound, at O(1) per query instead of
-    /// O(dim). State after the call is identical to the scalar loop.
-    fn relax_min_block_bounded(
-        &self,
-        c: usize,
-        ids: &[usize],
-        _norms: &[f64],
-        best_d: &mut [f64],
-        best_pos: &mut [usize],
-        mark: usize,
-    ) {
-        self.relax_min_block(c, ids, best_d, best_pos, mark);
     }
 }
 
@@ -308,11 +294,12 @@ impl<M: Metric + ?Sized> Metric for &M {
         &self,
         c: usize,
         ids: &[usize],
+        norms: &[f64],
         best_d: &mut [f64],
         best_pos: &mut [usize],
         mark: usize,
     ) {
-        (**self).relax_min_block(c, ids, best_d, best_pos, mark)
+        (**self).relax_min_block(c, ids, norms, best_d, best_pos, mark)
     }
     fn assign2_block(
         &self,
@@ -338,23 +325,12 @@ impl<M: Metric + ?Sized> Metric for &M {
     fn relax_norms(&self, ids: &[usize]) -> Vec<f64> {
         (**self).relax_norms(ids)
     }
-    fn relax_min_block_bounded(
-        &self,
-        c: usize,
-        ids: &[usize],
-        norms: &[f64],
-        best_d: &mut [f64],
-        best_pos: &mut [usize],
-        mark: usize,
-    ) {
-        (**self).relax_min_block_bounded(c, ids, norms, best_d, best_pos, mark)
-    }
 }
 
 /// Pruning break-even for the Euclidean relax kernel: at or below this
 /// dimension a squared distance costs less than one abort stride, so the
-/// partial-distance machinery cannot pay for itself and the bulk relax
-/// degenerates to the scalar loop.
+/// partial-distance machinery cannot pay for itself and surviving queries
+/// take the plain exact sum.
 const RELAX_PRUNE_MIN_DIM: usize = 8;
 
 /// Euclidean distance over a borrowed [`PointSet`].
@@ -438,28 +414,18 @@ impl Metric for EuclideanMetric<'_> {
         pos: &mut [usize],
         dist: &mut [f64],
     ) {
-        // Pruned dot form with precomputed norms; winners are resolved
-        // exactly (see `nearest_row_pruned`), so ids and distances match
+        // Norm-bound and partial-distance pruning over the gathered
+        // centers (see `nearest_row_pruned`), so ids and distances match
         // the scalar scan bit for bit. In the low-dimension band where
-        // the partial-distance screen degenerates, the tiled GEMM-style
-        // micro-kernel runs instead (same exact resolution).
+        // the partial-distance screen degenerates, the exact register-
+        // blocked tile runs instead.
         let g = crate::kernel::gather_rows(self.points, centers);
         let dim = self.points.dim();
         // Discarded tally: the trait carries no recorder; bulk callers
         // count queries coarsely at the NearestAssigner layer instead.
         let mut stats = crate::kernel::ScanStats::default();
         if crate::kernel::tiled_engages(dim, centers.len()) {
-            crate::kernel::assign_sq_tiled(
-                self.points,
-                ids,
-                &g.rows,
-                &g.root_norms,
-                &g.sq_norms,
-                dim,
-                pos,
-                dist,
-                &mut stats,
-            );
+            crate::kernel::assign_sq_tiled(self.points, ids, &g.rows, dim, pos, dist, &mut stats);
             return;
         }
         let mut screen = Vec::with_capacity(centers.len());
@@ -474,49 +440,6 @@ impl Metric for EuclideanMetric<'_> {
             );
             *p = bp;
             *d = bsq;
-        }
-    }
-
-    fn relax_min_block(
-        &self,
-        c: usize,
-        ids: &[usize],
-        best_d: &mut [f64],
-        best_pos: &mut [usize],
-        mark: usize,
-    ) {
-        // Partial-distance abort against a conservatively inflated square
-        // of the incumbent: an abort proves the new distance cannot be
-        // strictly smaller, so skipped queries keep exactly the state the
-        // scalar loop would have kept. Below one abort stride the
-        // machinery cannot pay for itself — use the plain loop.
-        let row = self.points.point(c);
-        if self.points.dim() <= RELAX_PRUNE_MIN_DIM {
-            for ((bd, bp), &i) in best_d.iter_mut().zip(best_pos.iter_mut()).zip(ids) {
-                let d = sq_dist(self.points.point(i), row).sqrt();
-                if d < *bd {
-                    *bd = d;
-                    *bp = mark;
-                }
-            }
-            return;
-        }
-        for ((bd, bp), &i) in best_d.iter_mut().zip(best_pos.iter_mut()).zip(ids) {
-            let limit = if bd.is_finite() {
-                let bb = *bd * *bd;
-                bb + bb * 1e-9
-            } else {
-                f64::INFINITY
-            };
-            if let Some(sq) =
-                crate::kernel::resume_sq_abort(self.points.point(i), row, 0.0, 0, limit)
-            {
-                let d = sq.sqrt();
-                if d < *bd {
-                    *bd = d;
-                    *bp = mark;
-                }
-            }
         }
     }
 
@@ -588,7 +511,7 @@ impl Metric for EuclideanMetric<'_> {
             .collect()
     }
 
-    fn relax_min_block_bounded(
+    fn relax_min_block(
         &self,
         c: usize,
         ids: &[usize],
@@ -597,24 +520,23 @@ impl Metric for EuclideanMetric<'_> {
         best_pos: &mut [usize],
         mark: usize,
     ) {
-        if norms.is_empty() {
-            self.relax_min_block(c, ids, best_d, best_pos, mark);
-            return;
-        }
         // Reverse triangle inequality: d(x, c) ≥ |‖x‖ − ‖c‖|. Deflated by
         // a margin that over-covers the norms' rounding error, the bound
-        // certifies "cannot beat the incumbent" in O(1) per query — the
-        // skip leaves exactly the state the scalar loop would keep.
+        // certifies "cannot beat the incumbent" in O(1) per query. Above
+        // one abort stride, survivors then run a partial-distance abort
+        // against a conservatively inflated square of the incumbent. Both
+        // skips leave exactly the state the scalar loop would keep.
         let row = self.points.point(c);
-        let rc = row.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let bounded = !norms.is_empty();
+        let rc = if bounded {
+            row.iter().map(|v| v * v).sum::<f64>().sqrt()
+        } else {
+            0.0
+        };
         let prune = self.points.dim() > RELAX_PRUNE_MIN_DIM;
-        for (((bd, bp), &i), &nx) in best_d
-            .iter_mut()
-            .zip(best_pos.iter_mut())
-            .zip(ids)
-            .zip(norms)
-        {
-            if (nx - rc).abs() - 1e-9 * (nx + rc) >= *bd {
+        let zipped = best_d.iter_mut().zip(best_pos.iter_mut()).zip(ids);
+        for (e, ((bd, bp), &i)) in zipped.enumerate() {
+            if bounded && (norms[e] - rc).abs() - 1e-9 * (norms[e] + rc) >= *bd {
                 continue;
             }
             let x = self.points.point(i);

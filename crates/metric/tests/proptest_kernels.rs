@@ -10,8 +10,7 @@
 //!   (the bulk path skips the scalar `sqrt`-then-square round trip).
 //!
 //! Tie coverage matters: the strategies duplicate rows on purpose so the
-//! first-wins rule is exercised, and the dot-form kernel's exact-window
-//! resolution is what keeps it honest.
+//! first-wins rule is exercised by every pruned and tiled path.
 
 use dpc_metric::*;
 use proptest::prelude::*;
@@ -138,54 +137,32 @@ fn check_metric<M: Metric>(m: &M, centers: &[usize], exact: bool) {
             }
         }
 
-        // relax_min ≡ the scalar relax loop, from any starting state.
-        let mut bulk_d: Vec<f64> = ids.iter().map(|&i| (i % 3) as f64 * 1e3).collect();
-        bulk_d[0] = f64::INFINITY;
-        let mut bulk_p = vec![0usize; ids.len()];
-        let mut ref_d = bulk_d.clone();
-        let mut ref_p = bulk_p.clone();
-        for (mark, &c) in centers.iter().enumerate() {
-            assigner.relax_min(c, &ids, &mut bulk_d, &mut bulk_p, mark);
-            for (e, &i) in ids.iter().enumerate() {
-                let d = m.dist(i, c);
-                if d < ref_d[e] {
-                    ref_d[e] = d;
-                    ref_p[e] = mark;
+        // relax_min ≡ the scalar relax loop, from any starting state, with
+        // and without the metric's norm bound (O(1) skips).
+        for norms in [Vec::new(), m.relax_norms(&ids)] {
+            let mut bulk_d: Vec<f64> = ids.iter().map(|&i| (i % 3) as f64 * 1e3).collect();
+            bulk_d[0] = f64::INFINITY;
+            let mut bulk_p = vec![0usize; ids.len()];
+            let mut ref_d = bulk_d.clone();
+            let mut ref_p = bulk_p.clone();
+            for (mark, &c) in centers.iter().enumerate() {
+                assigner.relax_min(c, &ids, &norms, &mut bulk_d, &mut bulk_p, mark);
+                for (e, &i) in ids.iter().enumerate() {
+                    let d = m.dist(i, c);
+                    if d < ref_d[e] {
+                        ref_d[e] = d;
+                        ref_p[e] = mark;
+                    }
                 }
             }
-        }
-        assert_eq!(&bulk_p, &ref_p, "relax_min marks");
-        if exact {
-            assert_eq!(&bulk_d, &ref_d, "relax_min distances");
-        } else {
-            for (a, b) in bulk_d.iter().zip(&ref_d) {
-                assert!(close(*a, *b), "relax_min {} vs {}", a, b);
-            }
-        }
-
-        // relax_min_bounded (norm-bound O(1) skips) ≡ the same scalar loop.
-        let norms = m.relax_norms(&ids);
-        let mut nb_d: Vec<f64> = ids.iter().map(|&i| (i % 3) as f64 * 1e3).collect();
-        nb_d[0] = f64::INFINITY;
-        let mut nb_p = vec![0usize; ids.len()];
-        let mut ref_d = nb_d.clone();
-        let mut ref_p = nb_p.clone();
-        for (mark, &c) in centers.iter().enumerate() {
-            assigner.relax_min_bounded(c, &ids, &norms, &mut nb_d, &mut nb_p, mark);
-            for (e, &i) in ids.iter().enumerate() {
-                let d = m.dist(i, c);
-                if d < ref_d[e] {
-                    ref_d[e] = d;
-                    ref_p[e] = mark;
+            let bounded = !norms.is_empty();
+            assert_eq!(&bulk_p, &ref_p, "relax_min marks (bounded {bounded})");
+            if exact {
+                assert_eq!(&bulk_d, &ref_d, "relax_min distances (bounded {bounded})");
+            } else {
+                for (a, b) in bulk_d.iter().zip(&ref_d) {
+                    assert!(close(*a, *b), "relax_min {} vs {}", a, b);
                 }
-            }
-        }
-        assert_eq!(&nb_p, &ref_p, "relax_min_bounded marks");
-        if exact {
-            assert_eq!(&nb_d, &ref_d, "relax_min_bounded distances");
-        } else {
-            for (a, b) in nb_d.iter().zip(&ref_d) {
-                assert!(close(*a, *b), "relax_min_bounded {} vs {}", a, b);
             }
         }
 
@@ -201,6 +178,23 @@ fn check_metric<M: Metric>(m: &M, centers: &[usize], exact: bool) {
         } else {
             assert!(close(bulk_cost.cost, serial.cost));
             assert_eq!(&serial.assignment, &bulk_cost.assignment);
+        }
+    }
+}
+
+/// Pins [`CenterBlock::assign`] over `ps.subset(center_ids)` against the
+/// scalar [`CrossMetric::nearest`] scan, serial and threaded.
+fn check_center_block(ps: &PointSet, center_ids: &[usize]) {
+    let centers = ps.subset(center_ids);
+    let block = CenterBlock::new(&centers);
+    let x = CrossMetric::new(ps, &centers);
+    let ids: Vec<usize> = (0..ps.len()).collect();
+    for threads in [ThreadBudget::serial(), ThreadBudget::new(3)] {
+        let a = block.assign(ps, &ids, threads);
+        for q in 0..ps.len() {
+            let (sp, sd) = x.nearest(q).expect("non-empty");
+            assert_eq!(a.pos[q], sp, "query {q} ({threads:?})");
+            assert_eq!(a.dist[q], sd, "query {q} ({threads:?})");
         }
     }
 }
@@ -334,36 +328,43 @@ proptest! {
     fn center_block_equals_cross_metric(
         ps in arb_points_with_ties(10, 4),
         picks in proptest::collection::vec(any::<usize>(), 1..5),
+        band_dim in 5usize..=8,
+        band_rows in proptest::collection::vec(proptest::collection::vec(-1e4f64..1e4, 8), 8..14),
+        band_dup in proptest::collection::vec(any::<bool>(), 14),
+        band_picks in proptest::collection::vec(any::<usize>(), 8..16),
     ) {
         // The coordinate-space kernel vs the scalar CrossMetric scan —
-        // the final-evaluation path of every artifact.
+        // the final-evaluation path of every artifact. First a few
+        // centers at dim 4, then eight or more at dims 5..=8, the shape
+        // the tiled pass takes; duplicated rows and repeated picks make
+        // coincident centers and exact ties.
         let center_ids = center_subset(ps.len(), &picks);
-        let centers = ps.subset(&center_ids);
-        let block = CenterBlock::new(&centers);
-        let x = CrossMetric::new(&ps, &centers);
-        let ids: Vec<usize> = (0..ps.len()).collect();
-        for threads in [ThreadBudget::serial(), ThreadBudget::new(3)] {
-            let a = block.assign(&ps, &ids, threads);
-            for q in 0..ps.len() {
-                let (sp, sd) = x.nearest(q).expect("non-empty");
-                prop_assert_eq!(a.pos[q], sp, "query {}", q);
-                prop_assert_eq!(a.dist[q], sd, "query {}", q);
+        check_center_block(&ps, &center_ids);
+
+        let mut all = Vec::new();
+        for (r, &dup) in band_rows.iter().zip(&band_dup) {
+            all.push(r[..band_dim].to_vec());
+            if dup {
+                all.push(r[..band_dim].to_vec());
             }
         }
+        let band = PointSet::from_rows(&all);
+        let center_ids: Vec<usize> = band_picks.iter().map(|&p| p % band.len()).collect();
+        check_center_block(&band, &center_ids);
     }
 
     #[test]
     fn euclidean_dims_bulk_equals_scalar(
-        dim_ix in 0usize..4,
+        dim_ix in 0usize..6,
         seed_rows in proptest::collection::vec(proptest::collection::vec(-1e4f64..1e4, 128), 2..8),
         dup in proptest::collection::vec(any::<bool>(), 8),
         picks in proptest::collection::vec(any::<usize>(), 8..12),
     ) {
         // One sweep over the dims the kernels branch on: 2 (below the
-        // tiled band), 4 (tiled GEMM micro-kernel), 32 and 128 (screened
+        // tiled band), 4, 6 and 8 (tiled band), 32 and 128 (screened
         // partial-distance scans). Duplicated rows force ties; `picks`
         // can repeat, so coincident centers occur too.
-        let dims = [2usize, 4, 32, 128];
+        let dims = [2usize, 4, 6, 8, 32, 128];
         let dim = dims[dim_ix];
         let mut all = Vec::new();
         for (i, r) in seed_rows.iter().enumerate() {
@@ -450,8 +451,8 @@ proptest! {
                 *v = ps.point((start + o) % ps.len())[0];
             }
         };
-        par_chunks_mut(ThreadBudget::serial(), &mut serial_out, fill);
-        par_chunks_mut(ThreadBudget::new(4), &mut par_out, fill);
+        par_chunks_mut(ThreadBudget::serial(), &mut serial_out[..], fill);
+        par_chunks_mut(ThreadBudget::new(4), &mut par_out[..], fill);
         prop_assert_eq!(serial_out, par_out);
     }
 }

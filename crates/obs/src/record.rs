@@ -69,8 +69,8 @@ pub enum Counter {
     /// (the `BoundedAssigner` fast path — the query paid for one
     /// distance instead of `k`).
     BoundSkips,
-    /// Candidate scores produced by the tiled dot-form micro-kernel
-    /// (rows × centers pushed through the GEMM-style tiles).
+    /// Exact candidate scores produced by the register-blocked tile
+    /// (rows × centers pushed through the tiles).
     TileScores,
     /// Raw (pre-compression) payload bytes moved by protocols running a
     /// non-raw wire [`Encoding`](https://docs.rs/dpc_codec) — what the

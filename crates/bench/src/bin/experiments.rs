@@ -1162,10 +1162,9 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 /// recorded in-tree. Byte charges are asserted identical across
 /// backends — only time may differ. The per-site channel and tcp
 /// backends pay a thread (and, for tcp, a socket pair) per site every
-/// run; mux keeps the tcp site workers but multiplexes the coordinator
-/// side onto `used_threads` poll(2) event-loop shards, which is what
-/// lets the 4096-site rows fit in one process without a 4096-thread
-/// coordinator fan-out.
+/// run; mux speaks the tcp frames but serves both ends from
+/// `used_threads` poll(2) event-loop shards, which is what lets the
+/// 4096-site rows fit in one process without a 4096-thread fleet.
 fn t1_transport(threads_override: Option<usize>) {
     header(
         "T1",

@@ -91,11 +91,12 @@ transport options (distributed commands and stream --sync-every):
                              channel): 'channel' keeps one persistent
                              in-process worker per site; 'tcp' runs each
                              site behind a loopback socket with
-                             length-prefixed frames; 'mux' keeps the tcp
-                             site workers but multiplexes the coordinator
-                             side onto a fixed pool of poll(2) event-loop
-                             shards (set by --threads), so thousands of
-                             sites fit in one process
+                             length-prefixed frames, a thread per site;
+                             'mux' speaks the tcp frames but serves sites
+                             and coordinator from a fixed pool of poll(2)
+                             event-loop shards (set by --threads; two
+                             threads per shard), so thousands of sites
+                             fit in one process
   --encoding <enc>           wire codec for protocol messages (default
                              raw): raw keeps the exact bytes; f32
                              quantizes coordinates lossily; rlz codes a

@@ -25,12 +25,12 @@
 //!   once per round); the [`TcpTransport`] backend puts every site behind
 //!   a loopback TCP socket with length-prefixed frames, proving the wire
 //!   formats round-trip a real socket; the [`MuxTransport`] backend keeps
-//!   those TCP site workers but multiplexes the coordinator side onto a
-//!   fixed pool of event-loop shards — sites partitioned round-robin,
-//!   non-blocking sockets, one `poll(2)` readiness loop per shard driving
-//!   `WriteHeader → WriteBody → ReadHeader → ReadBody` state machines
-//!   with reusable buffers and vectored writes — so one process sustains
-//!   thousands of sites with O(shards) coordinator threads (the `poll`
+//!   those sockets and frames but serves both ends from a fixed pool of
+//!   event-loop shards — sites partitioned round-robin, non-blocking
+//!   sockets, and per shard one site loop and one coordinator loop, each
+//!   a `poll(2)` readiness loop driving per-connection frame state
+//!   machines with vectored writes — so one process sustains thousands
+//!   of sites with O(shards) threads (the `poll`
 //!   syscall comes from the thin vendored `sys_poll` FFI wrapper, same
 //!   no-registry discipline as the rest of `vendor/`);
 //!   [`InlineTransport`] runs sites sequentially for deterministic
@@ -56,6 +56,7 @@ pub mod channel;
 pub mod fault;
 pub mod mux;
 pub mod protocol;
+mod sockets;
 pub mod stats;
 pub mod tcp;
 pub mod transport;

@@ -1,23 +1,28 @@
 //! Multiplexed event-loop backend: thousands of sites, O(shards)
-//! coordinator threads.
+//! threads.
 //!
-//! [`crate::TcpTransport`] proves the wire formats with one coordinator
-//! thread *pair* per site — fine at 16 sites, hopeless at the thousands
-//! the coordinator model is designed for. This backend keeps the site
-//! half identical (real worker threads behind real loopback sockets,
-//! speaking the exact frames of [`crate::tcp`]) but replaces the
-//! coordinator side with a small fixed pool of **event-loop shards**:
-//! sites are partitioned round-robin across the pool, each shard owns
-//! its connections in non-blocking mode, and one `poll(2)` readiness
-//! loop (via the vendored [`sys_poll`] wrapper — a thin FFI shim, since
-//! the workspace builds without registry access) drives a per-connection
-//! state machine
-//! `WriteHeader → WriteBody → ReadHeader → ReadBody`
-//! over reusable buffers. Requests leave as one vectored write (header
-//! and payload in a single syscall, short writes resumed where they
-//! stopped), so the coordinator's thread count is O(shards) instead of
-//! O(sites) while the per-round byte traffic is bit-identical to the
-//! TCP backend.
+//! [`crate::TcpTransport`] proves the wire formats with one thread per
+//! site on each side of the socket: fine at 16 sites, hopeless at the
+//! thousands the coordinator model is designed for. This backend keeps
+//! the real loopback sockets and the exact frames of [`crate::tcp`] but
+//! serves both halves from a small fixed pool of **event-loop shards**.
+//! Sites are partitioned round-robin across the pool, and shard `j`
+//! runs two threads for its sites `j, j+stride, …`:
+//!
+//! * a coordinator loop, owning the coordinator ends in non-blocking
+//!   mode. One `poll(2)` readiness loop (via the vendored [`sys_poll`]
+//!   wrapper, a thin FFI shim, since the workspace builds without
+//!   registry access) drives a per-connection state machine
+//!   `Write → Read → Done`. Requests leave as one vectored write
+//!   (header and payload in a single syscall, short writes resumed where
+//!   they stopped);
+//! * a site loop, the shared `sockets::serve_sites`, owning the site ends:
+//!   read the request, run the site, write the reply, for every ready
+//!   connection of one `poll(2)` wakeup.
+//!
+//! The fleet is built over one listener on the caller's thread, so a
+//! run's thread count is `2·shards` however many sites there are, while
+//! the per-round byte traffic is bit-identical to the TCP backend.
 //!
 //! Fault injection needs no cooperation from this backend: the driver
 //! decides every dropout/straggler/timeout *before* the exchange as a
@@ -29,16 +34,19 @@
 //! backends.
 //!
 //! Each exchange reports one [`Event::ShardPoll`] per shard and bumps
-//! [`Counter::PollWakeups`]; both are wall-clock-scheduling artifacts
-//! and are excluded from the deterministic JSONL trace schema.
+//! [`Counter::PollWakeups`] with the coordinator loops' wakeups; both
+//! are wall-clock-scheduling artifacts and are excluded from the
+//! deterministic JSONL trace schema.
 
 use crate::protocol::Site;
-use crate::tcp::{serve_site, SHUTDOWN};
+use crate::sockets::{
+    loopback_pairs, request_frame, serve_sites, site_reply, FrameReader, FrameWriter, SiteEnd,
+    SHUTDOWN,
+};
 use crate::transport::{SiteReply, Transport};
 use bytes::Bytes;
 use dpc_obs::{Counter, Event, RecorderHandle};
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::Scope;
@@ -46,198 +54,73 @@ use std::time::Duration;
 use sys_poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 /// Where a connection's state machine stands within one round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ConnState {
-    /// No frame in flight (either the round skipped this site or the
-    /// round has not started).
+enum Phase {
+    /// No frame in flight: the round skipped this site, or its reply
+    /// has been collected.
     Idle,
-    /// Writing the 8-byte request header. The write is vectored with
-    /// the payload, so one syscall usually completes this state and the
-    /// next together.
-    WriteHeader,
-    /// Header flushed; writing the remaining payload bytes.
-    WriteBody,
-    /// Awaiting the 12-byte reply header.
-    ReadHeader,
-    /// Reading the reply payload.
-    ReadBody,
+    /// Writing the request frame.
+    Write(FrameWriter<8>),
+    /// Reading the reply frame.
+    Read(FrameReader<12>),
     /// Reply complete for this round.
-    Done,
+    Done(SiteReply),
 }
 
 /// One coordinator-side connection owned by a shard: the non-blocking
-/// socket plus the in-flight frame state and reusable buffers.
+/// socket plus the frame in flight.
 struct Conn {
     stream: TcpStream,
     /// Global site index (diagnostics only).
     site: usize,
-    state: ConnState,
-    /// Outgoing request header (`[round: u32][len: u32]`, LE).
-    req_header: [u8; 8],
-    /// Request payload for the current round.
-    payload: Bytes,
-    /// Bytes of header + payload written so far.
-    written: usize,
-    /// Incoming reply header (`[compute_ns: u64][len: u32]`, LE).
-    reply_header: [u8; 12],
-    header_read: usize,
-    /// Reusable reply-payload buffer; only `..reply_len` is valid.
-    body: Vec<u8>,
-    body_read: usize,
-    reply_len: usize,
-    reply: Option<SiteReply>,
+    phase: Phase,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, site: usize) -> Self {
-        Self {
-            stream,
-            site,
-            state: ConnState::Idle,
-            req_header: [0; 8],
-            payload: Bytes::new(),
-            written: 0,
-            reply_header: [0; 12],
-            header_read: 0,
-            body: Vec::new(),
-            body_read: 0,
-            reply_len: 0,
-            reply: None,
-        }
-    }
-
-    /// Arms the state machine for one round's request.
-    fn begin(&mut self, round: u32, payload: Bytes) {
-        let len = u32::try_from(payload.len()).expect("message fits a u32 length prefix");
-        self.req_header[..4].copy_from_slice(&round.to_le_bytes());
-        self.req_header[4..].copy_from_slice(&len.to_le_bytes());
-        self.payload = payload;
-        self.written = 0;
-        self.header_read = 0;
-        self.body_read = 0;
-        self.reply_len = 0;
-        self.reply = None;
-        self.state = ConnState::WriteHeader;
-    }
-
-    /// The poll interest of the current state (0 = nothing pending).
+    /// The poll interest of the current phase (0 = nothing pending).
     fn interest(&self) -> i16 {
-        match self.state {
-            ConnState::WriteHeader | ConnState::WriteBody => POLLOUT,
-            ConnState::ReadHeader | ConnState::ReadBody => POLLIN,
-            ConnState::Idle | ConnState::Done => 0,
+        match self.phase {
+            Phase::Write(_) => POLLOUT,
+            Phase::Read(_) => POLLIN,
+            Phase::Idle | Phase::Done(_) => 0,
         }
     }
 
     /// Drives the state machine as far as the socket allows without
-    /// blocking. Returns `true` once the reply for the round is
-    /// complete (`Done`); `false` means the connection is parked until
+    /// blocking. Returns `true` once nothing is pending for the round
+    /// (`Done` or `Idle`); `false` means the connection is parked until
     /// the next readiness notification.
     fn advance(&mut self) -> bool {
         loop {
-            match self.state {
-                ConnState::Idle => return true,
-                ConnState::Done => return true,
-                ConnState::WriteHeader | ConnState::WriteBody => {
-                    let total = self.req_header.len() + self.payload.len();
-                    if self.written < total {
-                        let res = if self.written < self.req_header.len() {
-                            self.stream.write_vectored(&[
-                                IoSlice::new(&self.req_header[self.written..]),
-                                IoSlice::new(self.payload.as_ref()),
-                            ])
-                        } else {
-                            self.stream
-                                .write(&self.payload[self.written - self.req_header.len()..])
-                        };
-                        match res {
-                            Ok(0) => panic!("site {}: write returned zero", self.site),
-                            Ok(n) => {
-                                self.written += n;
-                                self.state = if self.written < self.req_header.len() {
-                                    ConnState::WriteHeader
-                                } else {
-                                    ConnState::WriteBody
-                                };
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(e) => panic!("site {}: request write: {e}", self.site),
-                        }
+            match &mut self.phase {
+                Phase::Write(writer) => match writer.advance(&mut self.stream) {
+                    // Request flushed. The site cannot have replied yet,
+                    // so wait for readability rather than try a read.
+                    Ok(true) => {
+                        self.phase = Phase::Read(FrameReader::new());
+                        return false;
                     }
-                    if self.written == total {
-                        // Request fully flushed; release the payload and
-                        // opportunistically try the read side in the same
-                        // wakeup.
-                        self.payload = Bytes::new();
-                        self.state = ConnState::ReadHeader;
-                    }
-                }
-                ConnState::ReadHeader => {
-                    match self.stream.read(&mut self.reply_header[self.header_read..]) {
-                        Ok(0) => panic!("site {}: connection closed mid-reply", self.site),
-                        Ok(n) => self.header_read += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => panic!("site {}: reply header: {e}", self.site),
-                    }
-                    if self.header_read == self.reply_header.len() {
-                        let len =
-                            u32::from_le_bytes(self.reply_header[8..].try_into().unwrap()) as usize;
-                        self.reply_len = len;
-                        if self.body.len() < len {
-                            self.body.resize(len, 0);
-                        }
-                        self.state = ConnState::ReadBody;
-                    }
-                }
-                ConnState::ReadBody => {
-                    if self.body_read < self.reply_len {
-                        match self
-                            .stream
-                            .read(&mut self.body[self.body_read..self.reply_len])
-                        {
-                            Ok(0) => panic!("site {}: connection closed mid-payload", self.site),
-                            Ok(n) => self.body_read += n,
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(e) => panic!("site {}: reply payload: {e}", self.site),
-                        }
-                    }
-                    if self.body_read == self.reply_len {
-                        let compute_ns =
-                            u64::from_le_bytes(self.reply_header[..8].try_into().unwrap());
-                        self.reply = Some(SiteReply {
-                            payload: Bytes::copy_from_slice(&self.body[..self.reply_len]),
-                            compute: Duration::from_nanos(compute_ns),
-                        });
-                        self.state = ConnState::Done;
-                        return true;
-                    }
-                }
+                    Ok(false) => return false,
+                    Err(e) => panic!("site {}: request write: {e}", self.site),
+                },
+                Phase::Read(reader) => match reader.advance(&mut self.stream) {
+                    Ok(Some(frame)) => self.phase = Phase::Done(site_reply(frame)),
+                    Ok(None) => return false,
+                    Err(e) => panic!("site {}: reply: {e}", self.site),
+                },
+                Phase::Idle | Phase::Done(_) => return true,
             }
         }
     }
 
     /// Best-effort shutdown frame + socket teardown (mirrors the TCP
     /// backend's `Drop`; the socket may be non-writable momentarily, so
-    /// `WouldBlock` waits for writability once).
+    /// `WouldBlock` waits for writability, a second at a time).
     fn send_shutdown(&mut self) {
-        let mut frame = [0u8; 8];
-        frame[..4].copy_from_slice(&SHUTDOWN.to_le_bytes());
-        let mut written = 0usize;
-        while written < frame.len() {
-            match self.stream.write(&frame[written..]) {
-                Ok(0) => break,
-                Ok(n) => written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let mut fds = [PollFd::new(self.stream.as_raw_fd(), POLLOUT)];
-                    if poll_fds(&mut fds, Some(Duration::from_secs(1))).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+        let mut frame = request_frame(SHUTDOWN, Bytes::new());
+        while let Ok(false) = frame.advance(&mut self.stream) {
+            let mut fds = [PollFd::new(self.stream.as_raw_fd(), POLLOUT)];
+            if poll_fds(&mut fds, Some(Duration::from_secs(1))).is_err() {
+                break;
             }
         }
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -253,20 +136,20 @@ struct ShardWork {
 }
 
 /// A shard's answer: replies in local order plus how many times its
-/// readiness loop woke up serving the round.
+/// coordinator loop woke up serving the round.
 struct ShardDone {
     replies: Vec<Option<SiteReply>>,
     wakeups: u64,
 }
 
-/// Coordinator-side handle to one event-loop shard thread.
+/// The driver's handle to one shard's coordinator loop.
 struct ShardHandle {
     work: Sender<ShardWork>,
     done: Receiver<ShardDone>,
 }
 
-/// One shard's lifetime: serve rounds until the work channel closes,
-/// then shut the connections down.
+/// One shard's coordinator loop: serve rounds until the work channel
+/// closes, then shut the connections down.
 fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<ShardDone>) {
     let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len());
     let mut fd_conn: Vec<usize> = Vec::with_capacity(conns.len());
@@ -278,17 +161,12 @@ fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<Shard
         // replies.
         let mut pending = 0usize;
         for (conn, msg) in conns.iter_mut().zip(msgs) {
-            match msg {
-                Some(payload) => {
-                    conn.begin(round, payload);
-                    if !conn.advance() {
-                        pending += 1;
-                    }
-                }
-                None => {
-                    conn.state = ConnState::Idle;
-                    conn.reply = None;
-                }
+            conn.phase = match msg {
+                Some(payload) => Phase::Write(request_frame(round, payload)),
+                None => Phase::Idle,
+            };
+            if !conn.advance() {
+                pending += 1;
             }
         }
         let mut wakeups = 0u64;
@@ -305,12 +183,18 @@ fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<Shard
             poll_fds(&mut fds, None).expect("poll over shard connections");
             wakeups += 1;
             for (fd, &ci) in fds.iter().zip(&fd_conn) {
-                if fd.revents != 0 && conns[ci].state != ConnState::Done && conns[ci].advance() {
+                if fd.revents != 0 && conns[ci].advance() {
                     pending -= 1;
                 }
             }
         }
-        let replies = conns.iter_mut().map(|c| c.reply.take()).collect();
+        let replies = conns
+            .iter_mut()
+            .map(|c| match std::mem::replace(&mut c.phase, Phase::Idle) {
+                Phase::Done(reply) => Some(reply),
+                _ => None,
+            })
+            .collect();
         if done.send(ShardDone { replies, wakeups }).is_err() {
             break; // coordinator went away mid-round
         }
@@ -328,13 +212,14 @@ pub struct MuxTransport {
 }
 
 impl MuxTransport {
-    /// Spawns one socket-serving worker per site plus `shards`
-    /// event-loop threads inside `scope`, and connects everything.
-    /// `shards` is clamped to `1..=sites`; the coordinator side runs
-    /// exactly `min(shards.max(1), sites.max(1))` threads however many
-    /// sites there are. Dropping the transport closes the work
-    /// channels; shards send every worker the shutdown frame on their
-    /// way out and `scope` joins them all.
+    /// Connects one loopback socket pair per site and spawns `shards`
+    /// event-loop shards inside `scope`, each a site loop plus a
+    /// coordinator loop. `shards` is clamped to `1..=sites`, so a run
+    /// holds exactly `2·min(shards.max(1), sites.max(1))` threads
+    /// however many sites there are. Dropping the transport closes the
+    /// work channels; coordinator loops send every site the shutdown
+    /// frame on their way out, each site loop returns once all its
+    /// connections have closed, and `scope` joins them all.
     pub fn start<'scope, 'env, 'data: 'env>(
         scope: &'scope Scope<'scope, 'env>,
         sites: &'env mut [Box<dyn Site + 'data>],
@@ -343,24 +228,23 @@ impl MuxTransport {
     ) -> Self {
         let n = sites.len();
         let shard_count = shards.clamp(1, n.max(1));
-        // Site workers: identical to the TCP backend (that is the
-        // point — only the coordinator side changes).
         let mut per_shard: Vec<Vec<Conn>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, site) in sites.iter_mut().enumerate() {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener for site");
-            let addr = listener.local_addr().expect("listener has a local addr");
-            scope.spawn(move || {
-                let (conn, _) = listener.accept().expect("accept coordinator connection");
-                conn.set_nodelay(true).ok();
-                serve_site(site.as_mut(), conn, i);
-            });
-            let stream = TcpStream::connect(addr).expect("connect to site worker");
-            stream.set_nodelay(true).ok();
+        let mut site_ends: Vec<Vec<SiteEnd<'env>>> = (0..shard_count).map(|_| Vec::new()).collect();
+        for (i, (site, (stream, site_stream))) in
+            sites.iter_mut().zip(loopback_pairs(n)).enumerate()
+        {
             stream
                 .set_nonblocking(true)
                 .expect("switch coordinator-side socket to non-blocking");
-            per_shard[i % shard_count].push(Conn::new(stream, i));
+            per_shard[i % shard_count].push(Conn {
+                stream,
+                site: i,
+                phase: Phase::Idle,
+            });
+            site_ends[i % shard_count].push(SiteEnd::new(site.as_mut(), site_stream));
+        }
+        for ends in site_ends {
+            scope.spawn(move || serve_sites(ends));
         }
         let shards = per_shard
             .into_iter()
@@ -381,7 +265,8 @@ impl MuxTransport {
         }
     }
 
-    /// Number of event-loop shard threads serving the coordinator side.
+    /// Number of event-loop shards (each a site loop plus a coordinator
+    /// loop).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }

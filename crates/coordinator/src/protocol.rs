@@ -64,7 +64,9 @@ pub struct RunOptions {
     /// Execute sites concurrently (`true`, the realistic mode) or
     /// sequentially on the caller's thread (deterministic timing, useful
     /// under test). Only meaningful for [`TransportKind::Channel`]; the
-    /// TCP backend always runs real site workers.
+    /// socket backends always serve sites from their own threads (one
+    /// per site on tcp, one per shard on mux, see
+    /// [`RunOptions::shards`]).
     pub parallel: bool,
     /// Safety cap on rounds (a protocol that exceeds it panics — all
     /// algorithms in this workspace finish in 1–2 rounds plus the kick).
@@ -90,11 +92,13 @@ pub struct RunOptions {
     /// compressed and skips the header peek entirely.
     pub encoding: Encoding,
     /// Event-loop shard budget for [`TransportKind::Mux`] (ignored by
-    /// every other backend). `None` (the default) derives the pool size
-    /// from [`std::thread::available_parallelism`]; whatever the
-    /// source, [`MuxTransport::start`] clamps it to `1..=sites`. Shard
-    /// count never affects results — only coordinator-side thread
-    /// count and wall clock.
+    /// every other backend). Each shard runs two threads: one site loop
+    /// serving its sites one at a time, and one coordinator loop.
+    /// `None` (the default) derives the pool size from
+    /// [`std::thread::available_parallelism`]; whatever the source, it
+    /// is clamped to `1..=sites` ([`RunOptions::mux_shards`]). Shard
+    /// count never affects results — only thread count, which sites run
+    /// at once, and wall clock.
     pub shards: Option<usize>,
 }
 
@@ -164,12 +168,30 @@ impl RunOptions {
         self
     }
 
+    /// The number of mux event-loop shards a run over `sites` sites
+    /// uses: [`RunOptions::shards`], or the machine's available
+    /// parallelism when unset, clamped to `1..=sites`.
+    pub fn mux_shards(&self, sites: usize) -> usize {
+        self.shards
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+            .clamp(1, sites.max(1))
+    }
+
     /// Whether `sites` sites run at once under these options: more than
-    /// one site on a backend with a thread per site (parallel channel,
-    /// tcp, mux). Otherwise sites run one at a time — the sequential
-    /// channel backend runs them inline on the caller's thread.
+    /// one site on a backend that serves them from several threads —
+    /// parallel channel and tcp (a thread per site), or mux with more
+    /// than one shard (a site loop per shard). Otherwise sites run one
+    /// at a time: the sequential channel backend runs them inline on
+    /// the caller's thread, and a one-shard mux from its one site loop.
     pub fn sites_run_concurrently(&self, sites: usize) -> bool {
-        sites > 1 && (self.parallel || self.transport != TransportKind::Channel)
+        sites > 1
+            && match self.transport {
+                TransportKind::Channel => self.parallel,
+                TransportKind::Tcp => true,
+                TransportKind::Mux => self.mux_shards(sites) > 1,
+            }
     }
 
     /// The kernel thread budget each of `sites` sites gets out of a job's
@@ -223,9 +245,7 @@ pub fn run_protocol<C: Coordinator>(
             drive(&mut transport, coordinator, options)
         }),
         TransportKind::Mux => std::thread::scope(|scope| {
-            let shards = options.shards.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
+            let shards = options.mux_shards(sites.len());
             let recorder = options.recorder.clone();
             let mut transport = MuxTransport::start(scope, sites, shards, recorder);
             drive(&mut transport, coordinator, options)
@@ -593,13 +613,25 @@ mod tests {
                 true,
             ),
             (RunOptions::new().transport(TransportKind::Tcp), 1, false),
-            (RunOptions::new().transport(TransportKind::Mux), 8, true),
             (
-                RunOptions::sequential().transport(TransportKind::Mux),
+                RunOptions::new().transport(TransportKind::Mux).shards(2),
+                8,
+                true,
+            ),
+            (
+                RunOptions::sequential()
+                    .transport(TransportKind::Mux)
+                    .shards(2),
                 8,
                 true,
             ),
             (RunOptions::new().transport(TransportKind::Mux), 1, false),
+            // One shard: every site takes its turn on one site loop.
+            (
+                RunOptions::new().transport(TransportKind::Mux).shards(1),
+                8,
+                false,
+            ),
         ];
         for (options, sites, concurrent) in table {
             let case = format!(

@@ -1,8 +1,7 @@
 //! Loopback TCP backend: every site behind a real socket.
 //!
-//! Each site worker binds a listener on `127.0.0.1:0`, the coordinator
-//! connects, and the pair speaks length-prefixed frames for the rest of
-//! the execution:
+//! The coordinator connects one loopback socket pair per site, and each
+//! pair speaks length-prefixed frames for the rest of the execution:
 //!
 //! ```text
 //! coordinator -> site   [round: u32 LE][len: u32 LE][payload]
@@ -17,46 +16,22 @@
 //! every protocol message round-trips a real socket boundary, byte for
 //! byte, which no amount of in-process simulation establishes.
 //!
-//! `TCP_NODELAY` is set on both ends — rounds are strict request/reply
-//! exchanges, exactly the pattern Nagle's algorithm penalizes. Frames
-//! go out through `write_frame`: one vectored write carries the
-//! header and the payload together, so a small protocol round costs one
-//! syscall in each direction instead of two.
+//! Each site runs the site event loop shared with the mux backend
+//! (`sockets::serve_sites`) on a thread of its own; the
+//! coordinator side is the caller's thread over blocking sockets.
+//! `TCP_NODELAY` is set on both ends, and every frame goes out as one
+//! vectored write carrying the header and the payload together, so a
+//! small protocol round costs one syscall in each direction instead of
+//! two.
 
 use crate::protocol::Site;
+use crate::sockets::{
+    loopback_pairs, request_frame, serve_sites, site_reply, FrameReader, SiteEnd, SHUTDOWN,
+};
 use crate::transport::{SiteReply, Transport};
 use bytes::Bytes;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::TcpStream;
 use std::thread::Scope;
-use std::time::{Duration, Instant};
-
-/// Shutdown sentinel in the `round` header field.
-pub(crate) const SHUTDOWN: u32 = u32::MAX;
-
-/// Writes `header` then `body` as a single vectored write, looping on
-/// short writes (a kernel may accept any prefix of the two buffers).
-/// Shared by both directions of this backend and by the mux site
-/// workers — the frame layouts differ only in header contents.
-pub(crate) fn write_frame<W: Write>(conn: &mut W, header: &[u8], body: &[u8]) -> io::Result<()> {
-    let total = header.len() + body.len();
-    let mut written = 0usize;
-    while written < total {
-        let res = if written < header.len() {
-            conn.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(body)])
-        } else {
-            conn.write(&body[written - header.len()..])
-        };
-        match res {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
 
 /// The loopback-socket backend. See the module docs.
 pub struct TcpTransport {
@@ -65,66 +40,24 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Spawns one socket-serving worker per site inside `scope` and
-    /// connects to each. Dropping the transport sends every worker the
-    /// shutdown frame; `scope` then joins them.
+    /// Connects one loopback socket pair per site and spawns each site's
+    /// event loop inside `scope`. Dropping the transport sends every
+    /// site the shutdown frame; `scope` then joins the loops.
     pub fn start<'scope, 'env, 'data: 'env>(
         scope: &'scope Scope<'scope, 'env>,
         sites: &'env mut [Box<dyn Site + 'data>],
     ) -> Self {
-        let mut streams = Vec::with_capacity(sites.len());
-        for (i, site) in sites.iter_mut().enumerate() {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener for site");
-            let addr = listener.local_addr().expect("listener has a local addr");
-            scope.spawn(move || {
-                let (conn, _) = listener.accept().expect("accept coordinator connection");
-                conn.set_nodelay(true).ok();
-                serve_site(site.as_mut(), conn, i);
-            });
-            let stream = TcpStream::connect(addr).expect("connect to site worker");
-            stream.set_nodelay(true).ok();
-            streams.push(stream);
-        }
+        let pairs = loopback_pairs(sites.len());
+        let streams = sites
+            .iter_mut()
+            .zip(pairs)
+            .map(|(site, (stream, site_stream))| {
+                let end = SiteEnd::new(site.as_mut(), site_stream);
+                scope.spawn(move || serve_sites(vec![end]));
+                stream
+            })
+            .collect();
         Self { streams }
-    }
-}
-
-/// One site's serving loop: read a frame, run the site, reply. Shared
-/// with the mux backend — site workers are identical there; only the
-/// coordinator side differs.
-pub(crate) fn serve_site(site: &mut (dyn Site + '_), mut conn: TcpStream, site_id: usize) {
-    // Abortive close on the worker end: this side closes only after
-    // consuming the shutdown frame (both directions provably drained),
-    // and the RST spares both sockets 60 s of TIME_WAIT — at thousands
-    // of sites per run, a torn-down fleet would otherwise degrade every
-    // following run while the kernel's connection table drains.
-    sys_poll::set_abortive_close(conn.as_raw_fd()).ok();
-    loop {
-        let mut header = [0u8; 8];
-        if conn.read_exact(&mut header).is_err() {
-            return; // coordinator hung up without a shutdown frame
-        }
-        let round = u32::from_le_bytes(header[..4].try_into().unwrap());
-        if round == SHUTDOWN {
-            return;
-        }
-        let len = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        conn.read_exact(&mut payload)
-            .unwrap_or_else(|e| panic!("site {site_id}: short read of {len}-byte payload: {e}"));
-        let msg = Bytes::from(payload);
-        let t0 = Instant::now();
-        let reply = site.handle(round as usize, &msg);
-        let compute = t0.elapsed();
-        let body = reply.as_ref();
-        let len = u32::try_from(body.len()).expect("reply fits a u32 length prefix");
-        let mut header = [0u8; 12];
-        header[..8].copy_from_slice(&(compute.as_nanos() as u64).to_le_bytes());
-        header[8..].copy_from_slice(&len.to_le_bytes());
-        if write_frame(&mut conn, &header, body).is_err() {
-            return;
-        }
     }
 }
 
@@ -138,18 +71,15 @@ impl Transport for TcpTransport {
         let round = u32::try_from(round).expect("round fits the frame header");
         assert_ne!(round, SHUTDOWN, "round collides with the shutdown frame");
         // Fan out: write every request before reading any reply. Site
-        // workers read their request eagerly, so these writes cannot
+        // loops read their request eagerly, so these writes cannot
         // deadlock against the unread replies. Frames carry the round
         // number, so a skipped (`None`) site simply never sees a frame
         // for this round — no wire-protocol change is needed.
         for (stream, msg) in self.streams.iter_mut().zip(msgs) {
             let Some(msg) = msg else { continue };
-            let body = msg.as_ref();
-            let len = u32::try_from(body.len()).expect("message fits a u32 length prefix");
-            let mut header = [0u8; 8];
-            header[..4].copy_from_slice(&round.to_le_bytes());
-            header[4..].copy_from_slice(&len.to_le_bytes());
-            write_frame(stream, &header, body).expect("write request frame to site");
+            request_frame(round, msg.clone())
+                .advance(stream)
+                .expect("write request frame to site");
         }
         // Gather in site order.
         self.streams
@@ -158,20 +88,13 @@ impl Transport for TcpTransport {
             .enumerate()
             .map(|(i, (stream, msg))| {
                 msg.as_ref()?;
-                let mut header = [0u8; 12];
-                stream
-                    .read_exact(&mut header)
-                    .unwrap_or_else(|e| panic!("site {i}: reply header: {e}"));
-                let compute_ns = u64::from_le_bytes(header[..8].try_into().unwrap());
-                let len = u32::from_le_bytes(header[8..].try_into().unwrap()) as usize;
-                let mut payload = vec![0u8; len];
-                stream
-                    .read_exact(&mut payload)
-                    .unwrap_or_else(|e| panic!("site {i}: reply payload ({len} bytes): {e}"));
-                Some(SiteReply {
-                    payload: Bytes::from(payload),
-                    compute: Duration::from_nanos(compute_ns),
-                })
+                // A blocking socket never reports `WouldBlock`, so the
+                // reader returns a whole frame or an error.
+                let frame = FrameReader::new()
+                    .advance(stream)
+                    .unwrap_or_else(|e| panic!("site {i}: reply: {e}"))
+                    .expect("a blocking read completes the frame");
+                Some(site_reply(frame))
             })
             .collect()
     }
@@ -179,11 +102,9 @@ impl Transport for TcpTransport {
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        // Best-effort graceful shutdown; workers also exit on EOF.
+        // Best-effort graceful shutdown; site loops also exit on EOF.
         for stream in &mut self.streams {
-            let mut frame = [0u8; 8];
-            frame[..4].copy_from_slice(&SHUTDOWN.to_le_bytes());
-            let _ = stream.write_all(&frame);
+            let _ = request_frame(SHUTDOWN, Bytes::new()).advance(stream);
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }

@@ -18,13 +18,13 @@
 //!   with an mpsc mailbox; sites are spawned once per protocol
 //!   execution, not once per round.
 //! * [`crate::TcpTransport`] — each site behind a loopback TCP socket
-//!   speaking length-prefixed frames, proving the wire formats survive a
-//!   real socket.
-//! * [`crate::MuxTransport`] — the same site workers and wire frames as
-//!   TCP, but the coordinator drives all connections through a fixed
-//!   pool of `poll(2)` event-loop shards, so its thread count is
-//!   O(shards) instead of O(sites) — the high-fanout backend for
-//!   thousands of sites in one process.
+//!   speaking length-prefixed frames, served by a thread of its own,
+//!   proving the wire formats survive a real socket.
+//! * [`crate::MuxTransport`] — the same sockets and wire frames as TCP,
+//!   but both ends are served by a fixed pool of `poll(2)` event-loop
+//!   shards (a site loop and a coordinator loop each), so its thread
+//!   count is O(shards) instead of O(sites) — the high-fanout backend
+//!   for thousands of sites in one process.
 
 use crate::protocol::Site;
 use bytes::Bytes;
@@ -65,13 +65,14 @@ pub enum TransportKind {
     /// `RunOptions::parallel` is off or there is a single site).
     #[default]
     Channel,
-    /// Each site served by a worker behind a loopback TCP socket with
-    /// length-prefixed frames.
+    /// Each site served by a thread of its own behind a loopback TCP
+    /// socket with length-prefixed frames.
     Tcp,
-    /// TCP site workers multiplexed onto a fixed pool of coordinator
-    /// event-loop shards (non-blocking sockets + `poll(2)` readiness
-    /// loops); coordinator threads scale with the shard budget, not the
-    /// site count.
+    /// The TCP frames over a fixed pool of event-loop shards: each
+    /// shard serves its sites from one site loop and drives their
+    /// coordinator ends from one coordinator loop, both `poll(2)`
+    /// readiness loops over non-blocking sockets, so threads scale with
+    /// the shard budget, not the site count.
     Mux,
 }
 

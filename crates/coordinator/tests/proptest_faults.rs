@@ -162,7 +162,10 @@ proptest! {
 
     /// (a) Same fault seed ⇒ byte-identical transcript — which sites
     /// dropped, what everyone else replied, what got charged, and the
-    /// simulated clock — on all four backends.
+    /// simulated clock — on all four backends. Mux runs twice: on two
+    /// shards, and on one, where a single site loop serves every site,
+    /// so a dropped site sees no frame in a round while its neighbours
+    /// on the same loop do.
     #[test]
     fn fault_schedule_is_transport_independent(
         (sites, plan) in arb_plan(),
@@ -174,6 +177,7 @@ proptest! {
             RunOptions::new().faults(faults.clone()),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Tcp),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(2),
+            RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(1),
         ] {
             let (out, stats) = run_faulty_plan(&plan, sites, options.clone());
             prop_assert_eq!(&out, &base_out, "transcript diverged on {:?}", options.transport);
@@ -355,9 +359,13 @@ fn planned_crash_is_exact() {
             .faults(faults.clone())
             .transport(TransportKind::Tcp),
         RunOptions::new()
-            .faults(faults)
+            .faults(faults.clone())
             .transport(TransportKind::Mux)
             .shards(2),
+        RunOptions::new()
+            .faults(faults)
+            .transport(TransportKind::Mux)
+            .shards(1),
     ] {
         let (out, stats) = run_faulty_plan(&plan, 3, options);
         assert!(out[0].iter().all(|r| r.is_some()), "round 0 is clean");

@@ -154,11 +154,16 @@ fn large_frames_cross_the_socket_intact() {
         tcp_stats.rounds[0].coordinator_to_sites,
         vec![256 * 1024; 2]
     );
-    // The non-blocking mux state machines hit WouldBlock mid-frame on
-    // payloads this size; the same bytes must still arrive.
+    // The non-blocking mux state machines must deliver the same bytes
+    // across WouldBlock mid-frame. Three sites on one shard put every
+    // site on one site loop, and 4 MiB frames (the largest loopback send
+    // buffer Linux grants by default) make that loop park connections
+    // mid-request and mid-reply while others are ready.
+    let plan3 = vec![vec![vec![0xA5u8; 4 << 20]; 3]];
+    let (base_out, base_stats) = run_plan(&plan3, 3, RunOptions::sequential());
     let (mux_out, mux_stats) = run_plan(
-        &plan,
-        2,
+        &plan3,
+        3,
         RunOptions::new().transport(TransportKind::Mux).shards(1),
     );
     assert_eq!(base_out, mux_out);

@@ -195,15 +195,6 @@ pub enum ConfigWarning {
     /// A trace format was chosen but no trace path was set, so nothing
     /// will be written.
     TraceFormatWithoutTrace,
-    /// The mux transport was given more event-loop shards (via the
-    /// thread budget) than there are sites; the extra shards own no
-    /// connections and idle.
-    MuxShardsExceedSites {
-        /// The configured shard budget.
-        shards: usize,
-        /// The number of sites the job will actually run.
-        sites: usize,
-    },
 }
 
 impl fmt::Display for ConfigWarning {
@@ -229,11 +220,6 @@ impl fmt::Display for ConfigWarning {
                 f,
                 "a trace format was set but no trace path; nothing will be written \
                  (add a trace path)"
-            ),
-            ConfigWarning::MuxShardsExceedSites { shards, sites } => write!(
-                f,
-                "mux transport: {shards} event-loop shards exceed {sites} sites; \
-                 extra shards will idle"
             ),
         }
     }

@@ -714,17 +714,6 @@ impl JobBuilder {
                 resolved.sites = shards;
             }
         }
-        // After site-count resolution: a mux shard budget beyond the
-        // site count leaves event-loop shards with no connections.
-        if resolved.transport == TransportKind::Mux
-            && resolved.job.uses_runtime()
-            && resolved.threads > resolved.sites
-        {
-            warnings.push(ConfigWarning::MuxShardsExceedSites {
-                shards: resolved.threads,
-                sites: resolved.sites,
-            });
-        }
 
         Ok(ValidJob {
             spec: resolved,
@@ -1515,7 +1504,7 @@ mod tests {
     #[test]
     fn no_effect_knobs_warn_but_run() {
         let vj = Job::subquadratic(2, 1)
-            .transport(TransportKind::Tcp)
+            .transport(TransportKind::Mux)
             .block(64)
             .points(mix(100, 1))
             .validate()
@@ -1609,7 +1598,9 @@ mod tests {
     }
 
     #[test]
-    fn mux_shard_budget_beyond_sites_warns_but_runs() {
+    fn mux_shard_budget_beyond_sites_validates_clean_and_runs() {
+        // The shard count is clamped to the site count, and the whole
+        // budget still serves the coordinator's kernels: nothing to warn.
         let vj = Job::median(2, 1)
             .transport(TransportKind::Mux)
             .sites(2)
@@ -1617,34 +1608,9 @@ mod tests {
             .points(mix(100, 1))
             .validate()
             .unwrap();
-        assert!(
-            vj.warnings().iter().any(|w| matches!(
-                w,
-                ConfigWarning::MuxShardsExceedSites {
-                    shards: 8,
-                    sites: 2
-                }
-            )),
-            "{:?}",
-            vj.warnings()
-        );
+        assert!(vj.warnings().is_empty(), "{:?}", vj.warnings());
         let art = vj.run();
         assert_eq!(art.sites, 2);
-        // A budget within the site count is clean.
-        let vj = Job::median(2, 1)
-            .transport(TransportKind::Mux)
-            .sites(4)
-            .threads(2)
-            .points(mix(100, 1))
-            .validate()
-            .unwrap();
-        assert!(
-            !vj.warnings()
-                .iter()
-                .any(|w| matches!(w, ConfigWarning::MuxShardsExceedSites { .. })),
-            "{:?}",
-            vj.warnings()
-        );
     }
 
     #[test]

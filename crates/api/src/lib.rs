@@ -18,7 +18,7 @@
 //!   sliding-window, continuous distributed), and the subquadratic
 //!   centralized corollary.
 //! * [`JobBuilder`] — fluent knobs with the historical defaults:
-//!   `Job::median(5, 20).eps(0.5).transport(TransportKind::Tcp)`.
+//!   `Job::median(5, 20).eps(0.5).transport(TransportKind::Mux)`.
 //! * [`JobBuilder::validate`] — hard [`ConfigError`]s for configurations
 //!   that cannot run correctly, structured [`ConfigWarning`]s for legal
 //!   ones where a knob has no effect.

@@ -42,7 +42,7 @@ impl fmt::Debug for Axis {
 /// let artifacts = Sweep::grid(Job::median(0, 0).points(points))
 ///     .k(&[4, 8])
 ///     .t(&[16, 64])
-///     .transports(&[TransportKind::Channel, TransportKind::Tcp])
+///     .transports(&[TransportKind::Channel, TransportKind::Mux])
 ///     .parallelism(4)
 ///     .run()
 ///     .unwrap();

@@ -682,13 +682,13 @@ fn g1_sweep_grid() {
     let sweep = Sweep::grid(Job::median(0, 0).sites(8).seed(21).points(mix.points))
         .k(&[4, 8])
         .t(&[16, 64])
-        .transports(&[TransportKind::Channel, TransportKind::Tcp]);
+        .transports(&[TransportKind::Channel, TransportKind::Mux]);
     let t0 = Instant::now();
     let artifacts = sweep.run().expect("every cell validates");
     let elapsed = t0.elapsed().as_secs_f64();
     print!("{}", dpc::api::csv_table(&artifacts));
     println!(
-        "\n{} cells in {elapsed:.2}s wall; channel/tcp byte parity: {}",
+        "\n{} cells in {elapsed:.2}s wall; channel/mux byte parity: {}",
         artifacts.len(),
         artifacts
             .chunks(2)
@@ -1153,22 +1153,22 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 }
 
 /// T1 — the transport-layer record: end-to-end wall clock of the same
-/// 2-round median protocol on the channel-worker, loopback-TCP, and
-/// multiplexed event-loop backends as the fleet grows from 16 to 4096
-/// sites, crossed with simulated link latency.
+/// 2-round median protocol on the channel-worker and loopback-socket
+/// event-loop (mux) backends as the fleet grows from 16 to 4096 sites,
+/// crossed with simulated link latency.
 ///
 /// Writes `BENCH_transport.json` at the repo root (the companion of
 /// `BENCH_kernels.json`) so the transport-overhead trajectory is
 /// recorded in-tree. Byte charges are asserted identical across
-/// backends — only time may differ. The per-site channel and tcp
-/// backends pay a thread (and, for tcp, a socket pair) per site every
-/// run; mux speaks the tcp frames but serves both ends from
-/// `used_threads` poll(2) event-loop shards, which is what lets the
-/// 4096-site rows fit in one process without a 4096-thread fleet.
+/// backends — only time may differ. The channel backend pays a thread
+/// per site every run; mux pays a socket pair per site but serves both
+/// ends from `used_threads` poll(2) event-loop shards, which is what
+/// lets the 4096-site rows fit in one process without a 4096-thread
+/// fleet.
 fn t1_transport(threads_override: Option<usize>) {
     header(
         "T1",
-        "transport backends: channel workers vs loopback TCP vs mux event loops",
+        "transport backends: channel workers vs mux event loops over loopback sockets",
     );
     let threads = threads_override.unwrap_or(1);
     // Small summaries (k + t = 6 points per site) keep coordinator-side
@@ -1176,7 +1176,6 @@ fn t1_transport(threads_override: Option<usize>) {
     let (k, t) = (2usize, 4usize);
 
     let configure = |job: JobBuilder, backend: &str| match backend {
-        "tcp" => job.transport(TransportKind::Tcp),
         "mux" => job.transport(TransportKind::Mux),
         _ => job,
     };
@@ -1197,7 +1196,7 @@ fn t1_transport(threads_override: Option<usize>) {
         for &lat_ms in &[0u64, 1, 5] {
             let link = LinkModel::new(std::time::Duration::from_millis(lat_ms), 1e9);
             let mut base_bytes = None;
-            for backend in ["channel", "tcp", "mux"] {
+            for backend in ["channel", "mux"] {
                 let job = || {
                     configure(
                         Job::median(k, t)
@@ -1263,8 +1262,8 @@ fn t1_transport(threads_override: Option<usize>) {
         Err(e) => println!("\ncould not write BENCH_transport.json: {e}"),
     }
     println!("expect: bytes and network_ms backend-identical at every cell;");
-    println!("network_ms scales linearly in latency; at >= 1024 sites the mux");
-    println!("rows track or beat tcp (same wire, fewer blocking round trips).");
+    println!("network_ms scales linearly in latency; channel rows start one");
+    println!("thread per site, mux rows 2 x used_threads whatever the fleet size.");
 }
 
 /// C1 — the bicriteria compression frontier: wire bytes vs clustering

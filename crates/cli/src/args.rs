@@ -87,13 +87,12 @@ options:
   --json           emit JSON (includes per-round comm/compute stats)
 
 transport options (distributed commands and stream --sync-every):
-  --transport <channel|tcp|mux>  message-passing backend (default
+  --transport <channel|mux>  message-passing backend (default
                              channel): 'channel' keeps one persistent
-                             in-process worker per site; 'tcp' runs each
+                             in-process worker per site; 'mux' runs each
                              site behind a loopback socket with
-                             length-prefixed frames, a thread per site;
-                             'mux' speaks the tcp frames but serves sites
-                             and coordinator from a fixed pool of poll(2)
+                             length-prefixed frames, serving sites and
+                             coordinator from a fixed pool of poll(2)
                              event-loop shards (set by --threads; two
                              threads per shard), so thousands of sites
                              fit in one process
@@ -398,7 +397,7 @@ impl Arg<'_> {
 
     fn transport(&self) -> Result<TransportKind, ParseError> {
         use TransportKind::*;
-        self.choice(&[("channel", Channel), ("tcp", Tcp), ("mux", Mux)])
+        self.choice(&[("channel", Channel), ("mux", Mux)])
     }
 
     fn objective(&self) -> Result<Objective, ParseError> {
@@ -847,7 +846,7 @@ mod tests {
             job(&[
                 "median",
                 "--transport",
-                "tcp",
+                "mux",
                 "--latency",
                 "5ms",
                 "--bandwidth",
@@ -856,13 +855,13 @@ mod tests {
             ]),
             built(
                 Job::median(5, 0)
-                    .transport(TransportKind::Tcp)
+                    .transport(TransportKind::Mux)
                     .link(LinkModel::new(ms(5), 10e6))
             )
         );
         assert_eq!(
-            job(&["median", "--transport", "mux", "x.csv"]),
-            built(Job::median(5, 0).transport(TransportKind::Mux))
+            job(&["median", "--transport", "channel", "x.csv"]),
+            built(Job::median(5, 0).transport(TransportKind::Channel))
         );
         // Duration forms and bandwidth suffixes.
         for (flag, value, link) in [
@@ -885,7 +884,6 @@ mod tests {
             );
         }
         // Rejections.
-        assert!(parse(&["median", "--transport", "udp", "x.csv"]).is_err());
         assert!(parse(&["median", "--latency", "-1ms", "x.csv"]).is_err());
         // Durations beyond Duration::from_secs_f64's range must be a
         // ParseError, not a panic.
@@ -961,7 +959,7 @@ mod tests {
             "--t",
             "1,8",
             "--transport",
-            "channel,tcp,mux",
+            "channel,mux",
             "--sites",
             "3",
             "--parallelism",
@@ -973,14 +971,14 @@ mod tests {
         let inv = parse(&parts).unwrap();
         assert_eq!(inv.input, "grid.csv");
         assert_eq!(built(inv.builder), built(Job::median(5, 0).seed(9)));
-        use TransportKind::{Channel, Mux, Tcp};
+        use TransportKind::{Channel, Mux};
         let expected = Sweep::grid(Job::median(5, 0).seed(9))
             .k(&[2, 4])
             .t(&[1, 8])
             .sites(&[3])
-            .transports(&[Channel, Tcp, Mux])
+            .transports(&[Channel, Mux])
             .parallelism(2);
-        assert_eq!(expected.cells(), 12);
+        assert_eq!(expected.cells(), 8);
         assert_eq!(grid(&parts), grid_of(expected));
     }
 
@@ -1040,6 +1038,14 @@ mod tests {
             );
         }
         assert!(parse(&["sweep", "median", "--encoding", "raw,zip", "g.csv"]).is_err());
+        // So do transport rejections.
+        for bad in ["tcp", "udp"] {
+            let err = parse(&["median", "--transport", bad, "x.csv"]).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("invalid value '{bad}' for --transport (channel|mux)")
+            );
+        }
     }
 
     #[test]

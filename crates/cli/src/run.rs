@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn no_effect_transport_flags_still_warn() {
         // Structured, not silent, not fatal.
-        let o = opts(&["subquadratic", "--transport", "tcp", "x.csv"]);
+        let o = opts(&["subquadratic", "--transport", "mux", "x.csv"]);
         let w = preflight(&o).unwrap();
         assert!(
             w.iter()
@@ -423,65 +423,43 @@ mod tests {
             "--sync-every",
             "100",
             "--transport",
-            "tcp",
+            "mux",
             "s.csv",
         ]);
         assert!(preflight(&o).unwrap().is_empty());
-        assert!(preflight(&opts(&["median", "--transport", "tcp", "x.csv"]))
+        assert!(preflight(&opts(&["median", "--transport", "mux", "x.csv"]))
             .unwrap()
             .is_empty());
     }
 
     #[test]
-    fn tcp_transport_end_to_end_matches_channel() {
-        let base = opts(&["median", "--k", "2", "--t", "1", "--sites", "3", "in.csv"]);
-        let tcp = opts(&[
-            "median",
-            "--k",
-            "2",
-            "--t",
-            "1",
-            "--sites",
-            "3",
-            "--transport",
-            "tcp",
-            "in.csv",
-        ]);
-        let a = execute(&base, toy_csv().as_bytes()).unwrap();
-        let b = execute(&tcp, toy_csv().as_bytes()).unwrap();
-        assert_eq!(a.transport.as_deref(), Some("channel"));
-        assert_eq!(b.transport.as_deref(), Some("tcp"));
-        // Same bytes on the wire, same answer, regardless of backend.
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.centers, b.centers);
-        assert_eq!(a.cost, b.cost);
-    }
-
-    #[test]
     fn mux_transport_end_to_end_matches_channel() {
         let base = opts(&["median", "--k", "2", "--t", "1", "--sites", "3", "in.csv"]);
-        let mux = opts(&[
-            "median",
-            "--k",
-            "2",
-            "--t",
-            "1",
-            "--sites",
-            "3",
-            "--transport",
-            "mux",
-            "--threads",
-            "2",
-            "in.csv",
-        ]);
         let a = execute(&base, toy_csv().as_bytes()).unwrap();
-        let b = execute(&mux, toy_csv().as_bytes()).unwrap();
         assert_eq!(a.transport.as_deref(), Some("channel"));
-        assert_eq!(b.transport.as_deref(), Some("mux"));
-        // The event-loop backend moves the same bytes to the same answer.
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.centers, b.centers);
-        assert_eq!(a.cost, b.cost);
+        // One shard serves every site from one loop; two split them.
+        for threads in ["1", "2"] {
+            let mux = opts(&[
+                "median",
+                "--k",
+                "2",
+                "--t",
+                "1",
+                "--sites",
+                "3",
+                "--transport",
+                "mux",
+                "--threads",
+                threads,
+                "in.csv",
+            ]);
+            let b = execute(&mux, toy_csv().as_bytes()).unwrap();
+            assert_eq!(b.transport.as_deref(), Some("mux"));
+            // Same bytes on the wire, same answer, regardless of backend.
+            assert_eq!(a.bytes, b.bytes, "threads={threads}");
+            assert_eq!(a.centers, b.centers, "threads={threads}");
+            assert_eq!(a.cost, b.cost, "threads={threads}");
+        }
     }
 
     #[test]
@@ -643,7 +621,7 @@ mod tests {
             "--sites",
             "3",
             "--transport",
-            "channel,tcp",
+            "channel,mux",
             "--parallelism",
             "2",
             "in.csv",
@@ -659,9 +637,9 @@ mod tests {
             keys,
             vec![
                 (2, "channel".into()),
-                (2, "tcp".into()),
+                (2, "mux".into()),
                 (3, "channel".into()),
-                (3, "tcp".into()),
+                (3, "mux".into()),
             ]
         );
         // Byte accounting is backend-independent per k.

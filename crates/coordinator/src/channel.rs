@@ -5,8 +5,7 @@
 //! back on a per-site return channel so site order is preserved without
 //! any sorting. Compared to the pre-runtime simulator — which re-spawned
 //! `s` threads on every round — the hot path of an `r`-round protocol
-//! performs `s` spawns instead of `r·s` (`bench_transport` quantifies
-//! the difference).
+//! performs `s` spawns instead of `r·s`.
 //!
 //! Workers borrow the caller's sites, so they live inside a
 //! [`std::thread::scope`] owned by [`crate::run_protocol`]; dropping the

@@ -22,15 +22,14 @@
 //! * **Transports** ([`Transport`]) carry the messages. The
 //!   [`ChannelTransport`] backend keeps one persistent worker thread per
 //!   site with an mpsc mailbox (sites are spawned once per execution, not
-//!   once per round); the [`TcpTransport`] backend puts every site behind
+//!   once per round); the [`MuxTransport`] backend puts every site behind
 //!   a loopback TCP socket with length-prefixed frames, proving the wire
-//!   formats round-trip a real socket; the [`MuxTransport`] backend keeps
-//!   those sockets and frames but serves both ends from a fixed pool of
-//!   event-loop shards — sites partitioned round-robin, non-blocking
-//!   sockets, and per shard one site loop and one coordinator loop, each
-//!   a `poll(2)` readiness loop driving per-connection frame state
-//!   machines with vectored writes — so one process sustains thousands
-//!   of sites with O(shards) threads (the `poll`
+//!   formats round-trip a real socket, and serves both ends from a fixed
+//!   pool of event-loop shards — sites partitioned round-robin,
+//!   non-blocking sockets, and per shard one site loop and one
+//!   coordinator loop, each a `poll(2)` readiness loop driving
+//!   per-connection frame state machines with vectored writes — so one
+//!   process sustains thousands of sites with O(shards) threads (the `poll`
 //!   syscall comes from the thin vendored `sys_poll` FFI wrapper, same
 //!   no-registry discipline as the rest of `vendor/`);
 //!   [`InlineTransport`] runs sites sequentially for deterministic
@@ -58,7 +57,6 @@ pub mod mux;
 pub mod protocol;
 mod sockets;
 pub mod stats;
-pub mod tcp;
 pub mod transport;
 
 pub use channel::ChannelTransport;
@@ -68,5 +66,4 @@ pub use protocol::{
     drive, run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
 pub use stats::{CommStats, RoundStats};
-pub use tcp::TcpTransport;
 pub use transport::{InlineTransport, LinkModel, SiteReply, Transport, TransportKind};

@@ -1,13 +1,14 @@
 //! Multiplexed event-loop backend: thousands of sites, O(shards)
 //! threads.
 //!
-//! [`crate::TcpTransport`] proves the wire formats with one thread per
-//! site on each side of the socket: fine at 16 sites, hopeless at the
-//! thousands the coordinator model is designed for. This backend keeps
-//! the real loopback sockets and the exact frames of [`crate::tcp`] but
-//! serves both halves from a small fixed pool of **event-loop shards**.
-//! Sites are partitioned round-robin across the pool, and shard `j`
-//! runs two threads for its sites `j, j+stride, …`:
+//! Every site sits behind a real loopback socket speaking the
+//! length-prefixed frames documented in `sockets`, so every protocol
+//! message round-trips a socket boundary. A thread per site on each side
+//! of the socket would be fine at 16 sites and hopeless at the thousands
+//! the coordinator model is designed for, so this backend serves both
+//! halves from a small fixed pool of **event-loop shards**. Sites are
+//! partitioned round-robin across the pool, and shard `j` runs two
+//! threads for its sites `j, j+stride, …`:
 //!
 //! * a coordinator loop, owning the coordinator ends in non-blocking
 //!   mode. One `poll(2)` readiness loop (via the vendored [`sys_poll`]
@@ -16,13 +17,14 @@
 //!   `Write → Read → Done`. Requests leave as one vectored write
 //!   (header and payload in a single syscall, short writes resumed where
 //!   they stopped);
-//! * a site loop, the shared `sockets::serve_sites`, owning the site ends:
+//! * a site loop, `sockets::serve_sites`, owning the site ends:
 //!   read the request, run the site, write the reply, for every ready
 //!   connection of one `poll(2)` wakeup.
 //!
 //! The fleet is built over one listener on the caller's thread, so a
 //! run's thread count is `2·shards` however many sites there are, while
-//! the per-round byte traffic is bit-identical to the TCP backend.
+//! the per-round byte traffic is bit-identical to the in-process
+//! backends at every shard count, one shard included.
 //!
 //! Fault injection needs no cooperation from this backend: the driver
 //! decides every dropout/straggler/timeout *before* the exchange as a
@@ -112,9 +114,9 @@ impl Conn {
         }
     }
 
-    /// Best-effort shutdown frame + socket teardown (mirrors the TCP
-    /// backend's `Drop`; the socket may be non-writable momentarily, so
-    /// `WouldBlock` waits for writability, a second at a time).
+    /// Best-effort shutdown frame + socket teardown (the socket may be
+    /// non-writable momentarily, so `WouldBlock` waits for writability,
+    /// a second at a time).
     fn send_shutdown(&mut self) {
         let mut frame = request_frame(SHUTDOWN, Bytes::new());
         while let Ok(false) = frame.advance(&mut self.stream) {
@@ -263,12 +265,6 @@ impl MuxTransport {
             sites: n,
             recorder,
         }
-    }
-
-    /// Number of event-loop shards (each a site loop plus a coordinator
-    /// loop).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 }
 

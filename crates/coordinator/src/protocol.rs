@@ -11,7 +11,6 @@ use crate::channel::ChannelTransport;
 use crate::fault::{Attempt, FaultPlan};
 use crate::mux::MuxTransport;
 use crate::stats::{CommStats, RoundStats};
-use crate::tcp::TcpTransport;
 use crate::transport::{InlineTransport, LinkModel, Transport, TransportKind};
 use bytes::Bytes;
 use dpc_codec::Encoding;
@@ -64,9 +63,8 @@ pub struct RunOptions {
     /// Execute sites concurrently (`true`, the realistic mode) or
     /// sequentially on the caller's thread (deterministic timing, useful
     /// under test). Only meaningful for [`TransportKind::Channel`]; the
-    /// socket backends always serve sites from their own threads (one
-    /// per site on tcp, one per shard on mux, see
-    /// [`RunOptions::shards`]).
+    /// socket backend always serves sites from its own threads (one per
+    /// mux shard, see [`RunOptions::shards`]).
     pub parallel: bool,
     /// Safety cap on rounds (a protocol that exceeds it panics — all
     /// algorithms in this workspace finish in 1–2 rounds plus the kick).
@@ -181,15 +179,14 @@ impl RunOptions {
 
     /// Whether `sites` sites run at once under these options: more than
     /// one site on a backend that serves them from several threads —
-    /// parallel channel and tcp (a thread per site), or mux with more
-    /// than one shard (a site loop per shard). Otherwise sites run one
-    /// at a time: the sequential channel backend runs them inline on
-    /// the caller's thread, and a one-shard mux from its one site loop.
+    /// parallel channel (a thread per site), or mux with more than one
+    /// shard (a site loop per shard). Otherwise sites run one at a time:
+    /// the sequential channel backend runs them inline on the caller's
+    /// thread, and a one-shard mux from its one site loop.
     pub fn sites_run_concurrently(&self, sites: usize) -> bool {
         sites > 1
             && match self.transport {
                 TransportKind::Channel => self.parallel,
-                TransportKind::Tcp => true,
                 TransportKind::Mux => self.mux_shards(sites) > 1,
             }
     }
@@ -238,10 +235,6 @@ pub fn run_protocol<C: Coordinator>(
         }
         TransportKind::Channel => std::thread::scope(|scope| {
             let mut transport = ChannelTransport::start(scope, sites);
-            drive(&mut transport, coordinator, options)
-        }),
-        TransportKind::Tcp => std::thread::scope(|scope| {
-            let mut transport = TcpTransport::start(scope, sites);
             drive(&mut transport, coordinator, options)
         }),
         TransportKind::Mux => std::thread::scope(|scope| {
@@ -606,13 +599,6 @@ mod tests {
             (RunOptions::sequential(), 8, false),
             (RunOptions::new(), 1, false),
             (RunOptions::sequential(), 1, false),
-            (RunOptions::new().transport(TransportKind::Tcp), 8, true),
-            (
-                RunOptions::sequential().transport(TransportKind::Tcp),
-                8,
-                true,
-            ),
-            (RunOptions::new().transport(TransportKind::Tcp), 1, false),
             (
                 RunOptions::new().transport(TransportKind::Mux).shards(2),
                 8,
@@ -649,7 +635,6 @@ mod tests {
         let base = run(false);
         for options in [
             RunOptions::new(),
-            RunOptions::new().transport(TransportKind::Tcp),
             RunOptions::new().transport(TransportKind::Mux),
             RunOptions::new().transport(TransportKind::Mux).shards(2),
         ] {
@@ -826,9 +811,6 @@ mod tests {
         let base = run_tolerant(RunOptions::sequential().faults(plan.clone()));
         for options in [
             RunOptions::new().faults(plan.clone()),
-            RunOptions::new()
-                .transport(TransportKind::Tcp)
-                .faults(plan.clone()),
             RunOptions::new().transport(TransportKind::Mux).faults(plan),
         ] {
             let out = run_tolerant(options);
@@ -993,11 +975,7 @@ mod tests {
             }
             fn finish(self) {}
         }
-        for transport in [
-            TransportKind::Channel,
-            TransportKind::Tcp,
-            TransportKind::Mux,
-        ] {
+        for transport in [TransportKind::Channel, TransportKind::Mux] {
             let mut sites: Vec<Box<dyn Site>> = vec![
                 Box::new(PickySite { expect: 7 }),
                 Box::new(PickySite { expect: 9 }),

@@ -1,17 +1,35 @@
-//! Socket plumbing shared by the two loopback backends
-//! ([`crate::TcpTransport`], [`crate::MuxTransport`]): the frame
-//! reader and writer, the fleet builder, and the site event loop.
+//! Socket plumbing of the loopback backend ([`crate::MuxTransport`]):
+//! the wire frames, the frame reader and writer, the fleet builder, and
+//! the site event loop.
 //!
-//! Both frame headers (see [`crate::tcp`]) end in the payload length as
-//! a `u32 LE`, so one [`FrameReader`] and one [`FrameWriter`], generic
-//! over the header size, serve both directions on both backends. They
-//! work on blocking and non-blocking sockets alike: on a non-blocking
-//! one they stop at `WouldBlock` and resume where they stopped.
+//! The coordinator connects one loopback socket pair per site, and each
+//! pair speaks length-prefixed frames for the rest of the execution:
 //!
-//! The site half of both backends is [`serve_sites`]: one thread
-//! serving a group of sites over their non-blocking sockets from one
-//! `poll(2)` loop. The tcp backend gives each site a loop of its own;
-//! the mux backend gives each shard one loop for all its sites.
+//! ```text
+//! coordinator -> site   [round: u32 LE][len: u32 LE][payload]
+//! site -> coordinator   [compute_ns: u64 LE][len: u32 LE][payload]
+//! ```
+//!
+//! A `round` of `u32::MAX` is the shutdown frame. The site measures its
+//! own compute and ships it in the reply header — frame headers are
+//! transport metadata and are *not* charged to [`crate::CommStats`], so
+//! byte accounting is identical to the in-process backends (the
+//! equivalence suite asserts this). What the socket buys is proof:
+//! every protocol message round-trips a real socket boundary, byte for
+//! byte, which no amount of in-process simulation establishes.
+//!
+//! Both frame headers end in the payload length as a `u32 LE`, so one
+//! [`FrameReader`] and one [`FrameWriter`], generic over the header
+//! size, serve both directions. They work on blocking and non-blocking
+//! sockets alike: on a non-blocking one they stop at `WouldBlock` and
+//! resume where they stopped. `TCP_NODELAY` is set on both ends, and
+//! every frame goes out as one vectored write carrying the header and
+//! the payload together, so a small protocol round costs one syscall in
+//! each direction instead of two.
+//!
+//! The site half of the backend is [`serve_sites`]: one thread serving
+//! a group of sites over their non-blocking sockets from one `poll(2)`
+//! loop, one loop per mux shard.
 
 use crate::protocol::Site;
 use crate::transport::SiteReply;

@@ -5,11 +5,11 @@
 //! time. The driver ([`crate::run_protocol`]) is transport-agnostic:
 //! byte accounting charges the *payload* length of every message, so all
 //! backends produce identical [`crate::CommStats`] charges for the same
-//! protocol — backend framing (TCP length prefixes, channel envelopes)
+//! protocol — backend framing (socket length prefixes, channel envelopes)
 //! is deliberately not charged, because the paper's communication bounds
 //! are stated over message contents.
 //!
-//! Four backends exist:
+//! Three backends exist:
 //!
 //! * [`InlineTransport`] — sites execute sequentially on the caller's
 //!   thread. Deterministic timing; used when `RunOptions::parallel` is
@@ -17,14 +17,12 @@
 //! * [`crate::ChannelTransport`] — one persistent worker thread per site
 //!   with an mpsc mailbox; sites are spawned once per protocol
 //!   execution, not once per round.
-//! * [`crate::TcpTransport`] — each site behind a loopback TCP socket
-//!   speaking length-prefixed frames, served by a thread of its own,
-//!   proving the wire formats survive a real socket.
-//! * [`crate::MuxTransport`] — the same sockets and wire frames as TCP,
-//!   but both ends are served by a fixed pool of `poll(2)` event-loop
-//!   shards (a site loop and a coordinator loop each), so its thread
-//!   count is O(shards) instead of O(sites) — the high-fanout backend
-//!   for thousands of sites in one process.
+//! * [`crate::MuxTransport`] — each site behind a loopback TCP socket
+//!   speaking length-prefixed frames, proving the wire formats survive
+//!   a real socket. Both ends are served by a fixed pool of `poll(2)`
+//!   event-loop shards (a site loop and a coordinator loop each), so its
+//!   thread count is O(shards) instead of O(sites), from one shard up
+//!   to thousands of sites in one process.
 
 use crate::protocol::Site;
 use bytes::Bytes;
@@ -65,10 +63,8 @@ pub enum TransportKind {
     /// `RunOptions::parallel` is off or there is a single site).
     #[default]
     Channel,
-    /// Each site served by a thread of its own behind a loopback TCP
-    /// socket with length-prefixed frames.
-    Tcp,
-    /// The TCP frames over a fixed pool of event-loop shards: each
+    /// Each site behind a loopback TCP socket with length-prefixed
+    /// frames, over a fixed pool of event-loop shards: each
     /// shard serves its sites from one site loop and drives their
     /// coordinator ends from one coordinator loop, both `poll(2)`
     /// readiness loops over non-blocking sockets, so threads scale with
@@ -81,7 +77,6 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::Channel => "channel",
-            TransportKind::Tcp => "tcp",
             TransportKind::Mux => "mux",
         }
     }
@@ -255,7 +250,6 @@ mod tests {
     #[test]
     fn kind_names() {
         assert_eq!(TransportKind::Channel.name(), "channel");
-        assert_eq!(TransportKind::Tcp.name(), "tcp");
         assert_eq!(TransportKind::Mux.name(), "mux");
         assert_eq!(TransportKind::default(), TransportKind::Channel);
     }

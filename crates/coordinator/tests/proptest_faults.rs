@@ -162,7 +162,7 @@ proptest! {
 
     /// (a) Same fault seed ⇒ byte-identical transcript — which sites
     /// dropped, what everyone else replied, what got charged, and the
-    /// simulated clock — on all four backends. Mux runs twice: on two
+    /// simulated clock — on every backend. Mux runs twice: on two
     /// shards, and on one, where a single site loop serves every site,
     /// so a dropped site sees no frame in a round while its neighbours
     /// on the same loop do.
@@ -175,7 +175,6 @@ proptest! {
         let (base_out, base_stats) = run_faulty_plan(&plan, sites, base.clone());
         for options in [
             RunOptions::new().faults(faults.clone()),
-            RunOptions::new().faults(faults.clone()).transport(TransportKind::Tcp),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(2),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(1),
         ] {
@@ -355,9 +354,6 @@ fn planned_crash_is_exact() {
     for options in [
         RunOptions::sequential().faults(faults.clone()),
         RunOptions::new().faults(faults.clone()),
-        RunOptions::new()
-            .faults(faults.clone())
-            .transport(TransportKind::Tcp),
         RunOptions::new()
             .faults(faults.clone())
             .transport(TransportKind::Mux)

@@ -1,7 +1,7 @@
 //! Trace determinism across backends: for any protocol plan and any
 //! fault seed, the JSONL trace (`dpc.trace/v1`) recorded by the driver
-//! must be *byte-identical* on the inline, channel-worker, loopback TCP,
-//! and multiplexed event-loop transports — and a [`MetricsReport`]
+//! must be *byte-identical* on the inline, channel-worker, and
+//! loopback-socket event-loop (mux) transports — and a [`MetricsReport`]
 //! aggregated from the replayed
 //! trace must reconcile bit-for-bit with the run's own [`CommStats`].
 
@@ -184,8 +184,7 @@ proptest! {
         prop_assert_eq!(replay.to_jsonl(), base_jsonl.clone());
         for options in [
             RunOptions::new(),                                  // channel workers
-            RunOptions::new().transport(TransportKind::Tcp),    // loopback sockets
-            RunOptions::new().transport(TransportKind::Mux).shards(2), // event loops
+            RunOptions::new().transport(TransportKind::Mux).shards(2), // loopback sockets
         ] {
             let transport = options.transport;
             let (jsonl, _, stats) =
@@ -227,17 +226,8 @@ fn faulted_trace_replays_exactly() {
     // Wall clock is all the replay loses: zeroed compute, same bytes.
     assert_eq!(replay.metrics().site_compute_ns, 0);
     assert_eq!(replay.to_jsonl(), jsonl);
-    // And the TCP backend records those same bytes.
-    let (tcp_jsonl, _, _) = run_traced(
-        &plan,
-        3,
-        0x5eed,
-        RunOptions::new()
-            .transport(TransportKind::Tcp)
-            .faults(faults.clone()),
-    );
-    assert_eq!(tcp_jsonl, jsonl);
-    // So does mux, despite recording shard-poll wakeups internally.
+    // And the socket backend records those same bytes, despite
+    // recording shard-poll wakeups internally.
     let (mux_jsonl, _, _) = run_traced(
         &plan,
         3,

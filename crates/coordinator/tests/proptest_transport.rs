@@ -1,6 +1,6 @@
 //! Cross-backend equivalence: for any protocol, the inline, persistent
-//! channel-worker, loopback TCP, and multiplexed event-loop transports
-//! must produce the same output and *byte-identical* [`CommStats`]
+//! channel-worker, and loopback-socket event-loop (mux) transports must
+//! produce the same output and *byte-identical* [`CommStats`]
 //! charges — timing is the only thing allowed to differ between
 //! backends.
 
@@ -126,13 +126,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn channel_and_tcp_match_inline_bytes_and_output((sites, plan) in arb_plan()) {
+    fn channel_and_mux_match_inline_bytes_and_output((sites, plan) in arb_plan()) {
         let (base_out, base_stats) =
             run_plan(&plan, sites, RunOptions::sequential());
         for options in [
             RunOptions::new(),                                  // persistent channel workers
-            RunOptions::new().transport(TransportKind::Tcp),    // loopback sockets
-            RunOptions::new().transport(TransportKind::Mux).shards(2), // event loops
+            RunOptions::new().transport(TransportKind::Mux).shards(2), // loopback sockets, event loops
         ] {
             let (out, stats) = run_plan(&plan, sites, options.clone());
             prop_assert_eq!(&out, &base_out, "output diverged on {:?}", options.transport);
@@ -147,11 +146,15 @@ fn large_frames_cross_the_socket_intact() {
     // buffer default, so partial reads/writes are actually exercised.
     let plan = vec![vec![vec![0xA5u8; 256 * 1024]; 2]];
     let (base_out, base_stats) = run_plan(&plan, 2, RunOptions::sequential());
-    let (tcp_out, tcp_stats) = run_plan(&plan, 2, RunOptions::new().transport(TransportKind::Tcp));
-    assert_eq!(base_out, tcp_out);
-    assert_charges_identical(&base_stats, &tcp_stats);
+    let (mux_out, mux_stats) = run_plan(
+        &plan,
+        2,
+        RunOptions::new().transport(TransportKind::Mux).shards(2),
+    );
+    assert_eq!(base_out, mux_out);
+    assert_charges_identical(&base_stats, &mux_stats);
     assert_eq!(
-        tcp_stats.rounds[0].coordinator_to_sites,
+        mux_stats.rounds[0].coordinator_to_sites,
         vec![256 * 1024; 2]
     );
     // The non-blocking mux state machines must deliver the same bytes

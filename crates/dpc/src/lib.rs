@@ -22,8 +22,8 @@
 //!   solution quality;
 //! * [`coordinator`] — the transport-abstracted coordinator-model
 //!   runtime: persistent in-process site workers or loopback TCP sockets
-//!   behind one `Transport` trait, exact byte accounting, and a simulated
-//!   link model;
+//!   served by event-loop shards (mux), behind one `Transport` trait,
+//!   exact byte accounting, and a simulated link model;
 //! * [`core`] — Algorithms 1–2, the Theorem 3.8 δ-variant, 1-round
 //!   baselines, and the Theorem 3.10 subquadratic centralized algorithm;
 //! * [`uncertain`] — uncertain nodes, the compressed graph (Figure 1),

@@ -48,8 +48,8 @@ const MIN_CHUNK: usize = 256;
 ///
 /// Kernels default to [`ThreadBudget::serial`] so library calls never
 /// oversubscribe by surprise: a `Sweep::grid` already runs one job per
-/// worker thread, and the channel/TCP transports already run one thread
-/// per site. Opt into intra-kernel parallelism where a single job owns the
+/// worker thread, the channel transport one thread per site, and the mux
+/// transport one site loop per shard. Opt into intra-kernel parallelism where a single job owns the
 /// machine (`Job::threads`, CLI `--threads`).
 ///
 /// Threading never changes any output value: queries are split into

@@ -15,9 +15,9 @@
 //! like the one-shot protocols. The sync executes on the same
 //! transport-abstracted runtime as the batch protocols
 //! ([`dpc_coordinator::run_protocol`]): one [`TransportKind`] /
-//! [`LinkModel`] switch moves both paths between in-process channels,
-//! loopback TCP, and the multiplexed event-loop backend, with identical
-//! byte accounting. Because sites summarize
+//! [`LinkModel`] switch moves both paths between in-process channels
+//! and the loopback-socket event-loop backend (mux), with identical byte
+//! accounting. Because sites summarize
 //! locally, a sync costs `O((s·k + t)·B)` regardless of how many points
 //! arrived since the last one.
 
@@ -668,9 +668,9 @@ mod tests {
     #[test]
     fn socket_syncs_match_channel_sync() {
         // One backend switch covers the streaming path too: the same
-        // fleet synced over loopback TCP or the mux event loops must
+        // fleet synced over the mux backend's loopback sockets must
         // charge the same bytes and pick the same centers as the
-        // in-process backends.
+        // in-process backend.
         let run = |transport: TransportKind| {
             let cfg = ContinuousConfig {
                 stream: StreamConfig::new(2, 1).block(32),
@@ -685,18 +685,16 @@ mod tests {
             (rec.stats, rec.centers, rec.cost)
         };
         let (a_stats, a_centers, a_cost) = run(TransportKind::Channel);
-        for backend in [TransportKind::Tcp, TransportKind::Mux] {
-            let (b_stats, b_centers, b_cost) = run(backend);
-            assert_eq!(a_stats.num_rounds(), b_stats.num_rounds());
-            for (ra, rb) in a_stats.rounds.iter().zip(&b_stats.rounds) {
-                assert_eq!(ra.coordinator_to_sites, rb.coordinator_to_sites);
-                assert_eq!(ra.sites_to_coordinator, rb.sites_to_coordinator);
-            }
-            assert_eq!(a_cost, b_cost);
-            assert_eq!(a_centers.len(), b_centers.len());
-            for i in 0..a_centers.len() {
-                assert_eq!(a_centers.point(i), b_centers.point(i));
-            }
+        let (b_stats, b_centers, b_cost) = run(TransportKind::Mux);
+        assert_eq!(a_stats.num_rounds(), b_stats.num_rounds());
+        for (ra, rb) in a_stats.rounds.iter().zip(&b_stats.rounds) {
+            assert_eq!(ra.coordinator_to_sites, rb.coordinator_to_sites);
+            assert_eq!(ra.sites_to_coordinator, rb.sites_to_coordinator);
+        }
+        assert_eq!(a_cost, b_cost);
+        assert_eq!(a_centers.len(), b_centers.len());
+        for i in 0..a_centers.len() {
+            assert_eq!(a_centers.point(i), b_centers.point(i));
         }
     }
 

@@ -3,7 +3,7 @@
 //! The paper's evaluation is a grid of comparisons; this example runs a
 //! 2 × 2 × 2 corner of it in parallel and prints the shared CSV table —
 //! the same output `dpc sweep median --k 4,8 --t 16,64 --transport
-//! channel,tcp data.csv` produces from a file.
+//! channel,mux data.csv` produces from a file.
 //!
 //! Run with: `cargo run --release -p dpc --example sweep_grid`
 
@@ -23,7 +23,7 @@ fn main() {
     let sweep = Sweep::grid(base)
         .k(&[4, 8])
         .t(&[16, 64])
-        .transports(&[TransportKind::Channel, TransportKind::Tcp])
+        .transports(&[TransportKind::Channel, TransportKind::Mux])
         .parallelism(4);
     println!("sweeping {} cells ({} workers max)…\n", sweep.cells(), 4);
     let artifacts = sweep.run().expect("every cell validates");
@@ -32,12 +32,12 @@ fn main() {
     print!("{}", dpc::api::csv_table(&artifacts));
 
     // …and the invariant the runtime guarantees: byte accounting is
-    // transport-independent, so channel/tcp pairs agree exactly.
+    // transport-independent, so channel/mux pairs agree exactly.
     for pair in artifacts.chunks(2) {
         assert_eq!(
             pair[0].bytes, pair[1].bytes,
             "transport changed the bytes on the wire?!"
         );
     }
-    println!("\nchannel/tcp cells are byte-identical, as charged.");
+    println!("\nchannel/mux cells are byte-identical, as charged.");
 }

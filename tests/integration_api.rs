@@ -148,7 +148,7 @@ fn sweep_cells_match_standalone_runs() {
     let pts = points(300, 4, 23);
     let ks = [2usize, 3];
     let ts = [1usize, 4];
-    let transports = [TransportKind::Channel, TransportKind::Tcp];
+    let transports = [TransportKind::Channel, TransportKind::Mux];
     let artifacts = Sweep::grid(Job::median(0, 0).sites(3).seed(9).points(pts.clone()))
         .k(&ks)
         .t(&ts)
@@ -205,7 +205,7 @@ fn hard_errors_and_structured_warnings_split_correctly() {
 
     // No-effect transport flags: surfaced, structured, non-fatal.
     for job in [Job::subquadratic(2, 1), Job::stream(2, 1)] {
-        let vj = job.transport(TransportKind::Tcp).validate().unwrap();
+        let vj = job.transport(TransportKind::Mux).validate().unwrap();
         assert!(
             vj.warnings()
                 .iter()
@@ -216,7 +216,7 @@ fn hard_errors_and_structured_warnings_split_correctly() {
     }
     // Runtime-driving jobs do not warn on the same flags.
     for job in [Job::median(2, 1), Job::continuous(2, 1)] {
-        let vj = job.transport(TransportKind::Tcp).validate().unwrap();
+        let vj = job.transport(TransportKind::Mux).validate().unwrap();
         assert!(vj.warnings().is_empty(), "{:?}", vj.warnings());
     }
 }

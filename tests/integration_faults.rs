@@ -25,7 +25,7 @@ fn assert_stats_identical(a: &CommStats, b: &CommStats) {
 
 /// Acceptance: an identical fault seed reproduces an identical execution
 /// — same dropped sites, same centers, same byte charges — on the
-/// inline, channel-worker, and TCP backends alike.
+/// inline, channel-worker, and loopback-socket (mux) backends alike.
 #[test]
 fn median_chaos_run_is_identical_across_backends() {
     let (shards, _) = test_util::mixture_shards(3, 6, 360, 6, PartitionStrategy::Random, 17, 0xab);
@@ -41,7 +41,7 @@ fn median_chaos_run_is_identical_across_backends() {
         RunOptions::new().faults(faults.clone()),
         RunOptions::new()
             .faults(faults.clone())
-            .transport(TransportKind::Tcp),
+            .transport(TransportKind::Mux),
     ] {
         let run = dpc::core::run_distributed_median(&shards, MedianConfig::new(3, 6), options);
         assert_eq!(run.output.centers, inline.output.centers);

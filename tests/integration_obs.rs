@@ -31,7 +31,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 
 /// Golden-file pin of the JSONL trace schema, plus the tentpole
 /// acceptance: the trace of a seeded faulted run is *byte-identical*
-/// on the inline, channel-worker, and loopback TCP transports.
+/// on the inline, channel-worker, and loopback-socket (mux) transports.
 #[test]
 fn trace_schema_is_pinned_and_transport_invariant() {
     let path = temp_path("golden.jsonl");
@@ -65,7 +65,7 @@ fn trace_schema_is_pinned_and_transport_invariant() {
 
     // Identical runs over the worker and socket backends record the
     // same bytes; only wall-clock (which the schema omits) may differ.
-    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+    for transport in [TransportKind::Channel, TransportKind::Mux] {
         let p = temp_path(&format!("golden_{}.jsonl", transport.name()));
         traced_job(&p)
             .transport(transport)

@@ -1,8 +1,8 @@
 //! Cross-backend equivalence of the real protocols: every distributed
 //! algorithm in the workspace must produce the same solution and
 //! byte-identical per-round charges whether its messages ride the
-//! persistent channel workers, a real loopback TCP socket, or the
-//! multiplexed event-loop backend.
+//! persistent channel workers or real loopback TCP sockets served by
+//! the multiplexed event-loop backend.
 
 use dpc::coordinator::CommStats;
 use dpc::prelude::*;
@@ -30,11 +30,10 @@ fn assert_charges_identical(label: &str, a: &CommStats, b: &CommStats) {
     }
 }
 
-fn options_matrix() -> [RunOptions; 4] {
+fn options_matrix() -> [RunOptions; 3] {
     [
         RunOptions::sequential(),
         RunOptions::new(), // parallel persistent channel workers
-        RunOptions::new().transport(TransportKind::Tcp),
         // Two event-loop shards exercise the round-robin scatter/gather.
         RunOptions::new().transport(TransportKind::Mux).shards(2),
     ]
@@ -46,9 +45,9 @@ fn check<F>(label: &str, run: F)
 where
     F: Fn(RunOptions) -> (PointSet, f64, CommStats),
 {
-    let [baseline, channel, tcp, mux] = options_matrix();
+    let [baseline, channel, mux] = options_matrix();
     let (base_centers, base_cost, base_stats) = run(baseline);
-    for options in [channel, tcp, mux] {
+    for options in [channel, mux] {
         let (centers, cost, stats) = run(options);
         assert_eq!(centers, base_centers, "{label}: centers diverged");
         assert_eq!(cost, base_cost, "{label}: cost diverged");

@@ -500,19 +500,21 @@ impl JobBuilder {
         plan
     }
 
-    /// Runs site phases sequentially on the caller's thread
-    /// (deterministic timing; bytes are identical either way).
+    /// Runs on one shard: every site takes its turn on the caller's
+    /// thread with the whole kernel budget, whatever [`Self::threads`]
+    /// says (deterministic timing; bytes are identical either way).
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
         self
     }
 
     /// Caps the bulk-kernel thread budget inside the solvers (site-side
-    /// assignment, coordinator scoring) and, on the mux transport, the
-    /// coordinator's event-loop shard pool. Defaults to 1 so jobs
-    /// compose with [`crate::Sweep`] workers and per-site transport
-    /// threads without oversubscribing; results are identical at any
-    /// budget.
+    /// assignment, coordinator scoring) and sizes the shard pool that
+    /// serves the sites, on either transport. More than one shard runs
+    /// sites at once, each with a serial kernel budget; one shard runs
+    /// them one at a time with the whole budget. Defaults to 1 so jobs
+    /// compose with [`crate::Sweep`] workers without oversubscribing;
+    /// results are identical at any budget.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -756,16 +758,16 @@ impl ValidJob {
     }
 
     fn run_options(&self, rec: &RecorderHandle) -> RunOptions {
+        let s = &self.spec;
         RunOptions {
-            parallel: self.spec.parallel,
-            faults: self.spec.fault_plan(),
+            faults: s.fault_plan(),
             recorder: rec.clone(),
-            // The thread budget doubles as the mux backend's event-loop
-            // shard budget (other backends ignore it).
+            // The thread budget doubles as the shard budget; a sequential
+            // job runs on one shard.
             ..RunOptions::new()
-                .transport(self.spec.transport)
-                .link(self.spec.link)
-                .shards(self.spec.threads)
+                .transport(s.transport)
+                .link(s.link)
+                .shards(if s.parallel { s.threads } else { 1 })
         }
     }
 

@@ -32,14 +32,7 @@ fn bench_median_protocol(c: &mut Criterion) {
         let sh = shards(s, 1200, 16, 10 + s as u64);
         g.bench_with_input(BenchmarkId::new("2round", s), &s, |b, _| {
             b.iter(|| {
-                run_distributed_median(
-                    &sh,
-                    MedianConfig::new(4, 16),
-                    RunOptions {
-                        parallel: false,
-                        ..Default::default()
-                    },
-                )
+                run_distributed_median(&sh, MedianConfig::new(4, 16), RunOptions::sequential())
             });
         });
     }
@@ -53,28 +46,10 @@ fn bench_center_protocol(c: &mut Criterion) {
         let sh = shards(s, 2000, 24, 20 + s as u64);
         let cfg = CenterConfig::new(4, 24);
         g.bench_with_input(BenchmarkId::new("2round", s), &s, |b, _| {
-            b.iter(|| {
-                run_distributed_center(
-                    &sh,
-                    cfg,
-                    RunOptions {
-                        parallel: false,
-                        ..Default::default()
-                    },
-                )
-            });
+            b.iter(|| run_distributed_center(&sh, cfg, RunOptions::sequential()));
         });
         g.bench_with_input(BenchmarkId::new("1round_malkomes", s), &s, |b, _| {
-            b.iter(|| {
-                run_one_round_center(
-                    &sh,
-                    cfg,
-                    RunOptions {
-                        parallel: false,
-                        ..Default::default()
-                    },
-                )
-            });
+            b.iter(|| run_one_round_center(&sh, cfg, RunOptions::sequential()));
         });
     }
     g.finish();
@@ -94,28 +69,10 @@ fn bench_uncertain_protocol(c: &mut Criterion) {
         seed: 33,
     });
     g.bench_function("algo3_median", |b| {
-        b.iter(|| {
-            run_uncertain_median(
-                &sh,
-                UncertainConfig::new(3, 4),
-                RunOptions {
-                    parallel: false,
-                    ..Default::default()
-                },
-            )
-        });
+        b.iter(|| run_uncertain_median(&sh, UncertainConfig::new(3, 4), RunOptions::sequential()));
     });
     g.bench_function("algo4_center_g", |b| {
-        b.iter(|| {
-            run_center_g(
-                &sh,
-                CenterGConfig::new(3, 4),
-                RunOptions {
-                    parallel: false,
-                    ..Default::default()
-                },
-            )
-        });
+        b.iter(|| run_center_g(&sh, CenterGConfig::new(3, 4), RunOptions::sequential()));
     });
     g.finish();
 }

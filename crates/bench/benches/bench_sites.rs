@@ -32,14 +32,7 @@ fn bench_site_scaling(c: &mut Criterion) {
         );
         g.bench_with_input(BenchmarkId::new("median", s), &s, |b, _| {
             b.iter(|| {
-                run_distributed_median(
-                    &sh,
-                    MedianConfig::new(4, t),
-                    RunOptions {
-                        parallel: false,
-                        ..Default::default()
-                    },
-                )
+                run_distributed_median(&sh, MedianConfig::new(4, t), RunOptions::sequential())
             });
         });
     }

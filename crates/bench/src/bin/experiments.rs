@@ -12,7 +12,7 @@
 //!   cargo run --release -p bench --bin dpc-experiments -- s1   # streaming throughput
 //!   cargo run --release -p bench --bin dpc-experiments -- g1   # sweep-driven grid
 //!   cargo run --release -p bench --bin dpc-experiments -- kernels threads=2  # -> BENCH_kernels.json
-//!   cargo run --release -p bench --bin dpc-experiments -- transport          # -> BENCH_transport.json
+//!   cargo run --release -p bench --bin dpc-experiments -- transport threads=2  # -> BENCH_transport.json
 //!   cargo run --release -p bench --bin dpc-experiments -- codec              # -> BENCH_codec.json
 //!   cargo run --release -p bench --bin dpc-experiments -- a1 a2 a3           # ablations
 //!
@@ -332,14 +332,7 @@ fn e5_scaling() {
     );
     for &s in &[2usize, 4, 8, 16] {
         let sh = med_shards(s, n, t, 6000 + s as u64);
-        let out = run_distributed_median(
-            &sh,
-            MedianConfig::new(k, t),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&sh, MedianConfig::new(k, t), RunOptions::sequential());
         let crit = out.stats.site_critical_path().as_secs_f64();
         let total = out.stats.total_site_compute().as_secs_f64();
         let coord = out.stats.coordinator_compute().as_secs_f64();
@@ -1153,22 +1146,22 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 }
 
 /// T1 — the transport-layer record: end-to-end wall clock of the same
-/// 2-round median protocol on the channel-worker and loopback-socket
-/// event-loop (mux) backends as the fleet grows from 16 to 4096 sites,
-/// crossed with simulated link latency.
+/// 2-round median protocol on the in-process (channel) and
+/// loopback-socket event-loop (mux) backends as the fleet grows from 16
+/// to 4096 sites, crossed with simulated link latency.
 ///
 /// Writes `BENCH_transport.json` at the repo root (the companion of
 /// `BENCH_kernels.json`) so the transport-overhead trajectory is
 /// recorded in-tree. Byte charges are asserted identical across
-/// backends — only time may differ. The channel backend pays a thread
-/// per site every run; mux pays a socket pair per site but serves both
-/// ends from `used_threads` poll(2) event-loop shards, which is what
-/// lets the 4096-site rows fit in one process without a 4096-thread
-/// fleet.
+/// backends — only time may differ. Both backends serve the fleet from
+/// `used_threads` shards (the job's `threads`), so neither starts a
+/// thread per site: channel runs `used_threads` in-process site groups,
+/// while mux also pays a socket pair per site and a poll(2) site loop
+/// per shard.
 fn t1_transport(threads_override: Option<usize>) {
     header(
         "T1",
-        "transport backends: channel workers vs mux event loops over loopback sockets",
+        "transport backends: in-process shards vs mux event loops over loopback sockets",
     );
     let threads = threads_override.unwrap_or(1);
     // Small summaries (k + t = 6 points per site) keep coordinator-side
@@ -1262,8 +1255,9 @@ fn t1_transport(threads_override: Option<usize>) {
         Err(e) => println!("\ncould not write BENCH_transport.json: {e}"),
     }
     println!("expect: bytes and network_ms backend-identical at every cell;");
-    println!("network_ms scales linearly in latency; channel rows start one");
-    println!("thread per site, mux rows 2 x used_threads whatever the fleet size.");
+    println!("network_ms scales linearly in latency; channel rows run on");
+    println!("used_threads shard threads, mux rows on 2 x used_threads - 1,");
+    println!("whatever the fleet size.");
 }
 
 /// C1 — the bicriteria compression frontier: wire bytes vs clustering

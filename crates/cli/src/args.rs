@@ -81,21 +81,22 @@ options:
   --eps <float>    outlier relaxation epsilon   (default 1.0)
   --seed <int>     partition seed               (default 42)
   --delta <float>  counts-only variant delta    (default off)
-  --threads <int>  bulk-kernel thread budget inside the solvers
-                   (default 1; results are identical at any value)
+  --threads <int>  bulk-kernel thread budget inside the solvers, and
+                   the shard count serving the sites on either
+                   transport (default 1: sites take turns, each with
+                   the whole budget; results are identical at any value)
   --one-round      use the 1-round baseline protocol
   --json           emit JSON (includes per-round comm/compute stats)
 
 transport options (distributed commands and stream --sync-every):
   --transport <channel|mux>  message-passing backend (default
-                             channel): 'channel' keeps one persistent
-                             in-process worker per site; 'mux' runs each
-                             site behind a loopback socket with
-                             length-prefixed frames, serving sites and
-                             coordinator from a fixed pool of poll(2)
-                             event-loop shards (set by --threads; two
-                             threads per shard), so thousands of sites
-                             fit in one process
+                             channel); both serve the sites from
+                             --threads shards, so thousands of sites fit
+                             in one process: 'channel' calls them in
+                             process; 'mux' runs each site behind a
+                             loopback socket with length-prefixed
+                             frames, each shard a poll(2) site loop plus
+                             a coordinator loop
   --encoding <enc>           wire codec for protocol messages (default
                              raw): raw keeps the exact bytes; f32
                              quantizes coordinates lossily; rlz codes a

@@ -19,21 +19,20 @@
 //!   payload length to the right round and direction — the communication
 //!   columns of Tables 1–2 are reproduced from these counters, identically
 //!   on every backend.
-//! * **Transports** ([`Transport`]) carry the messages. The
-//!   [`ChannelTransport`] backend keeps one persistent worker thread per
-//!   site with an mpsc mailbox (sites are spawned once per execution, not
-//!   once per round); the [`MuxTransport`] backend puts every site behind
-//!   a loopback TCP socket with length-prefixed frames, proving the wire
-//!   formats round-trip a real socket, and serves both ends from a fixed
-//!   pool of event-loop shards — sites partitioned round-robin,
-//!   non-blocking sockets, and per shard one site loop and one
-//!   coordinator loop, each a `poll(2)` readiness loop driving
-//!   per-connection frame state machines with vectored writes — so one
-//!   process sustains thousands of sites with O(shards) threads (the `poll`
-//!   syscall comes from the thin vendored `sys_poll` FFI wrapper, same
-//!   no-registry discipline as the rest of `vendor/`);
-//!   [`InlineTransport`] runs sites sequentially for deterministic
-//!   tests. Select one via [`RunOptions::transport`].
+//! * **Transports** ([`Transport`]) carry the messages. Both backends
+//!   serve the sites from one shard pool: sites are dealt round-robin to
+//!   [`RunOptions::shards`] workers, each running its group one site at
+//!   a time, so one process sustains thousands of sites with O(shards)
+//!   threads, and one shard runs every site on the caller's thread (the
+//!   deterministic test mode). The in-process [`TransportKind::Channel`]
+//!   backend hands each worker its messages through a mailbox; the
+//!   [`MuxTransport`] backend puts every site behind a loopback TCP
+//!   socket with length-prefixed frames, proving the wire formats
+//!   round-trip a real socket, and makes each shard a `poll(2)` site loop
+//!   plus a coordinator loop driving per-connection frame state machines
+//!   with vectored writes (the `poll` syscall comes from the thin
+//!   vendored `sys_poll` FFI wrapper, same no-registry discipline as the
+//!   rest of `vendor/`). Select one via [`RunOptions::transport`].
 //! * **The link model** ([`LinkModel`]) simulates per-message latency and
 //!   bandwidth, folded into [`RoundStats::network`], so the
 //!   communication-vs-time trade-off is a measurable, tunable axis: the
@@ -51,19 +50,18 @@
 //!   [`RoundStats`] records `dropouts`/`retries`/`degraded` per round.
 //!   See the [`fault`] module docs for the exact attempt semantics.
 
-pub mod channel;
 pub mod fault;
 pub mod mux;
+mod pool;
 pub mod protocol;
 mod sockets;
 pub mod stats;
 pub mod transport;
 
-pub use channel::ChannelTransport;
 pub use fault::{Attempt, FaultPlan};
 pub use mux::MuxTransport;
 pub use protocol::{
     drive, run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
 pub use stats::{CommStats, RoundStats};
-pub use transport::{InlineTransport, LinkModel, SiteReply, Transport, TransportKind};
+pub use transport::{LinkModel, SiteReply, Transport, TransportKind};

@@ -6,25 +6,26 @@
 //! message round-trips a socket boundary. A thread per site on each side
 //! of the socket would be fine at 16 sites and hopeless at the thousands
 //! the coordinator model is designed for, so this backend serves both
-//! halves from a small fixed pool of **event-loop shards**. Sites are
-//! partitioned round-robin across the pool, and shard `j` runs two
-//! threads for its sites `j, j+stride, …`:
+//! halves from the crate's shard pool (`pool`). Sites are dealt
+//! round-robin across the pool, and shard `j` serves its sites
+//! `j, j+stride, …` from two loops:
 //!
-//! * a coordinator loop, owning the coordinator ends in non-blocking
-//!   mode. One `poll(2)` readiness loop (via the vendored [`sys_poll`]
-//!   wrapper, a thin FFI shim, since the workspace builds without
-//!   registry access) drives a per-connection state machine
-//!   `Write → Read → Done`. Requests leave as one vectored write
+//! * a coordinator loop, the shard's body, owning the coordinator ends
+//!   in non-blocking mode. One `poll(2)` readiness loop (via the
+//!   vendored [`sys_poll`] wrapper, a thin FFI shim, since the workspace
+//!   builds without registry access) drives a per-connection state
+//!   machine `Write → Read → Done`. Requests leave as one vectored write
 //!   (header and payload in a single syscall, short writes resumed where
 //!   they stopped);
-//! * a site loop, `sockets::serve_sites`, owning the site ends:
-//!   read the request, run the site, write the reply, for every ready
-//!   connection of one `poll(2)` wakeup.
+//! * a site loop, `sockets::serve_sites`, on its own thread, owning the
+//!   site ends: read the request, run the site, write the reply, for
+//!   every ready connection of one `poll(2)` wakeup.
 //!
-//! The fleet is built over one listener on the caller's thread, so a
-//! run's thread count is `2·shards` however many sites there are, while
-//! the per-round byte traffic is bit-identical to the in-process
-//! backends at every shard count, one shard included.
+//! The fleet is built over one listener on the caller's thread, and
+//! shard 0's coordinator loop runs there too, so a run's thread count is
+//! `2·shards − 1` however many sites there are, while the per-round byte
+//! traffic is bit-identical to the in-process backend at every shard
+//! count, one shard included.
 //!
 //! Fault injection needs no cooperation from this backend: the driver
 //! decides every dropout/straggler/timeout *before* the exchange as a
@@ -40,6 +41,7 @@
 //! are wall-clock-scheduling artifacts and are excluded from the
 //! deterministic JSONL trace schema.
 
+use crate::pool::{Shard, ShardDone, ShardPool};
 use crate::protocol::Site;
 use crate::sockets::{
     loopback_pairs, request_frame, serve_sites, site_reply, FrameReader, FrameWriter, SiteEnd,
@@ -50,7 +52,6 @@ use bytes::Bytes;
 use dpc_obs::{Counter, Event, RecorderHandle};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::Scope;
 use std::time::Duration;
 use sys_poll::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -129,33 +130,13 @@ impl Conn {
     }
 }
 
-/// One round's work for a shard: the round tag plus the payloads of the
-/// shard's sites in local (round-robin) order; `None` marks a site the
-/// fault plan silenced.
-struct ShardWork {
-    round: u32,
-    msgs: Vec<Option<Bytes>>,
-}
+/// One shard's coordinator loop over the coordinator ends of its sites.
+/// Dropping it sends every site the shutdown frame.
+struct MuxShard(Vec<Conn>);
 
-/// A shard's answer: replies in local order plus how many times its
-/// coordinator loop woke up serving the round.
-struct ShardDone {
-    replies: Vec<Option<SiteReply>>,
-    wakeups: u64,
-}
-
-/// The driver's handle to one shard's coordinator loop.
-struct ShardHandle {
-    work: Sender<ShardWork>,
-    done: Receiver<ShardDone>,
-}
-
-/// One shard's coordinator loop: serve rounds until the work channel
-/// closes, then shut the connections down.
-fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<ShardDone>) {
-    let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len());
-    let mut fd_conn: Vec<usize> = Vec::with_capacity(conns.len());
-    while let Ok(ShardWork { round, msgs }) = work.recv() {
+impl Shard for MuxShard {
+    fn serve(&mut self, round: usize, msgs: Vec<Option<Bytes>>) -> ShardDone {
+        let conns = &mut self.0;
         debug_assert_eq!(msgs.len(), conns.len());
         // Arm every participating connection and push each as far as the
         // socket buffers allow — with loopback sockets the whole request
@@ -164,13 +145,15 @@ fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<Shard
         let mut pending = 0usize;
         for (conn, msg) in conns.iter_mut().zip(msgs) {
             conn.phase = match msg {
-                Some(payload) => Phase::Write(request_frame(round, payload)),
+                Some(payload) => Phase::Write(request_frame(round as u32, payload)),
                 None => Phase::Idle,
             };
             if !conn.advance() {
                 pending += 1;
             }
         }
+        let mut fds: Vec<PollFd> = Vec::with_capacity(pending);
+        let mut fd_conn: Vec<usize> = Vec::with_capacity(pending);
         let mut wakeups = 0u64;
         while pending > 0 {
             fds.clear();
@@ -197,31 +180,32 @@ fn run_shard(mut conns: Vec<Conn>, work: Receiver<ShardWork>, done: Sender<Shard
                 _ => None,
             })
             .collect();
-        if done.send(ShardDone { replies, wakeups }).is_err() {
-            break; // coordinator went away mid-round
-        }
+        (replies, wakeups)
     }
-    for conn in &mut conns {
-        conn.send_shutdown();
+}
+
+impl Drop for MuxShard {
+    fn drop(&mut self) {
+        for conn in &mut self.0 {
+            conn.send_shutdown();
+        }
     }
 }
 
 /// The multiplexed event-loop backend. See the module docs.
 pub struct MuxTransport {
-    shards: Vec<ShardHandle>,
-    sites: usize,
+    pool: ShardPool<MuxShard>,
     recorder: RecorderHandle,
 }
 
 impl MuxTransport {
-    /// Connects one loopback socket pair per site and spawns `shards`
-    /// event-loop shards inside `scope`, each a site loop plus a
-    /// coordinator loop. `shards` is clamped to `1..=sites`, so a run
-    /// holds exactly `2·min(shards.max(1), sites.max(1))` threads
-    /// however many sites there are. Dropping the transport closes the
-    /// work channels; coordinator loops send every site the shutdown
-    /// frame on their way out, each site loop returns once all its
-    /// connections have closed, and `scope` joins them all.
+    /// Connects one loopback socket pair per site and serves the fleet
+    /// from `shards` event-loop shards inside `scope`; `shards` must be
+    /// at least 1, and [`crate::run_protocol`] passes
+    /// [`crate::RunOptions::shard_count`]. Dropping the transport drops
+    /// the coordinator loops, which send every site the shutdown frame;
+    /// each site loop returns once all its connections have closed, and
+    /// `scope` joins them all.
     pub fn start<'scope, 'env, 'data: 'env>(
         scope: &'scope Scope<'scope, 'env>,
         sites: &'env mut [Box<dyn Site + 'data>],
@@ -229,80 +213,45 @@ impl MuxTransport {
         recorder: RecorderHandle,
     ) -> Self {
         let n = sites.len();
-        let shard_count = shards.clamp(1, n.max(1));
-        let mut per_shard: Vec<Vec<Conn>> = (0..shard_count).map(|_| Vec::new()).collect();
-        let mut site_ends: Vec<Vec<SiteEnd<'env>>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, (site, (stream, site_stream))) in
-            sites.iter_mut().zip(loopback_pairs(n)).enumerate()
-        {
-            stream
-                .set_nonblocking(true)
-                .expect("switch coordinator-side socket to non-blocking");
-            per_shard[i % shard_count].push(Conn {
-                stream,
-                site: i,
-                phase: Phase::Idle,
-            });
-            site_ends[i % shard_count].push(SiteEnd::new(site.as_mut(), site_stream));
-        }
-        for ends in site_ends {
+        let ends = sites.iter_mut().zip(loopback_pairs(n)).enumerate().map(
+            |(i, (site, (stream, site_stream)))| {
+                stream
+                    .set_nonblocking(true)
+                    .expect("switch coordinator-side socket to non-blocking");
+                let conn = Conn {
+                    stream,
+                    site: i,
+                    phase: Phase::Idle,
+                };
+                (conn, SiteEnd::new(site.as_mut(), site_stream))
+            },
+        );
+        let pool = ShardPool::start(scope, ends, shards, |group| {
+            let (conns, ends): (Vec<Conn>, Vec<SiteEnd<'env>>) = group.into_iter().unzip();
             scope.spawn(move || serve_sites(ends));
-        }
-        let shards = per_shard
-            .into_iter()
-            .map(|conns| {
-                let (work_tx, work_rx) = channel::<ShardWork>();
-                let (done_tx, done_rx) = channel::<ShardDone>();
-                scope.spawn(move || run_shard(conns, work_rx, done_tx));
-                ShardHandle {
-                    work: work_tx,
-                    done: done_rx,
-                }
-            })
-            .collect();
-        Self {
-            shards,
-            sites: n,
-            recorder,
-        }
+            MuxShard(conns)
+        });
+        Self { pool, recorder }
     }
 }
 
 impl Transport for MuxTransport {
     fn num_sites(&self) -> usize {
-        self.sites
+        self.pool.sites
     }
 
     fn exchange(&mut self, round: usize, msgs: &[Option<Bytes>]) -> Vec<Option<SiteReply>> {
-        assert_eq!(msgs.len(), self.sites, "one message per site");
-        let round = u32::try_from(round).expect("round fits the frame header");
-        assert_ne!(round, SHUTDOWN, "round collides with the shutdown frame");
-        let stride = self.shards.len();
-        // Scatter: shard `j` owns global sites `j, j+stride, ...` in
-        // local order, so every shard starts writing before any reply
-        // is awaited.
-        for (j, shard) in self.shards.iter().enumerate() {
-            let local: Vec<Option<Bytes>> = msgs.iter().skip(j).step_by(stride).cloned().collect();
-            shard
-                .work
-                .send(ShardWork { round, msgs: local })
-                .expect("shard thread alive");
-        }
-        // Gather, scattering local reply order back to site order.
-        let mut replies: Vec<Option<SiteReply>> = (0..self.sites).map(|_| None).collect();
-        let on = self.recorder.enabled();
-        for (j, shard) in self.shards.iter().enumerate() {
-            let finished = shard.done.recv().expect("shard completes the round");
-            if on {
+        let tag = u32::try_from(round).expect("round fits the frame header");
+        assert_ne!(tag, SHUTDOWN, "round collides with the shutdown frame");
+        let (replies, wakeups) = self.pool.run_round(round, msgs);
+        if self.recorder.enabled() {
+            for (shard, &wakeups) in wakeups.iter().enumerate() {
                 self.recorder.record(Event::ShardPoll {
-                    round: round as usize,
-                    shard: j,
-                    wakeups: finished.wakeups,
+                    round,
+                    shard,
+                    wakeups,
                 });
-                self.recorder.add(Counter::PollWakeups, finished.wakeups);
-            }
-            for (l, reply) in finished.replies.into_iter().enumerate() {
-                replies[j + l * stride] = reply;
+                self.recorder.add(Counter::PollWakeups, wakeups);
             }
         }
         replies

@@ -7,11 +7,11 @@
 //! compute phase, and folding the [`LinkModel`] into simulated network
 //! time.
 
-use crate::channel::ChannelTransport;
 use crate::fault::{Attempt, FaultPlan};
 use crate::mux::MuxTransport;
+use crate::pool::{ShardPool, SiteGroup};
 use crate::stats::{CommStats, RoundStats};
-use crate::transport::{InlineTransport, LinkModel, Transport, TransportKind};
+use crate::transport::{LinkModel, Transport, TransportKind};
 use bytes::Bytes;
 use dpc_codec::Encoding;
 use dpc_metric::ThreadBudget;
@@ -60,12 +60,6 @@ pub trait Coordinator {
 /// Runner knobs.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Execute sites concurrently (`true`, the realistic mode) or
-    /// sequentially on the caller's thread (deterministic timing, useful
-    /// under test). Only meaningful for [`TransportKind::Channel`]; the
-    /// socket backend always serves sites from its own threads (one per
-    /// mux shard, see [`RunOptions::shards`]).
-    pub parallel: bool,
     /// Safety cap on rounds (a protocol that exceeds it panics — all
     /// algorithms in this workspace finish in 1–2 rounds plus the kick).
     pub max_rounds: usize,
@@ -89,14 +83,14 @@ pub struct RunOptions {
     /// accounting. [`Encoding::Raw`] (the default) charges raw ==
     /// compressed and skips the header peek entirely.
     pub encoding: Encoding,
-    /// Event-loop shard budget for [`TransportKind::Mux`] (ignored by
-    /// every other backend). Each shard runs two threads: one site loop
-    /// serving its sites one at a time, and one coordinator loop.
-    /// `None` (the default) derives the pool size from
-    /// [`std::thread::available_parallelism`]; whatever the source, it
-    /// is clamped to `1..=sites` ([`RunOptions::mux_shards`]). Shard
-    /// count never affects results — only thread count, which sites run
-    /// at once, and wall clock.
+    /// Shard budget of either backend: how many workers serve the
+    /// sites, each running its round-robin group of sites one at a time
+    /// (a mux shard adds a site loop behind its sockets). One shard runs
+    /// every site on the caller's thread. `None` (the default) derives
+    /// the pool size from [`std::thread::available_parallelism`];
+    /// whatever the source, it is clamped to `1..=sites`
+    /// ([`RunOptions::shard_count`]). Shard count never affects results —
+    /// only thread count, which sites run at once, and wall clock.
     pub shards: Option<usize>,
 }
 
@@ -107,11 +101,10 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The default: persistent-worker channel backend, parallel sites,
-    /// ideal link, 64-round cap.
+    /// The default: in-process channel backend on a machine-sized shard
+    /// pool, ideal link, 64-round cap.
     pub fn new() -> Self {
         Self {
-            parallel: true,
             max_rounds: 64,
             transport: TransportKind::Channel,
             link: LinkModel::ideal(),
@@ -122,12 +115,10 @@ impl RunOptions {
         }
     }
 
-    /// Deterministic sequential execution (test/debug mode).
+    /// One shard: every site runs on the caller's thread, one at a time
+    /// (deterministic timing; the test/debug mode).
     pub fn sequential() -> Self {
-        Self {
-            parallel: false,
-            ..Self::new()
-        }
+        Self::new().shards(1)
     }
 
     /// Switches the backend.
@@ -160,16 +151,16 @@ impl RunOptions {
         self
     }
 
-    /// Sets the mux backend's event-loop shard budget.
+    /// Sets the shard budget.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
     }
 
-    /// The number of mux event-loop shards a run over `sites` sites
-    /// uses: [`RunOptions::shards`], or the machine's available
-    /// parallelism when unset, clamped to `1..=sites`.
-    pub fn mux_shards(&self, sites: usize) -> usize {
+    /// The number of shards a run over `sites` sites uses:
+    /// [`RunOptions::shards`], or the machine's available parallelism
+    /// when unset, clamped to `1..=sites`.
+    pub fn shard_count(&self, sites: usize) -> usize {
         self.shards
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -177,18 +168,11 @@ impl RunOptions {
             .clamp(1, sites.max(1))
     }
 
-    /// Whether `sites` sites run at once under these options: more than
-    /// one site on a backend that serves them from several threads —
-    /// parallel channel (a thread per site), or mux with more than one
-    /// shard (a site loop per shard). Otherwise sites run one at a time:
-    /// the sequential channel backend runs them inline on the caller's
-    /// thread, and a one-shard mux from its one site loop.
+    /// Whether `sites` sites run at once under these options: on more
+    /// than one shard (which implies more than one site). One shard runs
+    /// them one at a time, on either backend.
     pub fn sites_run_concurrently(&self, sites: usize) -> bool {
-        sites > 1
-            && match self.transport {
-                TransportKind::Channel => self.parallel,
-                TransportKind::Mux => self.mux_shards(sites) > 1,
-            }
+        self.shard_count(sites) > 1
     }
 
     /// The kernel thread budget each of `sites` sites gets out of a job's
@@ -217,8 +201,9 @@ pub struct ProtocolOutput<O> {
 /// Round `r` consists of: the coordinator consumes round `r-1` replies
 /// (none for `r = 0`) and emits round `r` messages — timed as round `r`
 /// coordinator compute — the transport delivers them, sites handle them
-/// concurrently (timed per site), and the replies feed round `r+1`. The
-/// final `Finish` decision is timed into the last executed round.
+/// (concurrently across shards, timed per site), and the replies feed
+/// round `r+1`. The final `Finish` decision is timed into the last
+/// executed round.
 ///
 /// # Panics
 /// Panics if the coordinator returns a `Messages` vector of the wrong
@@ -228,22 +213,19 @@ pub fn run_protocol<C: Coordinator>(
     coordinator: C,
     options: RunOptions,
 ) -> ProtocolOutput<C::Output> {
-    match options.transport {
-        // One site (or sequential mode) gains nothing from workers.
-        TransportKind::Channel if !options.sites_run_concurrently(sites.len()) => {
-            drive(&mut InlineTransport::new(sites), coordinator, options)
-        }
-        TransportKind::Channel => std::thread::scope(|scope| {
-            let mut transport = ChannelTransport::start(scope, sites);
+    let shards = options.shard_count(sites.len());
+    std::thread::scope(|scope| match options.transport {
+        TransportKind::Channel => {
+            let sites = sites.iter_mut().map(|site| site.as_mut());
+            let mut transport = ShardPool::start(scope, sites, shards, SiteGroup);
             drive(&mut transport, coordinator, options)
-        }),
-        TransportKind::Mux => std::thread::scope(|scope| {
-            let shards = options.mux_shards(sites.len());
+        }
+        TransportKind::Mux => {
             let recorder = options.recorder.clone();
             let mut transport = MuxTransport::start(scope, sites, shards, recorder);
             drive(&mut transport, coordinator, options)
-        }),
-    }
+        }
+    })
 }
 
 /// The transport-agnostic driver loop.
@@ -571,18 +553,17 @@ mod tests {
         run_protocol(&mut sites, ToyCoordinator { factor: 3, sum: 0 }, options)
     }
 
-    fn run(parallel: bool) -> ProtocolOutput<u64> {
+    fn run(options: RunOptions) -> ProtocolOutput<u64> {
         run_with(RunOptions {
-            parallel,
             max_rounds: 8,
-            ..Default::default()
+            ..options
         })
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let a = run(false);
-        let b = run(true);
+        let a = run(RunOptions::sequential());
+        let b = run(RunOptions::new().shards(2));
         assert_eq!(a.output, 3 * (1 + 2 + 3 + 4));
         assert_eq!(a.output, b.output);
         assert_eq!(a.stats.num_rounds(), 2);
@@ -595,10 +576,12 @@ mod tests {
         let serial = ThreadBudget::serial();
         // (options, sites, run at once?)
         let table = [
-            (RunOptions::new(), 8, true),
+            (RunOptions::new().shards(2), 8, true),
             (RunOptions::sequential(), 8, false),
-            (RunOptions::new(), 1, false),
+            (RunOptions::new().shards(2), 1, false),
             (RunOptions::sequential(), 1, false),
+            // One shard: every site takes its turn on the caller's thread.
+            (RunOptions::new().shards(1), 8, false),
             (
                 RunOptions::new().transport(TransportKind::Mux).shards(2),
                 8,
@@ -621,8 +604,8 @@ mod tests {
         ];
         for (options, sites, concurrent) in table {
             let case = format!(
-                "{:?} parallel={} sites={sites}",
-                options.transport, options.parallel
+                "{:?} shards={:?} sites={sites}",
+                options.transport, options.shards
             );
             assert_eq!(options.sites_run_concurrently(sites), concurrent, "{case}");
             let want = if concurrent { serial } else { budget };
@@ -632,9 +615,9 @@ mod tests {
 
     #[test]
     fn all_transports_agree_on_output_and_bytes() {
-        let base = run(false);
+        let base = run(RunOptions::sequential());
         for options in [
-            RunOptions::new(),
+            RunOptions::new().shards(2),
             RunOptions::new().transport(TransportKind::Mux),
             RunOptions::new().transport(TransportKind::Mux).shards(2),
         ] {
@@ -650,7 +633,7 @@ mod tests {
 
     #[test]
     fn byte_charges_match_messages() {
-        let out = run(false);
+        let out = run(RunOptions::sequential());
         let r0 = &out.stats.rounds[0];
         // broadcast of 8 bytes to 4 sites; replies of 8 bytes each
         assert_eq!(r0.coordinator_to_sites, vec![8, 8, 8, 8]);
@@ -717,7 +700,10 @@ mod tests {
         );
         assert_eq!(out.stats.network_time(), Duration::from_millis(21));
         // The ideal link charges nothing.
-        assert_eq!(run(false).stats.network_time(), Duration::ZERO);
+        assert_eq!(
+            run(RunOptions::sequential()).stats.network_time(),
+            Duration::ZERO
+        );
     }
 
     #[test]
@@ -742,9 +728,8 @@ mod tests {
             &mut sites,
             Loopy,
             RunOptions {
-                parallel: false,
                 max_rounds: 3,
-                ..Default::default()
+                ..RunOptions::sequential()
             },
         );
     }
@@ -810,7 +795,7 @@ mod tests {
         let plan = FaultPlan::with_dropout(0x5eed, 0.4);
         let base = run_tolerant(RunOptions::sequential().faults(plan.clone()));
         for options in [
-            RunOptions::new().faults(plan.clone()),
+            RunOptions::new().shards(2).faults(plan.clone()),
             RunOptions::new().transport(TransportKind::Mux).faults(plan),
         ] {
             let out = run_tolerant(options);

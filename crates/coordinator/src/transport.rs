@@ -9,24 +9,21 @@
 //! is deliberately not charged, because the paper's communication bounds
 //! are stated over message contents.
 //!
-//! Three backends exist:
+//! Two backends exist, both serving the sites from one shard pool
+//! ([`crate::RunOptions::shards`] workers, sites dealt round-robin, each
+//! worker running its group one site at a time; one shard runs every
+//! site on the caller's thread):
 //!
-//! * [`InlineTransport`] — sites execute sequentially on the caller's
-//!   thread. Deterministic timing; used when `RunOptions::parallel` is
-//!   off.
-//! * [`crate::ChannelTransport`] — one persistent worker thread per site
-//!   with an mpsc mailbox; sites are spawned once per protocol
-//!   execution, not once per round.
+//! * [`TransportKind::Channel`] — in process: each worker gets its
+//!   group's messages through a mailbox and calls the sites directly.
 //! * [`crate::MuxTransport`] — each site behind a loopback TCP socket
 //!   speaking length-prefixed frames, proving the wire formats survive
-//!   a real socket. Both ends are served by a fixed pool of `poll(2)`
-//!   event-loop shards (a site loop and a coordinator loop each), so its
-//!   thread count is O(shards) instead of O(sites), from one shard up
-//!   to thousands of sites in one process.
+//!   a real socket. Each shard is a `poll(2)` site loop plus a
+//!   coordinator loop, so its thread count is O(shards) instead of
+//!   O(sites), from one shard up to thousands of sites in one process.
 
-use crate::protocol::Site;
 use bytes::Bytes;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One site's answer to a round: the reply payload plus the site-side
 /// measured compute time (transport metadata, never charged as bytes).
@@ -58,9 +55,9 @@ pub trait Transport {
 /// Which backend [`crate::run_protocol`] executes sites on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Persistent per-site worker threads with mpsc mailboxes (in
-    /// process; degrades to [`InlineTransport`] when
-    /// `RunOptions::parallel` is off or there is a single site).
+    /// In process: the shard pool's workers call their sites directly,
+    /// each running its group one site at a time (with one shard, every
+    /// site runs on the caller's thread).
     #[default]
     Channel,
     /// Each site behind a loopback TCP socket with length-prefixed
@@ -164,44 +161,6 @@ impl LinkModel {
             .map(|(&d, &u)| self.one_way(d) + self.one_way(u))
             .max()
             .unwrap_or_default()
-    }
-}
-
-/// Sequential in-process backend: sites run one after another on the
-/// caller's thread. No spawn overhead, deterministic timing — the test
-/// and debugging mode.
-pub struct InlineTransport<'a, 'data> {
-    sites: &'a mut [Box<dyn Site + 'data>],
-}
-
-impl<'a, 'data> InlineTransport<'a, 'data> {
-    /// Wraps the sites without spawning anything.
-    pub fn new(sites: &'a mut [Box<dyn Site + 'data>]) -> Self {
-        Self { sites }
-    }
-}
-
-impl Transport for InlineTransport<'_, '_> {
-    fn num_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn exchange(&mut self, round: usize, msgs: &[Option<Bytes>]) -> Vec<Option<SiteReply>> {
-        assert_eq!(msgs.len(), self.sites.len(), "one message per site");
-        self.sites
-            .iter_mut()
-            .zip(msgs)
-            .map(|(site, msg)| {
-                msg.as_ref().map(|msg| {
-                    let t0 = Instant::now();
-                    let payload = site.handle(round, msg);
-                    SiteReply {
-                        payload,
-                        compute: t0.elapsed(),
-                    }
-                })
-            })
-            .collect()
     }
 }
 

@@ -1,7 +1,7 @@
-//! High-fanout smoke test for the multiplexed event-loop transport: a
-//! single process drives 1024 sites through 4 mux shards, produces
-//! byte-identical charges to the inline baseline, and — the point of the
-//! backend — adds only O(shards) threads for the whole fleet, site side
+//! High-fanout smoke test for the shard pool: a single process drives
+//! 1024 sites through 4 shards on each backend, produces byte-identical
+//! charges to the sequential baseline, and — the point of the pool —
+//! adds only O(shards) threads for the whole fleet, the mux site side
 //! included.
 
 use bytes::Bytes;
@@ -12,17 +12,21 @@ use dpc_coordinator::{
 const SITES: usize = 1024;
 const SHARDS: usize = 4;
 
-/// Current thread count of this process, from `/proc/self/status`.
+/// Threads of this process that carry the calling thread's name: the
+/// caller plus every thread it spawned, since a new Linux thread inherits
+/// its creator's name. The test harness names each test's thread after
+/// the test, so concurrently running tests — and threads of a finished
+/// fleet the kernel has not yet released — do not count each other's.
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line in /proc/self/status")
-        .trim()
-        .parse()
+    let me = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
+        .filter(|task| {
+            let comm = std::fs::read_to_string(task.as_ref().unwrap().path().join("comm"));
+            comm.is_ok_and(|comm| comm == me)
+        })
+        .count()
 }
 
 /// Site that tags its reply with its id and the round, so cross-wired
@@ -103,38 +107,64 @@ fn run(options: RunOptions) -> ((u64, u64, usize), CommStats) {
     (out.output, out.stats)
 }
 
-#[test]
-fn mux_drives_1024_sites_with_a_handful_of_coordinator_threads() {
+/// Runs the fleet under `options` and checks its transcript and
+/// per-round charges against the sequential baseline; returns the
+/// threads the fleet added at its peak (0 off Linux).
+fn fleet_threads_matching_sequential(options: RunOptions) -> usize {
     #[cfg(target_os = "linux")]
     let before = thread_count();
 
     let (base, base_stats) = run(RunOptions::sequential());
-    let (mux, mux_stats) = run(RunOptions::new()
-        .transport(TransportKind::Mux)
-        .shards(SHARDS));
+    let (out, stats) = run(options);
 
     // Same transcript, same charges, at 1024 sites.
-    assert_eq!(mux.0, base.0, "reply checksum diverged");
-    assert_eq!(mux.1, base.1, "reply byte total diverged");
-    assert!(mux.1 > 0);
-    assert_eq!(base_stats.num_rounds(), mux_stats.num_rounds());
-    for (ra, rb) in base_stats.rounds.iter().zip(&mux_stats.rounds) {
+    assert_eq!(out.0, base.0, "reply checksum diverged");
+    assert_eq!(out.1, base.1, "reply byte total diverged");
+    assert!(out.1 > 0);
+    assert_eq!(base_stats.num_rounds(), stats.num_rounds());
+    for (ra, rb) in base_stats.rounds.iter().zip(&stats.rounds) {
         assert_eq!(ra.coordinator_to_sites, rb.coordinator_to_sites);
         assert_eq!(ra.sites_to_coordinator, rb.sites_to_coordinator);
     }
 
+    #[cfg(target_os = "linux")]
+    return out.2.saturating_sub(before);
+    #[cfg(not(target_os = "linux"))]
+    0
+}
+
+#[test]
+fn mux_drives_1024_sites_with_a_handful_of_coordinator_threads() {
+    let fleet = fleet_threads_matching_sequential(
+        RunOptions::new()
+            .transport(TransportKind::Mux)
+            .shards(SHARDS),
+    );
     // Thread budget: mid-protocol the whole fleet is a site loop and a
     // coordinator loop per shard, not a thread per site on either side —
     // allow O(1) slack for the test runner's own threads.
-    #[cfg(target_os = "linux")]
-    {
-        let fleet = mux.2.saturating_sub(before);
+    if cfg!(target_os = "linux") {
         assert!(
             fleet <= 2 * SHARDS + 2,
-            "the mux fleet added {fleet} threads, over the 2·{SHARDS}-shard budget \
-             (peak {}, baseline {before})",
-            mux.2
+            "the mux fleet added {fleet} threads, over the 2·{SHARDS}-shard budget"
         );
         assert!(fleet >= 2 * SHARDS - 2, "the shard loops were not running");
+    }
+}
+
+#[test]
+fn channel_drives_1024_sites_on_its_shard_workers() {
+    let fleet = fleet_threads_matching_sequential(
+        RunOptions::new()
+            .transport(TransportKind::Channel)
+            .shards(SHARDS),
+    );
+    // The in-process fleet is one worker per shard, not one per site.
+    if cfg!(target_os = "linux") {
+        assert!(
+            fleet <= SHARDS + 2,
+            "the channel fleet added {fleet} threads, over the {SHARDS}-shard budget"
+        );
+        assert!(fleet + 2 >= SHARDS, "the shard workers were not running");
     }
 }

@@ -165,7 +165,8 @@ proptest! {
     /// simulated clock — on every backend. Mux runs twice: on two
     /// shards, and on one, where a single site loop serves every site,
     /// so a dropped site sees no frame in a round while its neighbours
-    /// on the same loop do.
+    /// on the same loop do. Channel also runs five sites on three
+    /// shards, so the shard groups are uneven.
     #[test]
     fn fault_schedule_is_transport_independent(
         (sites, plan) in arb_plan(),
@@ -174,7 +175,7 @@ proptest! {
         let base = RunOptions::sequential().faults(faults.clone());
         let (base_out, base_stats) = run_faulty_plan(&plan, sites, base.clone());
         for options in [
-            RunOptions::new().faults(faults.clone()),
+            RunOptions::new().faults(faults.clone()).shards(2),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(2),
             RunOptions::new().faults(faults.clone()).transport(TransportKind::Mux).shards(1),
         ] {
@@ -182,6 +183,16 @@ proptest! {
             prop_assert_eq!(&out, &base_out, "transcript diverged on {:?}", options.transport);
             assert_runs_identical(&base_stats, &stats);
         }
+        // Five sites on three in-process shards: uneven groups of 2/2/1.
+        let plan5: Vec<Vec<Vec<u8>>> = plan
+            .iter()
+            .map(|row| row.iter().cycle().take(5).cloned().collect())
+            .collect();
+        let (base5_out, base5_stats) = run_faulty_plan(&plan5, 5, base.clone());
+        let (out, stats) =
+            run_faulty_plan(&plan5, 5, RunOptions::new().faults(faults.clone()).shards(3));
+        prop_assert_eq!(&out, &base5_out, "transcript diverged on 5 sites, 3 shards");
+        assert_runs_identical(&base5_stats, &stats);
         // And the run is self-reproducible: a second inline run matches.
         let (again_out, again_stats) = run_faulty_plan(&plan, sites, base);
         prop_assert_eq!(&again_out, &base_out);

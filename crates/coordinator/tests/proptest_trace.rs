@@ -183,7 +183,7 @@ proptest! {
         // The deterministic schema round-trips to the same bytes.
         prop_assert_eq!(replay.to_jsonl(), base_jsonl.clone());
         for options in [
-            RunOptions::new(),                                  // channel workers
+            RunOptions::new().shards(2),                        // in-process shard workers
             RunOptions::new().transport(TransportKind::Mux).shards(2), // loopback sockets
         ] {
             let transport = options.transport;

@@ -130,13 +130,22 @@ proptest! {
         let (base_out, base_stats) =
             run_plan(&plan, sites, RunOptions::sequential());
         for options in [
-            RunOptions::new(),                                  // persistent channel workers
+            RunOptions::new().shards(2),                        // in-process shard workers
             RunOptions::new().transport(TransportKind::Mux).shards(2), // loopback sockets, event loops
         ] {
             let (out, stats) = run_plan(&plan, sites, options.clone());
             prop_assert_eq!(&out, &base_out, "output diverged on {:?}", options.transport);
             assert_charges_identical(&base_stats, &stats);
         }
+        // Five sites on three in-process shards: uneven groups of 2/2/1.
+        let plan5: Vec<Vec<Vec<u8>>> = plan
+            .iter()
+            .map(|row| row.iter().cycle().take(5).cloned().collect())
+            .collect();
+        let (base_out, base_stats) = run_plan(&plan5, 5, RunOptions::sequential());
+        let (out, stats) = run_plan(&plan5, 5, RunOptions::new().shards(3));
+        prop_assert_eq!(&out, &base_out, "output diverged on 5 sites, 3 shards");
+        assert_charges_identical(&base_stats, &stats);
     }
 }
 

@@ -394,14 +394,8 @@ mod tests {
     #[test]
     fn center_recovers_clusters() {
         let shards = shards();
-        let out = run_distributed_center(
-            &shards,
-            CenterConfig::new(2, 3),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out =
+            run_distributed_center(&shards, CenterConfig::new(2, 3), RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&shards, &out.output.centers, 3, Objective::Center);
         // Optimal radius ~ 0.57 (grid diagonal); allow the distributed
         // constant factor.
@@ -412,14 +406,8 @@ mod tests {
     #[test]
     fn exactly_t_outliers_at_coordinator() {
         let shards = shards();
-        let out = run_distributed_center(
-            &shards,
-            CenterConfig::new(2, 3),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out =
+            run_distributed_center(&shards, CenterConfig::new(2, 3), RunOptions::sequential());
         assert!(out.output.excluded_weight <= 3.0 + 1e-9);
     }
 
@@ -436,22 +424,8 @@ mod tests {
         let small = mk(100);
         let big = mk(200);
         let cfg = CenterConfig::new(3, 5);
-        let so = run_distributed_center(
-            &small,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let bo = run_distributed_center(
-            &big,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let so = run_distributed_center(&small, cfg, RunOptions::sequential());
+        let bo = run_distributed_center(&big, cfg, RunOptions::sequential());
         // Weights differ (varint size may wiggle by a byte or two) but the
         // totals must be essentially identical, not 2x.
         let s = so.stats.upstream_bytes() as f64;
@@ -462,14 +436,8 @@ mod tests {
     #[test]
     fn single_site() {
         let shards = vec![shards().remove(0)];
-        let out = run_distributed_center(
-            &shards,
-            CenterConfig::new(1, 1),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out =
+            run_distributed_center(&shards, CenterConfig::new(1, 1), RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&shards, &out.output.centers, 1, Objective::Center);
         assert!(cost <= 4.0, "cost {cost}");
     }
@@ -479,14 +447,7 @@ mod tests {
         let mut s = shards();
         s.push(PointSet::new(2));
         s.push(PointSet::from_rows(&[vec![0.1, 0.1]]));
-        let out = run_distributed_center(
-            &s,
-            CenterConfig::new(2, 3),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_center(&s, CenterConfig::new(2, 3), RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&s, &out.output.centers, 3, Objective::Center);
         assert!(cost <= 6.0, "cost {cost}");
     }

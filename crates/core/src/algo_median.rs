@@ -593,14 +593,7 @@ mod tests {
     fn recovers_clumps_and_outliers() {
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(2, 3);
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         let sol = out.output;
         // Evaluate on the full data with the (1+eps)t budget.
         let (cost, _) = evaluate_on_full_data(&shards, &sol.centers, 6, Objective::Median);
@@ -613,14 +606,7 @@ mod tests {
     fn means_variant_runs() {
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(2, 3).means();
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&shards, &out.output.centers, 6, Objective::Means);
         assert!(cost < 100.0, "true means cost {cost}");
     }
@@ -629,24 +615,11 @@ mod tests {
     fn counts_only_ships_no_outliers() {
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(2, 3).counts_only(0.5);
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         // Communication in the final round must carry no outlier points:
         // compare against the ship variant.
-        let ship = run_distributed_median(
-            &shards,
-            MedianConfig::new(2, 3),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let ship =
+            run_distributed_median(&shards, MedianConfig::new(2, 3), RunOptions::sequential());
         let last = out.stats.rounds.last().unwrap();
         let last_ship = ship.stats.rounds.last().unwrap();
         assert!(
@@ -663,14 +636,7 @@ mod tests {
     fn t_zero_no_outlier_machinery() {
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(3, 0); // 3 centers can cover clumps + 1 outlier... not needed; just runs
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         assert_eq!(out.output.shipped_outliers, 0);
     }
 
@@ -678,14 +644,7 @@ mod tests {
     fn single_site_degenerates_gracefully() {
         let shards = vec![shards_with_outliers().remove(1)];
         let cfg = MedianConfig::new(1, 3);
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&shards, &out.output.centers, 6, Objective::Median);
         assert!(cost < 50.0, "true cost {cost}");
     }
@@ -695,14 +654,7 @@ mod tests {
         let mut shards = shards_with_outliers();
         shards.push(PointSet::new(2));
         let cfg = MedianConfig::new(2, 3);
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         let (cost, _) = evaluate_on_full_data(&shards, &out.output.centers, 6, Objective::Median);
         assert!(cost < 50.0, "true cost {cost}");
     }
@@ -711,22 +663,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(2, 3);
-        let a = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let b = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        );
+        let a = run_distributed_median(&shards, cfg, RunOptions::sequential());
+        let b = run_distributed_median(&shards, cfg, RunOptions::new().shards(2));
         assert_eq!(a.output.centers, b.output.centers);
         assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
     }
@@ -734,10 +672,7 @@ mod tests {
     #[test]
     fn encoded_protocols_run_and_stay_close() {
         let shards = shards_with_outliers();
-        let opts = || RunOptions {
-            parallel: false,
-            ..Default::default()
-        };
+        let opts = || RunOptions::sequential();
         let raw = run_distributed_median(&shards, MedianConfig::new(2, 3), opts());
         let (raw_cost, _) =
             evaluate_on_full_data(&shards, &raw.output.centers, 6, Objective::Median);
@@ -771,14 +706,7 @@ mod tests {
         // Hull messages must be O(log t) vertices, not O(t).
         let shards = shards_with_outliers();
         let cfg = MedianConfig::new(2, 16);
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         let r0 = &out.stats.rounds[0];
         for &bytes in &r0.sites_to_coordinator {
             // grid of t=16, rho=2 has ≤ 7 points; each vertex ≤ ~11 bytes.
@@ -808,14 +736,7 @@ mod relax_centers_tests {
             ..MedianConfig::new(2, 2)
         }
         .relax_centers();
-        let out = run_distributed_median(
-            &shards,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_distributed_median(&shards, cfg, RunOptions::sequential());
         // (1+0.5)*2 = 3 centers may open; coordinator excludes exactly t=2.
         assert!(out.output.centers.len() <= 3);
         assert!(out.output.excluded_weight <= 2.0 + 1e-9);

@@ -400,22 +400,8 @@ mod tests {
     fn one_round_median_works_but_ships_more() {
         let sh = shards(4, 3);
         let cfg = MedianConfig::new(4, 3);
-        let one = run_one_round_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let two = run_distributed_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let one = run_one_round_median(&sh, cfg, RunOptions::sequential());
+        let two = run_distributed_median(&sh, cfg, RunOptions::sequential());
         let (c1, _) = evaluate_on_full_data(&sh, &one.output.centers, 6, Objective::Median);
         let (c2, _) = evaluate_on_full_data(&sh, &two.output.centers, 6, Objective::Median);
         assert!(c1 < 50.0, "one-round cost {c1}");
@@ -433,22 +419,8 @@ mod tests {
         // profile values plus a shared ~rho*t).
         let sh = shards(3, 20);
         let cfg = CenterConfig::new(3, 20);
-        let one = run_one_round_center(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let two = run_distributed_center(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let one = run_one_round_center(&sh, cfg, RunOptions::sequential());
+        let two = run_distributed_center(&sh, cfg, RunOptions::sequential());
         let (c1, _) = evaluate_on_full_data(&sh, &one.output.centers, 20, Objective::Center);
         let (c2, _) = evaluate_on_full_data(&sh, &two.output.centers, 20, Objective::Center);
         assert!(c1 <= 6.0, "one-round center cost {c1}");
@@ -467,23 +439,9 @@ mod tests {
     fn empty_shards_one_round() {
         let mut sh = shards(2, 1);
         sh.push(PointSet::new(2));
-        let m = run_one_round_median(
-            &sh,
-            MedianConfig::new(2, 1),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let m = run_one_round_median(&sh, MedianConfig::new(2, 1), RunOptions::sequential());
         assert!(m.output.centers.len() <= 2);
-        let c = run_one_round_center(
-            &sh,
-            CenterConfig::new(2, 1),
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let c = run_one_round_center(&sh, CenterConfig::new(2, 1), RunOptions::sequential());
         assert!(c.output.centers.len() <= 2);
     }
 }

@@ -211,7 +211,7 @@ proptest! {
         let out = run_distributed_median(
             &shards,
             MedianConfig::new(k, t),
-            RunOptions { parallel: false, ..Default::default() },
+            RunOptions::sequential(),
         );
         prop_assert_eq!(out.stats.num_rounds(), 2);
         prop_assert!(out.output.shipped_outliers <= (3 * t) as u64);

@@ -151,7 +151,7 @@ proptest! {
         let out = run_protocol(
             &mut sites,
             coordinator,
-            RunOptions { parallel: false, max_rounds: 4, ..Default::default() },
+            RunOptions { max_rounds: 4, ..RunOptions::sequential() },
         );
 
         prop_assert_eq!(out.stats.num_rounds(), 1);

@@ -48,9 +48,9 @@ const MIN_CHUNK: usize = 256;
 ///
 /// Kernels default to [`ThreadBudget::serial`] so library calls never
 /// oversubscribe by surprise: a `Sweep::grid` already runs one job per
-/// worker thread, the channel transport one thread per site, and the mux
-/// transport one site loop per shard. Opt into intra-kernel parallelism where a single job owns the
-/// machine (`Job::threads`, CLI `--threads`).
+/// worker thread, and both transports run a shard's sites one at a time
+/// on one thread per shard. Opt into intra-kernel parallelism where a
+/// single job owns the machine (`Job::threads`, CLI `--threads`).
 ///
 /// Threading never changes any output value: queries are split into
 /// chunks, every per-query result is computed independently, and

@@ -49,7 +49,9 @@ pub struct ContinuousConfig {
     pub eps: f64,
     /// Fleet-wide ingested points between automatic syncs.
     pub sync_every: u64,
-    /// Run site phases on parallel threads during a sync.
+    /// Serve a sync's sites from a machine-sized shard pool (`true`) or
+    /// from one shard, every site on the caller's thread (`false`); see
+    /// [`RunOptions::shards`].
     pub parallel: bool,
     /// Transport backend the sync protocol executes on — the same
     /// runtime and backends as the one-shot batch protocols, so one
@@ -71,8 +73,8 @@ pub struct ContinuousConfig {
 }
 
 impl ContinuousConfig {
-    /// Defaults: ρ = 2, ε = 1, sync every 1024 points, sequential sites
-    /// on the in-process channel backend over an ideal link.
+    /// Defaults: ρ = 2, ε = 1, sync every 1024 points, one shard on the
+    /// in-process channel backend over an ideal link.
     pub fn new(k: usize, t: usize) -> Self {
         Self {
             stream: StreamConfig::new(k, t),
@@ -325,7 +327,7 @@ impl ContinuousCluster {
             &mut sites,
             coordinator,
             RunOptions {
-                parallel: self.cfg.parallel,
+                shards: (!self.cfg.parallel).then_some(1),
                 transport: self.cfg.transport,
                 link: self.cfg.link,
                 faults,

@@ -611,14 +611,7 @@ mod tests {
     fn center_g_recovers_clusters() {
         let sh = shards(13);
         let cfg = CenterGConfig::new(2, 1);
-        let out = run_center_g(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_center_g(&sh, cfg, RunOptions::sequential());
         // Monte-Carlo E[max] with the noise node excluded must be O(cluster
         // jitter), far below the 4e3 of paying for the noise node.
         let g = estimate_center_g_cost(&sh, &out.output.centers, 1, 500, 7);
@@ -630,14 +623,7 @@ mod tests {
     fn comm_includes_full_distributions_for_outliers() {
         let sh = shards(17);
         let cfg = CenterGConfig::new(2, 1);
-        let out = run_center_g(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_center_g(&sh, cfg, RunOptions::sequential());
         // The final round must be heavier than points alone: t·I term.
         let last = out.stats.rounds.last().unwrap();
         let upstream: usize = last.sites_to_coordinator.iter().sum();
@@ -648,14 +634,7 @@ mod tests {
     fn single_site_degenerate() {
         let sh = vec![shards(19).remove(0)];
         let cfg = CenterGConfig::new(1, 1);
-        let out = run_center_g(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_center_g(&sh, cfg, RunOptions::sequential());
         let g = estimate_center_g_cost(&sh, &out.output.centers, 1, 300, 23);
         assert!(g < 60.0, "E[max] {g}");
     }
@@ -988,10 +967,7 @@ mod one_round_tests {
             CenterGConfig::new(3, 1),
             lo,
             hi,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
+            RunOptions::sequential(),
         );
         assert_eq!(out.stats.num_rounds(), 1);
         let g = estimate_center_g_cost(&sh, &out.output.centers, 1, 400, 5);
@@ -1005,24 +981,8 @@ mod one_round_tests {
         let sh = shards(73);
         let (lo, hi) = global_range(&sh);
         let cfg = CenterGConfig::new(2, 1);
-        let one = run_center_g_one_round(
-            &sh,
-            cfg,
-            lo,
-            hi,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let multi = run_center_g(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let one = run_center_g_one_round(&sh, cfg, lo, hi, RunOptions::sequential());
+        let multi = run_center_g(&sh, cfg, RunOptions::sequential());
         assert!(
             one.stats.upstream_bytes() > multi.stats.upstream_bytes(),
             "1-round {}B should exceed adaptive {}B",
@@ -1041,10 +1001,7 @@ mod one_round_tests {
             CenterGConfig::new(2, 1),
             lo,
             hi,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
+            RunOptions::sequential(),
         );
         assert!(out.output.centers.len() <= 2);
     }

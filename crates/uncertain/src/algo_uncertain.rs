@@ -608,14 +608,7 @@ mod tests {
     fn uncertain_median_recovers_clusters() {
         let sh = shards(3);
         let cfg = UncertainConfig::new(2, 2);
-        let out = run_uncertain_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_uncertain_median(&sh, cfg, RunOptions::sequential());
         let cost = estimate_expected_cost(&sh, &out.output.centers, 4, false, false);
         // 24 honest nodes with ~1-unit jitter: expected cost O(24·2); noise
         // nodes excluded. A solution paying for noise costs > 5e3.
@@ -627,14 +620,7 @@ mod tests {
     fn uncertain_means_runs() {
         let sh = shards(5);
         let cfg = UncertainConfig::new(2, 2).means();
-        let out = run_uncertain_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_uncertain_median(&sh, cfg, RunOptions::sequential());
         let cost = estimate_expected_cost(&sh, &out.output.centers, 4, true, false);
         assert!(cost < 500.0, "uncertain means cost {cost}");
     }
@@ -643,14 +629,7 @@ mod tests {
     fn uncertain_center_pp_runs() {
         let sh = shards(7);
         let cfg = UncertainConfig::new(2, 2).center_pp();
-        let out = run_uncertain_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_uncertain_median(&sh, cfg, RunOptions::sequential());
         let cost = estimate_expected_cost(&sh, &out.output.centers, 4, false, true);
         assert!(cost < 20.0, "uncertain center-pp cost {cost}");
     }
@@ -671,14 +650,7 @@ mod tests {
         let mut sh = shards(9);
         sh.push(NodeSet::new(2));
         let cfg = UncertainConfig::new(2, 2);
-        let out = run_uncertain_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_uncertain_median(&sh, cfg, RunOptions::sequential());
         let cost = estimate_expected_cost(&sh, &out.output.centers, 4, false, false);
         assert!(cost < 150.0, "cost {cost}");
     }
@@ -697,14 +669,7 @@ mod tests {
         nodes.push(UncertainNode::deterministic(far));
         let sh = vec![NodeSet { ground, nodes }];
         let cfg = UncertainConfig::new(1, 1);
-        let out = run_uncertain_median(
-            &sh,
-            cfg,
-            RunOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let out = run_uncertain_median(&sh, cfg, RunOptions::sequential());
         let cost = estimate_expected_cost(&sh, &out.output.centers, 2, false, false);
         assert!(cost < 3.0, "cost {cost}");
     }

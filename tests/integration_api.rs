@@ -266,8 +266,8 @@ fn thread_budget_never_changes_bytes_or_answers() {
     ];
     for b in builders {
         let serial = b.clone().sequential().validate().unwrap().run();
-        // Sequential sites get the whole budget; the default parallel
-        // channel backend runs sites at once and hands each a serial one.
+        // Sequential sites get the whole budget; four channel shards run
+        // sites at once and hand each a serial one.
         for threaded in [b.clone().threads(4).sequential(), b.threads(4)] {
             let threaded = threaded.validate().unwrap().run();
             assert_eq!(serial.centers, threaded.centers, "{}", serial.job);

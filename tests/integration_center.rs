@@ -114,22 +114,8 @@ fn t_zero_is_plain_distributed_k_center() {
 fn parallel_and_sequential_agree() {
     let (sh, _) = shards(6, 10, PartitionStrategy::Random, 19);
     let cfg = CenterConfig::new(3, 10);
-    let a = run_distributed_center(
-        &sh,
-        cfg,
-        RunOptions {
-            parallel: true,
-            ..Default::default()
-        },
-    );
-    let b = run_distributed_center(
-        &sh,
-        cfg,
-        RunOptions {
-            parallel: false,
-            ..Default::default()
-        },
-    );
+    let a = run_distributed_center(&sh, cfg, RunOptions::new().shards(2));
+    let b = run_distributed_center(&sh, cfg, RunOptions::sequential());
     assert_eq!(a.output.centers, b.output.centers);
     assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
 }

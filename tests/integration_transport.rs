@@ -1,7 +1,7 @@
 //! Cross-backend equivalence of the real protocols: every distributed
 //! algorithm in the workspace must produce the same solution and
 //! byte-identical per-round charges whether its messages ride the
-//! persistent channel workers or real loopback TCP sockets served by
+//! in-process shard workers or real loopback TCP sockets served by
 //! the multiplexed event-loop backend.
 
 use dpc::coordinator::CommStats;
@@ -33,7 +33,7 @@ fn assert_charges_identical(label: &str, a: &CommStats, b: &CommStats) {
 fn options_matrix() -> [RunOptions; 3] {
     [
         RunOptions::sequential(),
-        RunOptions::new(), // parallel persistent channel workers
+        RunOptions::new().shards(2), // two in-process shard workers
         // Two event-loop shards exercise the round-robin scatter/gather.
         RunOptions::new().transport(TransportKind::Mux).shards(2),
     ]

@@ -16,11 +16,11 @@ use proptest::prelude::*;
 
 mod test_util;
 
-/// The two in-process execution modes: Inline (sequential) and the
-/// persistent-worker Channel backend.
+/// The two in-process execution modes: one shard (sequential) and two
+/// channel shards running sites at once.
 fn options_for(parallel: bool) -> RunOptions {
     if parallel {
-        RunOptions::new()
+        RunOptions::new().shards(2)
     } else {
         RunOptions::sequential()
     }
@@ -28,7 +28,7 @@ fn options_for(parallel: bool) -> RunOptions {
 
 fn apply_mode(builder: JobBuilder, parallel: bool) -> JobBuilder {
     if parallel {
-        builder
+        builder.threads(2)
     } else {
         builder.sequential()
     }

@@ -1365,7 +1365,7 @@ fn c1_codec() {
     }
 
     // Continuous syncs, in the shape of the `continuous-f32` benchmark:
-    // each site's previous sync summary is its RLZ dictionary.
+    // each site's previous sync upload is its reference dictionary.
     let (k, t, sites, n) = (4usize, 8usize, 4usize, 4000usize);
     for dim in [2usize, 16] {
         let stream = drifting_stream(DriftSpec {
@@ -1438,8 +1438,9 @@ fn c1_codec() {
         "no lossy/reference mode reached 1.5x bytes at <= 5% objective delta"
     );
     println!("expect: f32 ratios grow with dim (coords dominate at dim 16); rlz");
-    println!("stays lossless (delta_pct exactly 0), expands batch rows (no");
-    println!("dictionary) and beats f32 on continuous rows (copies the previous sync).");
+    println!("stays lossless (delta_pct exactly 0) and expands batch rows (no");
+    println!("dictionary). On continuous rows both copy the previous sync, and f32");
+    println!("beats rlz: it reference-codes the quantized body, not the raw one.");
 }
 
 /// A1 — ablation: geometric grid resolution rho.

@@ -99,9 +99,10 @@ transport options (distributed commands and stream --sync-every):
                              a coordinator loop
   --encoding <enc>           wire codec for protocol messages (default
                              raw): raw keeps the exact bytes; f32
-                             quantizes coordinates lossily; rlz codes a
-                             summary losslessly against the previous
-                             sync's summary (continuous stream mode)
+                             quantizes coordinates lossily; rlz keeps
+                             them exact. In continuous stream mode both
+                             code each summary against the site's
+                             previous sync (f32 after quantizing)
   --latency <dur>            simulated one-way per-message latency, e.g.
                              5ms, 250us, 1s (bare numbers are ms)
   --bandwidth <rate>         simulated link bandwidth in bytes/sec with

@@ -7,7 +7,7 @@
 //! losslessly or against a declared per-coordinate error envelope, and
 //! let experiments sweep the resulting bytes ⇄ quality frontier
 //! (Farruggia et al., *Bicriteria data compression*; Gagie,
-//! *RLZ-to-LZ77*, for the reference-coded mode).
+//! *RLZ-to-LZ77*, for the reference stage).
 //!
 //! ## The three modes
 //!
@@ -17,9 +17,13 @@
 //! | `F32`        | lossy    | per coordinate `x`: error ≤ [`f32_declared_eps`]`(x)` |
 //! | `Rlz`        | lossless | bit-identical round trip; decoding against the wrong reference fails loudly |
 //!
-//! Each mode is on the recorded bytes ⇄ quality frontier
-//! (`BENCH_codec.json`): `F32` for one-shot batch jobs, `Rlz` for
-//! continuous syncs, which carry a previous summary to copy from.
+//! Reference coding is a *stage*, not only a mode. Continuous syncs
+//! carry a previous upload to copy from, so from the second sync on a
+//! site's summary is RLZ-coded against its previous one: the raw
+//! payload under `Rlz`, the quantized body under `F32` — so the
+//! quantization and reference gains compose. `F32` is on the recorded
+//! bytes ⇄ quality frontier (`BENCH_codec.json`) for both batch jobs and
+//! continuous syncs; `Rlz` is the lossless rate on continuous syncs.
 //!
 //! ## How it plugs in
 //!
@@ -30,8 +34,14 @@
 //! any other mode it emits a self-describing frame
 //!
 //! ```text
-//! varint version (= 1) · varint encoding tag · varint raw_len · body
+//! varint version (= 1) · varint tag · varint raw_len · body
 //! ```
+//!
+//! | tag | body |
+//! |-----|------|
+//! | 1   | `F32` quantized body |
+//! | 4   | `Rlz`: RLZ phrases of the raw payload against the dictionary |
+//! | 5   | `F32` with the reference stage: `varint quantized_len` · RLZ phrases of the quantized body against the dictionary |
 //!
 //! The `F32` body transforms only the recorded coordinate spans —
 //! varints, weights, costs and every other scalar survive bit-exactly
@@ -39,11 +49,14 @@
 //! protocol driver charge both compressed (wire) and raw byte totals
 //! without decoding.
 //!
-//! The `Rlz` mode encodes the whole payload as copy/literal phrases
-//! against a caller-supplied reference dictionary (for the continuous
-//! protocol: the same site's previous sync summary). The frame carries a
-//! checksum of the reference, so a decoder holding a different
-//! dictionary panics instead of silently corrupting coordinates.
+//! The reference stage encodes its input as copy/literal phrases
+//! against a caller-supplied dictionary: the previous frame's stage
+//! input, which [`frame_and_next_dict`] returns (for the continuous
+//! protocol: the same site's previous sync upload). `F32` runs the stage
+//! only when the dictionary is non-empty, and tags the frame so; `Rlz`
+//! always runs it. The RLZ phrases lead with a checksum of the
+//! reference, so a decoder holding a different dictionary panics instead
+//! of silently corrupting coordinates.
 
 pub mod lossy;
 pub mod rlz;
@@ -91,7 +104,8 @@ impl Encoding {
     }
 
     /// Frame tag of this encoding (`Raw` has none: it is never framed).
-    /// Tags 2 and 3 belonged to retired modes and stay unassigned.
+    /// Tags 2 and 3 belonged to retired modes and stay unassigned; tag 5
+    /// is `F32` with the reference stage.
     fn tag(self) -> u64 {
         match self {
             Encoding::Raw => 0,
@@ -123,35 +137,66 @@ impl std::fmt::Display for Encoding {
     }
 }
 
+/// Frame tag of an `F32` frame whose quantized body then went through
+/// the reference stage. The frame records the stage itself; a decoder
+/// never infers it from whether it holds a dictionary. Not an
+/// [`Encoding`] of its own: such frames decode under `F32`.
+const TAG_F32_REFERENCED: u64 = 5;
+
 /// Finishes a [`WireWriter`] under the given encoding.
 ///
 /// `Raw` returns exactly the bytes [`WireWriter::finish`] would — no
 /// header, bit-identical to the pre-codec wire format. Every other mode
-/// returns a self-describing frame; `dict` is the `Rlz` reference
-/// dictionary (pass `&[]` when there is none).
+/// returns a self-describing frame. `dict` is the reference dictionary
+/// (pass `&[]` when there is none): `Rlz` always codes against it, and
+/// `F32` codes its quantized body against a non-empty one. See
+/// [`frame_and_next_dict`] for the dictionary a caller should keep.
 ///
 /// Encoding is a pure function of `(encoding, payload, dict)`, which is
 /// what keeps byte accounting deterministic across transports.
 pub fn frame(encoding: Encoding, writer: WireWriter, dict: &[u8]) -> Bytes {
-    let (payload, body) = match encoding {
-        Encoding::Raw => return writer.finish(),
+    frame_and_next_dict(encoding, writer, dict).0
+}
+
+/// [`frame`], also returning the reference stage's input: the
+/// dictionary the next frame of the same stream should be coded
+/// against. That is the quantized body under `F32` and the raw payload
+/// otherwise, so a decoder that saw this frame holds it too.
+pub fn frame_and_next_dict(encoding: Encoding, writer: WireWriter, dict: &[u8]) -> (Bytes, Bytes) {
+    let (raw_len, stage_input) = match encoding {
+        Encoding::Raw => {
+            let payload = writer.finish();
+            return (payload.clone(), payload);
+        }
         Encoding::F32 => {
             let (payload, spans) = writer.finish_with_spans();
-            let body = lossy::encode(&payload, &spans);
-            (payload, body)
+            (payload.len(), Bytes::from(lossy::encode(&payload, &spans)))
         }
         Encoding::Rlz => {
             let payload = writer.finish();
-            let body = rlz::encode(&payload, dict);
-            (payload, body)
+            (payload.len(), payload)
         }
     };
-    let mut out = Vec::with_capacity(body.len() + 8);
+    let referenced = encoding == Encoding::Rlz || !dict.is_empty();
+    let staged_f32 = encoding == Encoding::F32 && referenced;
+    let tag = if staged_f32 {
+        TAG_F32_REFERENCED
+    } else {
+        encoding.tag()
+    };
+    let mut out = Vec::with_capacity(stage_input.len() + 16);
     push_varint(&mut out, FRAME_VERSION);
-    push_varint(&mut out, encoding.tag());
-    push_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&body);
-    Bytes::from(out)
+    push_varint(&mut out, tag);
+    push_varint(&mut out, raw_len as u64);
+    if staged_f32 {
+        push_varint(&mut out, stage_input.len() as u64);
+    }
+    if referenced {
+        rlz::encode_into(&mut out, &stage_input, dict);
+    } else {
+        out.extend_from_slice(&stage_input);
+    }
+    (Bytes::from(out), stage_input)
 }
 
 /// Inverts [`frame`], returning the raw payload bytes.
@@ -160,24 +205,26 @@ pub fn frame(encoding: Encoding, writer: WireWriter, dict: &[u8]) -> Bytes {
 /// Panics when the frame's version or encoding tag disagrees with
 /// `encoding` (the caller's configuration is authoritative — a mismatch
 /// is a protocol bug, not a recoverable condition), on a malformed
-/// body, and on an `Rlz` reference mismatch.
+/// body, and on a reference mismatch.
 pub fn unframe(encoding: Encoding, buf: Bytes, dict: &[u8]) -> Bytes {
     if encoding == Encoding::Raw {
         return buf;
     }
     let mut pos = 0usize;
-    let version = read_varint(&buf, &mut pos);
-    assert_eq!(version, FRAME_VERSION, "unsupported codec frame version");
-    let tag = read_varint(&buf, &mut pos);
-    let found = Encoding::from_tag(tag).expect("unknown codec frame tag");
+    let (found, staged_f32, raw_len) = read_header(&buf, &mut pos);
     assert_eq!(
         found, encoding,
         "codec frame encodes {found} but the protocol is configured for {encoding}"
     );
-    let raw_len = read_varint(&buf, &mut pos) as usize;
     let body = &buf[pos..];
     let raw = match encoding {
         Encoding::Raw => unreachable!("raw payloads are never framed"),
+        Encoding::F32 if staged_f32 => {
+            let mut at = 0usize;
+            let quantized_len = read_varint(body, &mut at) as usize;
+            let quantized = rlz::decode(&body[at..], quantized_len, dict);
+            lossy::decode(&quantized, raw_len)
+        }
         Encoding::F32 => lossy::decode(body, raw_len),
         Encoding::Rlz => rlz::decode(body, raw_len, dict),
     };
@@ -192,15 +239,26 @@ pub fn unframe(encoding: Encoding, buf: Bytes, dict: &[u8]) -> Bytes {
 /// # Panics
 /// Panics when `buf` does not start with a valid frame header.
 pub fn peek_raw_len(buf: &[u8]) -> usize {
-    let mut pos = 0usize;
-    let version = read_varint(buf, &mut pos);
+    read_header(buf, &mut 0).2
+}
+
+/// Reads a frame header at `*pos`: the encoding, whether it is an `F32`
+/// frame whose body went through the reference stage, and the raw
+/// payload length.
+fn read_header(buf: &[u8], pos: &mut usize) -> (Encoding, bool, usize) {
+    let version = read_varint(buf, pos);
     assert_eq!(
         version, FRAME_VERSION,
-        "not a codec frame (is the protocol running Raw?)"
+        "not a codec frame of version {FRAME_VERSION} (is the protocol running Raw?)"
     );
-    let tag = read_varint(buf, &mut pos);
-    Encoding::from_tag(tag).expect("unknown codec frame tag");
-    read_varint(buf, &mut pos) as usize
+    let tag = read_varint(buf, pos);
+    let staged_f32 = tag == TAG_F32_REFERENCED;
+    let encoding = if staged_f32 {
+        Encoding::F32
+    } else {
+        Encoding::from_tag(tag).expect("unknown codec frame tag")
+    };
+    (encoding, staged_f32, read_varint(buf, pos) as usize)
 }
 
 /// Appends a LEB128 varint (the same format `WireWriter::put_varint`
@@ -252,20 +310,25 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The sample with one coordinate drifted (4.0 -> 4.5): the previous
+    /// message of the same stream, so a body coded against it mixes
+    /// copies and a literal.
+    fn drifted_writer() -> WireWriter {
+        let mut w = WireWriter::new();
+        w.put_varint(3);
+        w.put_point(&[1.5, -2.25]);
+        w.put_f64(0.125);
+        w.put_point(&[3.0, 4.5]);
+        w.put_point(&[5.0, 6.0]);
+        w.put_varint(999);
+        w
+    }
+
     /// The exact framed bytes of the sample under every framed mode: the
     /// wire format itself, not just its round trip, is the contract.
     #[test]
     fn frame_bytes_are_pinned() {
-        // A dictionary that differs from the sample in one coordinate
-        // (4.0 -> 4.5), so the RLZ body mixes copies and a literal.
-        let mut drifted = WireWriter::new();
-        drifted.put_varint(3);
-        drifted.put_point(&[1.5, -2.25]);
-        drifted.put_f64(0.125);
-        drifted.put_point(&[3.0, 4.5]);
-        drifted.put_point(&[5.0, 6.0]);
-        drifted.put_varint(999);
-        let dict = drifted.finish();
+        let dict = drifted_writer().finish();
         assert_eq!(
             hex(&frame(Encoding::F32, sample_writer(), &[])),
             "01013b020103010208000000000000c03f020202e707\
@@ -280,6 +343,13 @@ mod tests {
         assert_eq!(
             hex(&frame(Encoding::Rlz, sample_writer(), &dict)),
             "01043bc007f5410053d8504f0002102728"
+        );
+        // F32 with a dictionary: the reference stage codes the quantized
+        // body against the drifted sample's quantized body (tag 5).
+        let (_, f32_dict) = frame_and_next_dict(Encoding::F32, drifted_writer(), &[]);
+        assert_eq!(
+            hex(&frame(Encoding::F32, sample_writer(), &f32_dict)),
+            "01053b2de01dba3bbf9b1a98470002801324"
         );
     }
 

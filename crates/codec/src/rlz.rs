@@ -1,11 +1,12 @@
 //! Reference-based (RLZ-style) lossless coding.
 //!
-//! The payload is parsed greedily into copy/literal phrases against a
+//! The input is parsed greedily into copy/literal phrases against a
 //! reference dictionary the caller supplies — in the continuous
-//! protocol, each site's previous sync summary, so round `r+1`'s
-//! summary ships as a handful of copies plus the coordinates that
-//! actually drifted. With an empty dictionary the mode degrades to one
-//! literal phrase (a few bytes of overhead over raw).
+//! protocol, the same site's previous sync upload at the same stage
+//! (its raw summary under `Rlz`, its quantized body under `F32`), so
+//! round `r+1`'s summary ships as a handful of copies plus the
+//! coordinates that actually drifted. With an empty dictionary it
+//! degrades to one literal phrase (a few bytes of overhead).
 //!
 //! The body leads with an FNV-1a checksum of the dictionary. A decoder
 //! holding any other reference — the classic desync failure of
@@ -13,14 +14,13 @@
 //! reconstructing corrupt coordinates.
 
 use crate::{push_varint, read_varint};
-use std::collections::HashMap;
 
 /// Minimum copy length: shorter matches cost more to describe than to
-/// ship literally (anchor width; also the hash width).
+/// ship literally (also the anchor width).
 const MIN_MATCH: usize = 8;
 
-/// Cap on remembered positions per anchor hash — keeps pathological
-/// dictionaries (one repeated byte) linear.
+/// Cap on copy candidates tried per anchor — keeps pathological
+/// dictionaries (one repeated byte) from going quadratic.
 const MAX_CHAIN: usize = 8;
 
 /// 64-bit FNV-1a over the dictionary bytes.
@@ -53,46 +53,90 @@ fn push_literal(out: &mut Vec<u8>, lit: &[u8]) {
     out.extend_from_slice(lit);
 }
 
-/// Transforms a raw payload into an `Rlz` frame body: the dictionary's
-/// checksum, then copy/literal phrases against `dict`.
-pub(crate) fn encode(payload: &[u8], dict: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() / 4 + 16);
-    out.extend_from_slice(&fnv1a(dict).to_le_bytes());
-    // Index the dictionary by 8-byte anchors.
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-    if dict.len() >= MIN_MATCH {
-        for at in 0..=dict.len() - MIN_MATCH {
-            let slots = index.entry(anchor(dict, at)).or_default();
-            if slots.len() < MAX_CHAIN {
-                slots.push(at);
-            }
+/// End-of-chain marker of [`AnchorIndex`].
+const NIL: usize = usize::MAX;
+
+/// The dictionary's anchors as flat hash chains: `head` holds each
+/// bucket's lowest position and `next` links every position to the next
+/// higher one in its bucket. Building it allocates twice, whatever the
+/// number of distinct anchors.
+struct AnchorIndex<'a> {
+    dict: &'a [u8],
+    shift: u32,
+    head: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl<'a> AnchorIndex<'a> {
+    fn new(dict: &'a [u8]) -> Self {
+        let starts = (dict.len() + 1).saturating_sub(MIN_MATCH);
+        // At least twice as many buckets as anchors keeps chains short.
+        let buckets = (2 * starts).max(2).next_power_of_two();
+        let mut index = Self {
+            dict,
+            shift: 64 - buckets.trailing_zeros(),
+            head: vec![NIL; buckets],
+            next: vec![NIL; starts],
+        };
+        // Inserting from the back leaves every chain in ascending order.
+        for at in (0..starts).rev() {
+            let b = index.bucket(anchor(dict, at));
+            index.next[at] = index.head[b];
+            index.head[b] = at;
         }
+        index
     }
+
+    fn bucket(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The copy candidates for `key`: the [`MAX_CHAIN`] lowest dictionary
+    /// positions holding exactly that anchor, lowest first.
+    fn candidates(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.head[self.bucket(key)];
+        std::iter::from_fn(move || {
+            while at != NIL {
+                let here = at;
+                at = self.next[here];
+                if anchor(self.dict, here) == key {
+                    return Some(here);
+                }
+            }
+            None
+        })
+        .take(MAX_CHAIN)
+    }
+}
+
+/// Appends the `Rlz` coding of `payload` to `out`: the dictionary's
+/// checksum, then copy/literal phrases against `dict`.
+pub(crate) fn encode_into(out: &mut Vec<u8>, payload: &[u8], dict: &[u8]) {
+    out.reserve(payload.len() / 4 + 16);
+    out.extend_from_slice(&fnv1a(dict).to_le_bytes());
+    let index = AnchorIndex::new(dict);
     let mut lit_start = 0usize;
     let mut i = 0usize;
     while i + MIN_MATCH <= payload.len() {
         let best = index
-            .get(&anchor(payload, i))
-            .into_iter()
-            .flatten()
-            .map(|&at| (common_prefix(&payload[i..], &dict[at..]), at))
+            .candidates(anchor(payload, i))
+            .map(|at| (common_prefix(&payload[i..], &dict[at..]), at))
             .max();
         match best {
             Some((len, at)) if len >= MIN_MATCH => {
-                push_literal(&mut out, &payload[lit_start..i]);
-                push_varint(&mut out, ((len as u64) << 1) | 1);
-                push_varint(&mut out, at as u64);
+                push_literal(out, &payload[lit_start..i]);
+                push_varint(out, ((len as u64) << 1) | 1);
+                push_varint(out, at as u64);
                 i += len;
                 lit_start = i;
             }
             _ => i += 1,
         }
     }
-    push_literal(&mut out, &payload[lit_start..]);
-    out
+    push_literal(out, &payload[lit_start..]);
 }
 
-/// Inverts [`encode`], reconstructing exactly `raw_len` payload bytes.
+/// Inverts [`encode_into`], reconstructing exactly `raw_len` payload bytes.
 ///
 /// # Panics
 /// Panics on a malformed body, or on a dictionary that does not match
@@ -134,6 +178,12 @@ pub(crate) fn decode(body: &[u8], raw_len: usize, dict: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(payload: &[u8], dict: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_into(&mut body, payload, dict);
+        body
+    }
 
     fn roundtrip(payload: &[u8], dict: &[u8]) -> usize {
         let body = encode(payload, dict);

@@ -8,10 +8,13 @@
 //! * `rlz` decoded against the wrong reference dictionary fails loudly
 //!   instead of silently corrupting the payload;
 //! * `peek_raw_len` reads the true pre-compression length off every
-//!   non-raw frame without decoding it.
+//!   non-raw frame without decoding it;
+//! * `f32`'s reference stage is lossless over the quantized body: with
+//!   any dictionary it decodes to exactly the dictionary-free `f32`
+//!   bytes, and against the wrong dictionary it fails loudly.
 
 use dpc_codec::rlz::fnv1a;
-use dpc_codec::{frame, peek_raw_len, unframe, Encoding};
+use dpc_codec::{frame, frame_and_next_dict, peek_raw_len, unframe, Encoding};
 use dpc_metric::encode::{varint_bytes, WireWriter};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,6 +101,28 @@ fn read_f64(buf: &[u8], at: usize) -> f64 {
     f64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
 }
 
+/// A reference dictionary for an `f32` frame of `ops`: none, unrelated
+/// bytes, or the message's own quantized body with a few bytes flipped
+/// (the drifted previous sync).
+fn f32_dict(ops: &[Op], kind: u8, noise: &[u8], flips: &[(usize, u8)]) -> Vec<u8> {
+    match kind {
+        0 => Vec::new(),
+        1 => noise.to_vec(),
+        _ => {
+            let mut body = frame_and_next_dict(Encoding::F32, build(ops).0, &[])
+                .1
+                .to_vec();
+            for &(at, flip) in flips {
+                if !body.is_empty() {
+                    let at = at % body.len();
+                    body[at] ^= flip;
+                }
+            }
+            body
+        }
+    }
+}
+
 proptest! {
     /// Lossless modes reconstruct the exact raw bytes, and the frame
     /// header reports the exact raw length without decoding.
@@ -178,5 +203,46 @@ proptest! {
         }
         let raw = build(&ops).0.finish();
         prop_assert_eq!(unframe(Encoding::Rlz, framed, &dict), raw);
+    }
+
+    /// `f32` with a dictionary decodes bit for bit to what `f32` without
+    /// one decodes to, reports the raw length, keeps the quantized body
+    /// as the next dictionary, and refuses the wrong dictionary.
+    #[test]
+    fn f32_reference_stage_is_lossless_over_the_quantized_body(
+        ops in message(),
+        kind in 0u8..3,
+        noise in prop::collection::vec(0u8..=255, 1..256),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let dict = f32_dict(&ops, kind, &noise, &flips);
+        let raw_len = build(&ops).0.finish().len();
+        let (plain, body) = frame_and_next_dict(Encoding::F32, build(&ops).0, &[]);
+        let (framed, next) = frame_and_next_dict(Encoding::F32, build(&ops).0, &dict);
+        prop_assert_eq!(&next, &body, "the next dictionary is the quantized body");
+        if dict.is_empty() {
+            prop_assert_eq!(&framed, &plain, "no dictionary, no stage");
+        }
+        prop_assert_eq!(peek_raw_len(&framed), raw_len);
+        let want = unframe(Encoding::F32, plain, &[]);
+        prop_assert_eq!(&unframe(Encoding::F32, framed.clone(), &dict), &want);
+        if !dict.is_empty() {
+            let mut wrong = dict.clone();
+            wrong[at % dict.len()] ^= flip;
+            if fnv1a(&wrong) != fnv1a(&dict) {
+                let outcome = catch_unwind(AssertUnwindSafe(move || {
+                    unframe(Encoding::F32, framed, &wrong)
+                }));
+                let err = outcome.expect_err("wrong reference must not decode");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| err.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                prop_assert!(msg.contains("RLZ reference mismatch"), "panicked with {:?}", msg);
+            }
+        }
     }
 }

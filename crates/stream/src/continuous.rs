@@ -49,9 +49,9 @@ pub struct ContinuousConfig {
     pub eps: f64,
     /// Fleet-wide ingested points between automatic syncs.
     pub sync_every: u64,
-    /// Serve a sync's sites from a machine-sized shard pool (`true`) or
-    /// from one shard, every site on the caller's thread (`false`); see
-    /// [`RunOptions::shards`].
+    /// Serve a sync's sites from `stream.threads` shards (`true`) or
+    /// from one shard, every site on the caller's thread (`false`) —
+    /// the batch jobs' rule; see [`RunOptions::shards`].
     pub parallel: bool,
     /// Transport backend the sync protocol executes on — the same
     /// runtime and backends as the one-shot batch protocols, so one
@@ -65,10 +65,13 @@ pub struct ContinuousConfig {
     /// next — crash-stop aliveness is scoped to a single protocol
     /// execution, not the fleet's lifetime.
     pub faults: FaultPlan,
-    /// Wire encoding every sync message is framed with. Under
-    /// [`Encoding::Rlz`] each site's round-1 summary upload is
-    /// reference-coded against its summary from the *previous* sync —
-    /// the continuous mode's natural dictionary.
+    /// Wire encoding every sync message is framed with. From the second
+    /// sync on, each site's round-1 summary upload is also
+    /// reference-coded against its upload from the *previous* sync — the
+    /// continuous mode's natural dictionary. Under [`Encoding::F32`]
+    /// that stage runs after quantization, against the previous
+    /// quantized body, so the two gains compose; under
+    /// [`Encoding::Rlz`] it runs on the raw summary.
     pub encoding: Encoding,
 }
 
@@ -156,11 +159,12 @@ pub struct ContinuousCluster {
     ingested: u64,
     since_sync: u64,
     recorder: RecorderHandle,
-    /// Per-site RLZ dictionary slot: the raw bytes of the summary the
-    /// site uploaded in its last *delivered* sync round. A site writes
-    /// its slot exactly when the coordinator receives its reply (the
-    /// fault plan decides delivery before the site runs), so encoder and
-    /// decoder always agree on the reference.
+    /// Per-site reference dictionary slot: the stage input of the
+    /// summary the site uploaded in its last *delivered* sync round (see
+    /// [`dpc_codec::frame_and_next_dict`]). A site writes its slot
+    /// exactly when the coordinator receives its reply (the fault plan
+    /// decides delivery before the site runs), so encoder and decoder
+    /// always agree on the reference.
     prev_summaries: Vec<Arc<Mutex<Option<Bytes>>>>,
     /// Every sync executed so far, in order.
     pub history: Vec<SyncRecord>,
@@ -176,7 +180,7 @@ impl Clone for ContinuousCluster {
             since_sync: self.since_sync,
             recorder: self.recorder.clone(),
             // Deep-copy the dictionary slots: a cloned fleet must not
-            // mutate the original's RLZ references.
+            // mutate the original's references.
             prev_summaries: self
                 .prev_summaries
                 .iter()
@@ -306,7 +310,7 @@ impl ContinuousCluster {
             })
             .collect();
         // Snapshot the pre-sync dictionaries now: sites overwrite their
-        // slots with this sync's summaries while the protocol runs, and
+        // slots with this sync's uploads while the protocol runs, and
         // the coordinator must decode against the *previous* ones.
         let dicts: Vec<Bytes> = self
             .prev_summaries
@@ -323,18 +327,7 @@ impl ContinuousCluster {
         // dropout in one sync must not doom a site for the fleet's
         // remaining lifetime.
         let faults = self.cfg.faults.derive(self.history.len() as u64);
-        let out = run_protocol(
-            &mut sites,
-            coordinator,
-            RunOptions {
-                shards: (!self.cfg.parallel).then_some(1),
-                transport: self.cfg.transport,
-                link: self.cfg.link,
-                faults,
-                recorder: self.recorder.clone(),
-                ..RunOptions::new().encoding(self.cfg.encoding)
-            },
-        );
+        let out = run_protocol(&mut sites, coordinator, self.sync_options(faults));
         let (centers, cost, excluded_weight) = out.output;
         if self.recorder.enabled() {
             self.recorder.record(Event::SyncEnd {
@@ -352,6 +345,24 @@ impl ContinuousCluster {
         });
         self.history.len() - 1
     }
+
+    /// Runtime options of one sync under the given fault plan.
+    fn sync_options(&self, faults: FaultPlan) -> RunOptions {
+        let shards = if self.cfg.parallel {
+            self.cfg.stream.threads.get()
+        } else {
+            1
+        };
+        RunOptions {
+            faults,
+            recorder: self.recorder.clone(),
+            ..RunOptions::new()
+                .transport(self.cfg.transport)
+                .link(self.cfg.link)
+                .encoding(self.cfg.encoding)
+                .shards(shards)
+        }
+    }
 }
 
 /// Site-side state of the weighted sync protocol (mirrors
@@ -362,9 +373,9 @@ struct SummarySite<'a> {
     w: &'a WeightedSet,
     site_id: usize,
     cfg: ContinuousConfig,
-    /// This site's RLZ dictionary slot (see
+    /// This site's reference dictionary slot (see
     /// [`ContinuousCluster::prev_summaries`]): read to reference-code
-    /// this sync's upload, then overwritten with its raw bytes.
+    /// this sync's upload, then overwritten with its stage input.
     prev: Arc<Mutex<Option<Bytes>>>,
     grid: Vec<usize>,
     sols: Vec<Solution>,
@@ -392,12 +403,12 @@ impl<'a> SummarySite<'a> {
     }
 
     /// Frames this sync's summary upload against the previous sync's
-    /// summary, then installs the new raw bytes as the next dictionary.
+    /// upload, then installs its stage input as the next dictionary.
     fn ship_summary(&self, msg: &SummaryMsg) -> Bytes {
         let mut slot = self.prev.lock().unwrap();
-        let dict = slot.clone().unwrap_or_default();
-        let framed = msg.encode_with(self.cfg.encoding, &dict);
-        *slot = Some(msg.encode());
+        let dict = slot.take().unwrap_or_default();
+        let (framed, next) = msg.encode_and_next_dict(self.cfg.encoding, &dict);
+        *slot = Some(next);
         framed
     }
 
@@ -486,8 +497,9 @@ impl Site for SummarySite<'_> {
 struct SyncCoordinator {
     cfg: ContinuousConfig,
     dim: usize,
-    /// Per-site decode dictionaries: each site's previous-sync summary,
-    /// snapshotted before this sync's protocol started.
+    /// Per-site decode dictionaries: each site's previous-sync upload
+    /// (its stage input), snapshotted before this sync's protocol
+    /// started.
     dicts: Vec<Bytes>,
     result: Option<(PointSet, f64, f64)>,
 }
@@ -770,6 +782,80 @@ mod tests {
             "second-sync ratio {}",
             rlz_rec.stats.compression_ratio()
         );
+    }
+
+    #[test]
+    fn f32_sync_references_previous_quantized_summary() {
+        // Sync 0 has no dictionary, so the reference stage is off; from
+        // sync 1 on, each site codes its quantized summary against its
+        // previous one. A twin fleet whose dictionaries are wiped before
+        // every sync never runs the stage: it must match sync 0 byte for
+        // byte, upload more from sync 1 on, and agree on every center
+        // and cost (the stage is lossless over the quantized body).
+        let mk = |encoding: Encoding| {
+            let cfg = ContinuousConfig {
+                stream: StreamConfig::new(3, 2).block(64),
+                ..ContinuousConfig::new(3, 2)
+            }
+            .sync_every(u64::MAX)
+            .encoding(encoding);
+            ContinuousCluster::new(2, 3, cfg)
+        };
+        let uploads = |c: &ContinuousCluster, sync: usize| -> Vec<usize> {
+            c.history[sync].stats.rounds[1].sites_to_coordinator.clone()
+        };
+        let (mut staged, mut plain, mut rlz) =
+            (mk(Encoding::F32), mk(Encoding::F32), mk(Encoding::Rlz));
+        for sync in 0..3 {
+            for c in [&mut staged, &mut plain, &mut rlz] {
+                feed(c, if sync == 0 { 600 } else { 60 });
+            }
+            for slot in &plain.prev_summaries {
+                *slot.lock().unwrap() = None;
+            }
+            for c in [&mut staged, &mut plain, &mut rlz] {
+                c.sync();
+            }
+            let (a, b) = (&staged.history[sync], &plain.history[sync]);
+            assert_eq!(a.centers, b.centers, "sync {sync}");
+            assert_eq!(a.cost, b.cost, "sync {sync}");
+            assert_eq!(a.stats.raw_bytes(), b.stats.raw_bytes(), "sync {sync}");
+            let (with, without) = (uploads(&staged, sync), uploads(&plain, sync));
+            if sync == 0 {
+                assert_eq!(with, without, "no dictionary on the first sync");
+            } else {
+                for (site, (w, wo)) in with.iter().zip(&without).enumerate() {
+                    assert!(w < wo, "sync {sync} site {site}: {w}B not below {wo}B");
+                }
+            }
+        }
+        // Quantize-then-reference beats referencing the raw summary.
+        let (f32_rec, rlz_rec) = (&staged.history[1], &rlz.history[1]);
+        assert_eq!(f32_rec.stats.raw_bytes(), rlz_rec.stats.raw_bytes());
+        assert!(
+            f32_rec.stats.total_bytes() < rlz_rec.stats.total_bytes(),
+            "f32 {}B not below rlz {}B",
+            f32_rec.stats.total_bytes(),
+            rlz_rec.stats.total_bytes()
+        );
+    }
+
+    #[test]
+    fn sync_shards_follow_the_thread_budget() {
+        // The batch jobs' rule: `threads` shards when parallel, else one.
+        let shards = |parallel: bool, threads: usize| {
+            let cfg = ContinuousConfig {
+                stream: StreamConfig::new(2, 1).threads(threads),
+                parallel,
+                ..ContinuousConfig::new(2, 1)
+            };
+            ContinuousCluster::new(2, 8, cfg)
+                .sync_options(FaultPlan::none())
+                .shards
+        };
+        assert_eq!(shards(true, 3), Some(3));
+        assert_eq!(shards(true, 1), Some(1));
+        assert_eq!(shards(false, 4), Some(1));
     }
 
     #[test]

@@ -104,20 +104,30 @@ impl SummaryMsg {
         self.write().finish()
     }
 
-    /// Serializes the summary inside a codec frame. Under
-    /// [`Encoding::Rlz`] the `dict` is the site's *previous* sync
-    /// summary (its raw [`Self::encode`] bytes): consecutive summaries
-    /// of a slowly drifting stream share most of their bytes, which is
-    /// exactly what reference coding exploits. Other encodings ignore
-    /// the dictionary; [`Encoding::Raw`] produces [`Self::encode`]'s
+    /// Serializes the summary inside a codec frame, reference-coded
+    /// against `dict`: the site's *previous* sync upload at the same
+    /// stage, as [`Self::encode_and_next_dict`] returned it.
+    /// Consecutive summaries of a slowly drifting stream share most of
+    /// their bytes, which is exactly what reference coding exploits.
+    /// [`Encoding::Rlz`] always codes against `dict`, [`Encoding::F32`]
+    /// codes its quantized body against a non-empty one, and
+    /// [`Encoding::Raw`] ignores it and produces [`Self::encode`]'s
     /// bytes unchanged.
     pub fn encode_with(&self, encoding: Encoding, dict: &[u8]) -> Bytes {
         dpc_codec::frame(encoding, self.write(), dict)
     }
 
+    /// [`Self::encode_with`], also returning the dictionary the site's
+    /// next upload is coded against (see
+    /// [`dpc_codec::frame_and_next_dict`]).
+    pub fn encode_and_next_dict(&self, encoding: Encoding, dict: &[u8]) -> (Bytes, Bytes) {
+        dpc_codec::frame_and_next_dict(encoding, self.write(), dict)
+    }
+
     /// Deserializes a summary produced by [`Self::encode_with`] with the
-    /// same encoding and dictionary. An RLZ frame whose dictionary does
-    /// not match panics rather than silently corrupting coordinates.
+    /// same encoding and dictionary. A reference-coded frame whose
+    /// dictionary does not match panics rather than silently corrupting
+    /// coordinates.
     pub fn decode_with(encoding: Encoding, buf: Bytes, dict: &[u8]) -> Self {
         Self::decode(dpc_codec::unframe(encoding, buf, dict))
     }

@@ -265,6 +265,68 @@ fn continuous_sync_tolerates_dropout() {
     }
 }
 
+/// F32 continuous syncs under dropout, on every backend: a site that
+/// misses a sync keeps its reference dictionary, so its next upload is
+/// still coded against what the coordinator holds. A desynced slot would
+/// panic on the reference checksum; the per-round bytes, centers and
+/// cost must also match on channel, one mux shard and two.
+#[test]
+fn f32_reference_dictionaries_agree_across_backends_under_dropout() {
+    let (k, t) = (3, 8);
+    let stream = drift_workload(3000, 23);
+    let run = |transport: TransportKind, shards: usize| {
+        let cfg = ContinuousConfig {
+            stream: StreamConfig::new(k, t).block(128).threads(shards),
+            parallel: shards > 1,
+            ..ContinuousConfig::new(k, t)
+        }
+        .sync_every(500)
+        .transport(transport)
+        .encoding(Encoding::F32)
+        .faults(FaultPlan::with_dropout(3, 0.25));
+        let mut fleet = ContinuousCluster::new(2, 3, cfg);
+        for (i, p) in stream.points.iter() {
+            fleet.ingest(i % 3, p);
+        }
+        fleet.history
+    };
+    let channel = run(TransportKind::Channel, 1);
+    assert_eq!(channel.len(), 6, "every sync completed");
+    let dropped: Vec<usize> = channel
+        .iter()
+        .map(|rec| rec.stats.total_dropouts())
+        .collect();
+    assert!(
+        dropped[1..5].iter().any(|&d| d > 0),
+        "a site must miss a middle sync and rejoin: {dropped:?}"
+    );
+    for (name, other) in [
+        ("mux/1", run(TransportKind::Mux, 1)),
+        ("mux/2", run(TransportKind::Mux, 2)),
+    ] {
+        assert_eq!(other.len(), channel.len(), "{name}");
+        for (sync, (a, b)) in channel.iter().zip(&other).enumerate() {
+            assert_eq!(
+                a.stats.num_rounds(),
+                b.stats.num_rounds(),
+                "{name} sync {sync}"
+            );
+            for (ra, rb) in a.stats.rounds.iter().zip(&b.stats.rounds) {
+                assert_eq!(
+                    ra.coordinator_to_sites, rb.coordinator_to_sites,
+                    "{name} sync {sync}"
+                );
+                assert_eq!(
+                    ra.sites_to_coordinator, rb.sites_to_coordinator,
+                    "{name} sync {sync}"
+                );
+            }
+            assert_eq!(a.centers, b.centers, "{name} sync {sync}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{name} sync {sync}");
+        }
+    }
+}
+
 /// Means and center engines summarize and solve without violating the
 /// weight/size invariants.
 #[test]

@@ -3,17 +3,18 @@
 //! must produce the same drops, the same transcripts, and the same byte
 //! charges on every transport backend — and the coordinator must charge
 //! *nothing* for a site the plan silenced. The responder-subset
-//! re-allocation used by the protocols is checked against the Lemma 3.3
-//! invariants (rank-`ρt` threshold, per-site prefix winners, exchange
-//! optimality) directly.
+//! re-allocation the protocols run (`dpc_core::threshold_round`) is
+//! checked against the Lemma 3.3 invariants (rank-`ρt` threshold,
+//! per-site prefix winners, exchange optimality) directly.
 
 use bytes::Bytes;
+use dpc_codec::Encoding;
 use dpc_coordinator::{
     run_protocol, CommStats, Coordinator, CoordinatorStep, FaultPlan, RunOptions, Site,
     TransportKind,
 };
 use dpc_core::wire::ThresholdMsg;
-use dpc_core::{allocate_outliers, site_budget_from_threshold, ConvexProfile};
+use dpc_core::{allocate_outliers, site_budget_from_threshold, threshold_round, ConvexProfile};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -299,16 +300,20 @@ proptest! {
         marginals.sort_by(|a, b| b.total_cmp(a));
         prop_assert_eq!(alloc.threshold.to_bits(), marginals[rank - 1].to_bits());
 
-        // Prefix invariant, through the sites' own threshold rule with
-        // *original* ids (the remap the coordinators broadcast).
+        // Prefix invariant, through the sites' own threshold rule applied
+        // to the messages the coordinators' shared threshold round sends
+        // when only `responders` answered (it names `i₀` by original id).
+        let replies: Vec<Option<Bytes>> = (0..sites)
+            .map(|i| responders.contains(&i).then(|| profiles[i].encode_with(Encoding::F32)))
+            .collect();
+        let msgs = threshold_round(&replies, t, rho, Encoding::F32);
+        prop_assert_eq!(msgs.len(), sites);
         let orig_i0 = responders[alloc.i0];
         for (sub_idx, &orig) in responders.iter().enumerate() {
-            let thr = ThresholdMsg {
-                threshold: alloc.threshold,
-                i0: orig_i0 as u64,
-                q0: alloc.q0 as u64,
-                exceptional: orig == orig_i0,
-            };
+            let thr = ThresholdMsg::decode_with(Encoding::F32, msgs[orig].clone());
+            prop_assert_eq!(thr.threshold.to_bits(), alloc.threshold.to_bits());
+            prop_assert_eq!((thr.i0, thr.q0), (orig_i0 as u64, alloc.q0 as u64));
+            prop_assert_eq!(thr.exceptional, orig == orig_i0);
             let derived = site_budget_from_threshold(&profiles[orig], orig, t, &thr);
             if orig == orig_i0 {
                 // The exceptional site snaps up to its next hull vertex.

@@ -23,18 +23,16 @@
 //! runs the Charikar et al. greedy-disk algorithm with exactly `t` outliers
 //! on the union (Algorithm 2 line 7).
 
-use crate::allocation::allocate_outliers;
-use crate::hull::{geometric_grid, ConvexProfile};
-use crate::wire::{DistributedSolution, PreclusterMsg, ThresholdMsg};
+use crate::allocation::{site_budget_from_threshold, threshold_round};
+use crate::hull::ConvexProfile;
+use crate::wire::{merge_summaries, DistributedSolution, PreclusterMsg, ThresholdMsg};
 use bytes::Bytes;
 use dpc_cluster::{charikar_center, gonzalez_with, CenterParams, GonzalezOrdering};
 use dpc_codec::Encoding;
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
-use dpc_metric::{
-    EuclideanMetric, NearestAssigner, PointSet, ThreadBudget, WeightedSet, WireWriter,
-};
+use dpc_metric::{EuclideanMetric, NearestAssigner, PointSet, ThreadBudget, WireWriter};
 
 /// Configuration for the distributed `(k,t)`-center protocol.
 #[derive(Clone, Copy, Debug)]
@@ -112,104 +110,67 @@ impl<'a> CenterSite<'a> {
         }
     }
 
-    /// The marginal `ℓ(i,q)`: insertion radius of the `(k+q)`-th selection
-    /// (1-indexed), i.e. `radii[k+q-1]` 0-indexed; 0 once the prefix is
-    /// exhausted (every point is a center, cost 0).
-    fn marginal(&self, q: usize) -> f64 {
-        let ord = self.ordering.as_ref().expect("gonzalez run");
-        let idx = self.cfg.k + q - 1;
-        if idx < ord.radii.len() {
-            ord.radii[idx]
-        } else {
-            0.0
-        }
-    }
-
+    /// Round 0: Gonzalez's traversal and its cumulative-radius profile.
     fn build_profile(&mut self) -> Bytes {
         let n = self.data.len();
         let (k, t) = (self.cfg.k, self.cfg.t);
-        if n == 0 {
-            let profile = ConvexProfile::lower_hull(&[(0, 0.0)]);
-            let mut w = WireWriter::new();
-            profile.encode(&mut w);
-            self.profile = Some(profile);
-            return dpc_codec::frame(self.cfg.encoding, w, &[]);
-        }
-        let m = EuclideanMetric::new(self.data);
-        let ids: Vec<usize> = (0..n).collect();
-        // Only the first k + t selections are ever needed (Theorem 4.3's
-        // O((k+t)·n_i) site time comes from exactly this cap).
-        self.ordering = Some(gonzalez_with(&m, &ids, k + t + 1, 0, self.cfg.threads));
-
-        // Cumulative profile on the geometric grid: F(q) = Σ_{r>q} ℓ(i,r).
-        let grid = geometric_grid(t, self.cfg.rho.max(1.0 + 1e-9));
-        let mut cum = vec![0.0f64; t + 1]; // cum[q] = Σ_{r>q} ℓ
-        for q in (0..t).rev() {
-            cum[q] = cum[q + 1] + self.marginal(q + 1);
-        }
-        let pts: Vec<(usize, f64)> = grid.iter().map(|&q| (q, cum[q])).collect();
-        let profile = ConvexProfile::lower_hull(&pts);
-        let mut w = WireWriter::new();
-        profile.encode(&mut w);
+        let profile = if n == 0 {
+            ConvexProfile::lower_hull(&[(0, 0.0)])
+        } else {
+            let m = EuclideanMetric::new(self.data);
+            let ids: Vec<usize> = (0..n).collect();
+            // Only the first k + t selections are ever needed (Theorem
+            // 4.3's O((k+t)·n_i) site time comes from exactly this cap).
+            let ord = gonzalez_with(&m, &ids, k + t + 1, 0, self.cfg.threads);
+            // ℓ(i,q) is the insertion radius of the (k+q)-th selection.
+            let profile = ConvexProfile::cumulative_radii(&ord.radii, k, t, self.cfg.rho);
+            self.ordering = Some(ord);
+            profile
+        };
+        let bytes = profile.encode_with(self.cfg.encoding);
         self.profile = Some(profile);
-        dpc_codec::frame(self.cfg.encoding, w, &[])
+        bytes
     }
 
-    /// Sorted-prefix rule on the *shipped* profile (identical bytes on both
-    /// ends ⇒ identical marginals ⇒ consistent tie-breaking).
-    fn t_from_threshold(&self, thr: &ThresholdMsg) -> usize {
-        let prof = self.profile.as_ref().expect("profile built");
-        let mut ti = 0usize;
-        for q in 1..=self.cfg.t {
-            let m = prof.marginal(q);
-            let wins = m > thr.threshold
-                || (m == thr.threshold && (self.site_id as u64, q as u64) <= (thr.i0, thr.q0));
-            if wins {
-                ti = q;
-            } else {
-                break;
-            }
-        }
-        ti
-    }
-
+    /// Round 1: derive `t_i` from the threshold on the *shipped* profile
+    /// (identical bytes on both ends ⇒ identical marginals ⇒ consistent
+    /// tie-breaking) and ship the `k + t_i` Gonzalez prefix.
     fn respond_threshold(&mut self, msg: &Bytes) -> Bytes {
         let thr = ThresholdMsg::decode_with(self.cfg.encoding, msg.clone());
         let n = self.data.len();
         if n == 0 {
-            return PreclusterMsg {
-                centers: PointSet::new(self.data.dim()),
-                weights: Vec::new(),
-                outliers: PointSet::new(self.data.dim()),
-                t_i: 0,
-            }
-            .encode_with(self.cfg.encoding);
+            return PreclusterMsg::empty(self.data.dim()).encode_with(self.cfg.encoding);
         }
-        let ti = if thr.exceptional {
-            let prof = self.profile.as_ref().expect("profile built");
-            prof.next_vertex_at_or_after((thr.q0 as usize).min(self.cfg.t))
-        } else {
-            self.t_from_threshold(&thr)
-        };
+        let prof = self.profile.as_ref().expect("profile built");
+        let ti = site_budget_from_threshold(prof, self.site_id, self.cfg.t, &thr);
         let ord = self.ordering.as_ref().expect("gonzalez run");
         let prefix = (self.cfg.k + ti).min(ord.order.len());
-        let chosen = &ord.order[..prefix];
-        // Attach every point (none ignored — Remark 3) to its nearest
-        // prefix selection, in one bulk assignment pass.
-        let m = EuclideanMetric::new(self.data);
-        let ids: Vec<usize> = (0..n).collect();
-        let assigned = NearestAssigner::with_threads(&m, self.cfg.threads).assign(&ids, chosen);
-        let mut weights = vec![0.0f64; prefix];
-        for &pos in &assigned.pos {
-            weights[pos] += 1.0;
-        }
-        PreclusterMsg {
-            centers: self.data.subset(chosen),
-            weights,
-            outliers: PointSet::new(self.data.dim()),
-            t_i: ti as u64,
-        }
-        .encode_with(self.cfg.encoding)
+        prefix_msg(self.data, &ord.order[..prefix], ti, self.cfg.threads)
+            .encode_with(self.cfg.encoding)
+    }
+}
+
+/// A center site's summary: the `chosen` Gonzalez prefix, each selection
+/// weighted by the points attached to it. Every point is attached (none
+/// ignored — Remark 3), in one bulk nearest-selection pass.
+pub(crate) fn prefix_msg(
+    data: &PointSet,
+    chosen: &[usize],
+    t_i: usize,
+    threads: ThreadBudget,
+) -> PreclusterMsg {
+    let m = EuclideanMetric::new(data);
+    let ids: Vec<usize> = (0..data.len()).collect();
+    let assigned = NearestAssigner::with_threads(&m, threads).assign(&ids, chosen);
+    let mut weights = vec![0.0f64; chosen.len()];
+    for &pos in &assigned.pos {
+        weights[pos] += 1.0;
+    }
+    PreclusterMsg {
+        centers: data.subset(chosen),
+        weights,
+        outliers: PointSet::new(data.dim()),
+        t_i: t_i as u64,
     }
 }
 
@@ -236,51 +197,14 @@ impl Coordinator for CenterCoordinator {
     fn step(&mut self, round: usize, replies: Vec<Option<Bytes>>) -> CoordinatorStep {
         match round {
             0 => CoordinatorStep::Broadcast(self.cfg.encode()),
-            1 => {
-                // Degrade over responders exactly like Algorithm 1: the
-                // allocation re-solves over the profiles that arrived,
-                // and the threshold names the exceptional site by its
-                // original id (see `MedianCoordinator::step`).
-                let s = replies.len();
-                let responders: Vec<usize> = replies
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|_| i))
-                    .collect();
-                let profiles: Vec<ConvexProfile> = replies
-                    .iter()
-                    .flatten()
-                    .map(|b| {
-                        let payload = dpc_codec::unframe(self.cfg.encoding, b.clone(), &[]);
-                        let mut r = dpc_metric::WireReader::new(payload);
-                        ConvexProfile::decode(&mut r)
-                    })
-                    .collect();
-                let enc = self.cfg.encoding;
-                let msg_for = move |threshold: f64, i0: u64, q0: u64| {
-                    move |i: usize| {
-                        ThresholdMsg {
-                            threshold,
-                            i0,
-                            q0,
-                            exceptional: i as u64 == i0,
-                        }
-                        .encode_with(enc)
-                    }
-                };
-                let msgs = if profiles.is_empty() || self.cfg.t == 0 {
-                    (0..s).map(msg_for(f64::INFINITY, u64::MAX, 0)).collect()
-                } else {
-                    let alloc = allocate_outliers(&profiles, self.cfg.t, self.cfg.rho);
-                    let i0 = responders[alloc.i0];
-                    (0..s)
-                        .map(msg_for(alloc.threshold, i0 as u64, alloc.q0 as u64))
-                        .collect()
-                };
-                CoordinatorStep::Messages(msgs)
-            }
+            1 => CoordinatorStep::Messages(threshold_round(
+                &replies,
+                self.cfg.t,
+                self.cfg.rho,
+                self.cfg.encoding,
+            )),
             2 => {
-                self.result = Some(self.solve_final(replies));
+                self.result = Some(solve_summaries(&self.cfg, self.dim, replies));
                 CoordinatorStep::Finish
             }
             r => panic!("center coordinator has no round {r}"),
@@ -292,54 +216,40 @@ impl Coordinator for CenterCoordinator {
     }
 }
 
-impl CenterCoordinator {
-    fn solve_final(&mut self, replies: Vec<Option<Bytes>>) -> DistributedSolution {
-        let enc = self.cfg.encoding;
-        let msgs: Vec<PreclusterMsg> = replies
-            .into_iter()
-            .flatten()
-            .map(|b| PreclusterMsg::decode_with(enc, b))
-            .collect();
-        let dim = msgs
-            .iter()
-            .find(|m| !m.centers.is_empty())
-            .map(|m| m.centers.dim())
-            .unwrap_or(self.dim);
-        let mut merged = PointSet::new(dim);
-        let mut weighted = WeightedSet::new();
-        let mut shipped: u64 = 0;
-        for m in &msgs {
-            shipped += m.t_i;
-            let off = merged.extend_from(&m.centers);
-            for (j, &w) in m.weights.iter().enumerate() {
-                weighted.push(off + j, w);
-            }
-        }
-        if weighted.is_empty() {
-            return DistributedSolution {
-                centers: PointSet::new(dim),
-                coordinator_cost: 0.0,
-                excluded_weight: 0.0,
-                shipped_outliers: 0,
-            };
-        }
-        let metric = EuclideanMetric::new(&merged);
-        let sol = charikar_center(
-            &metric,
-            &weighted,
-            self.cfg.k,
-            self.cfg.t as f64,
-            CenterParams {
-                threads: self.cfg.threads,
-                ..self.cfg.charikar
-            },
-        );
-        DistributedSolution {
-            centers: merged.subset(&sol.centers),
-            coordinator_cost: sol.cost,
-            excluded_weight: sol.outlier_weight(),
-            shipped_outliers: shipped,
-        }
+/// The coordinator's final solve: round 2 of Algorithm 2, and the only
+/// round of the one-round protocol. Merges the weighted prefixes that
+/// arrived and runs the Charikar et al. greedy-disk algorithm with
+/// exactly `t` outliers on the union (Algorithm 2 line 7).
+pub(crate) fn solve_summaries(
+    cfg: &CenterConfig,
+    dim: usize,
+    replies: Vec<Option<Bytes>>,
+) -> DistributedSolution {
+    let (merged, weighted, shipped) = merge_summaries(replies, cfg.encoding, dim);
+    if weighted.is_empty() {
+        return DistributedSolution {
+            centers: PointSet::new(dim),
+            coordinator_cost: 0.0,
+            excluded_weight: 0.0,
+            shipped_outliers: 0,
+        };
+    }
+    let metric = EuclideanMetric::new(&merged);
+    let sol = charikar_center(
+        &metric,
+        &weighted,
+        cfg.k,
+        cfg.t as f64,
+        CenterParams {
+            threads: cfg.threads,
+            ..cfg.charikar
+        },
+    );
+    DistributedSolution {
+        centers: merged.subset(&sol.centers),
+        coordinator_cost: sol.cost,
+        excluded_weight: sol.outlier_weight(),
+        shipped_outliers: shipped,
     }
 }
 

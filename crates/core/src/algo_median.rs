@@ -24,10 +24,10 @@
 //! Communication: `O((sk + t)·B)` bytes (`O(s/δ + sk·B)` for the
 //! δ-variant) — measured, not just bounded, by the runner.
 
-use crate::allocation::{allocate_outliers, site_budget_from_threshold};
+use crate::allocation::{site_budget_from_threshold, threshold_round};
 use crate::hull::{geometric_grid, ConvexProfile};
 use crate::merge::merge_solutions_with;
-use crate::wire::{DistributedSolution, PreclusterMsg, ThresholdMsg};
+use crate::wire::{merge_summaries, DistributedSolution, PreclusterMsg, ThresholdMsg};
 use bytes::Bytes;
 use dpc_cluster::{
     median_bicriteria, median_bicriteria_grid, median_bicriteria_relaxed_centers, BicriteriaParams,
@@ -38,7 +38,8 @@ use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
 use dpc_metric::{
-    EuclideanMetric, Objective, PointSet, SquaredMetric, ThreadBudget, WeightedSet, WireWriter,
+    EuclideanMetric, Metric, Objective, PointSet, SquaredMetric, ThreadBudget, WeightedSet,
+    WireWriter,
 };
 
 /// Which flavour of Algorithm 1 to run.
@@ -77,7 +78,9 @@ pub struct MedianConfig {
     pub ls: LocalSearchParams,
     /// Use the second form of Theorem 3.1 at the coordinator: open up to
     /// `(1+ε)k` centers but exclude only exactly `t` weight (Table 2's
-    /// `(1+ε)k` rows).
+    /// `(1+ε)k` rows). The 2-round and the one-round protocols share the
+    /// coordinator solve, so both honour it. No job, CLI flag or
+    /// benchmark sets it; only the library's own tests do.
     pub relax_centers: bool,
     /// Thread budget for the bulk distance kernels: the site grid solve,
     /// evaluation and merge, and the coordinator solve (the local search
@@ -172,9 +175,29 @@ impl MedianConfig {
     }
 }
 
+/// A site's local bicriteria `(2k, q)` solutions at each exact budget `q`
+/// of `budgets`, in one grid solve.
+pub(crate) fn site_grid_solve(
+    data: &PointSet,
+    site_id: usize,
+    cfg: &MedianConfig,
+    budgets: &[f64],
+) -> Vec<Solution> {
+    let params = cfg.site_solver_params(site_id);
+    let w = WeightedSet::unit(data.len());
+    let k = 2 * cfg.k;
+    if cfg.means {
+        let m = SquaredMetric::new(EuclideanMetric::new(data));
+        median_bicriteria_grid(&m, &w, k, budgets, Objective::Median, params)
+    } else {
+        let m = EuclideanMetric::new(data);
+        median_bicriteria_grid(&m, &w, k, budgets, Objective::Median, params)
+    }
+}
+
 /// Re-evaluates `centers` on a shard at an exact integral budget, returning
 /// the full assignment record.
-fn local_evaluate(
+pub(crate) fn local_evaluate(
     data: &PointSet,
     means: bool,
     centers: Vec<usize>,
@@ -254,16 +277,7 @@ impl<'a> MedianSite<'a> {
         // grid is sorted, so those are a prefix.
         let solvable = self.grid.partition_point(|&q| q < n);
         let budgets: Vec<f64> = self.grid[..solvable].iter().map(|&q| q as f64).collect();
-        let params = self.cfg.site_solver_params(self.site_id);
-        let w = WeightedSet::unit(n);
-        let k = 2 * self.cfg.k;
-        self.sols = if self.cfg.means {
-            let m = SquaredMetric::new(EuclideanMetric::new(self.data));
-            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
-        } else {
-            let m = EuclideanMetric::new(self.data);
-            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
-        };
+        self.sols = site_grid_solve(self.data, self.site_id, &self.cfg, &budgets);
         // Degenerate grid points (q >= n): the whole shard can be ignored.
         self.sols.resize_with(self.grid.len(), || Solution {
             centers: if n == 0 { Vec::new() } else { vec![0] },
@@ -278,12 +292,9 @@ impl<'a> MedianSite<'a> {
             .map(|(&q, sol)| (q, sol.cost))
             .collect();
         let profile = ConvexProfile::lower_hull(&pts);
-        let mut w = WireWriter::new();
-        profile.encode(&mut w);
+        let bytes = profile.encode_with(self.cfg.encoding);
         self.profile = Some(profile);
-        // Profiles are (count, cost) pairs with no coordinate spans:
-        // bit-exact under every encoding.
-        dpc_codec::frame(self.cfg.encoding, w, &[])
+        bytes
     }
 
     /// Round 1: derive `t_i`, pick/merge the local solution, ship it.
@@ -292,13 +303,7 @@ impl<'a> MedianSite<'a> {
         let prof = self.profile.as_ref().expect("profile built in round 0");
         let n = self.data.len();
         if n == 0 {
-            return PreclusterMsg {
-                centers: PointSet::new(self.data.dim()),
-                weights: Vec::new(),
-                outliers: PointSet::new(self.data.dim()),
-                t_i: 0,
-            }
-            .encode_with(self.cfg.encoding);
+            return PreclusterMsg::empty(self.data.dim()).encode_with(self.cfg.encoding);
         }
         let ship = self.cfg.variant == DeltaVariant::ShipOutliers;
 
@@ -370,58 +375,14 @@ impl Coordinator for MedianCoordinator {
     fn step(&mut self, round: usize, replies: Vec<Option<Bytes>>) -> CoordinatorStep {
         match round {
             0 => CoordinatorStep::Broadcast(self.cfg.encode()),
-            1 => {
-                // Graceful degradation (Lemma 3.3 over the responders):
-                // sites that missed round 0 simply contribute no profile,
-                // and the water-filling allocation re-solves over the
-                // ones that answered. Filtering preserves site order, so
-                // the stable (ℓ, i, q) tie-break over responder indices
-                // is order-isomorphic to the full sort — the broadcast
-                // threshold just has to name the exceptional site by its
-                // *original* id, which is what the sites compare against.
-                let s = replies.len();
-                let responders: Vec<usize> = replies
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|_| i))
-                    .collect();
-                let profiles: Vec<ConvexProfile> = replies
-                    .iter()
-                    .flatten()
-                    .map(|b| {
-                        let payload = dpc_codec::unframe(self.cfg.encoding, b.clone(), &[]);
-                        let mut r = dpc_metric::WireReader::new(payload);
-                        ConvexProfile::decode(&mut r)
-                    })
-                    .collect();
-                let enc = self.cfg.encoding;
-                let msg_for = move |threshold: f64, i0: u64, q0: u64| {
-                    move |i: usize| {
-                        ThresholdMsg {
-                            threshold,
-                            i0,
-                            q0,
-                            exceptional: i as u64 == i0,
-                        }
-                        .encode_with(enc)
-                    }
-                };
-                let msgs = if profiles.is_empty() || self.cfg.t == 0 {
-                    // No budget to split (or no sites left to split it
-                    // over): an infinite threshold that no marginal beats
-                    // makes every site keep t_i = 0.
-                    (0..s).map(msg_for(f64::INFINITY, u64::MAX, 0)).collect()
-                } else {
-                    let alloc = allocate_outliers(&profiles, self.cfg.t, self.cfg.rho);
-                    let i0 = responders[alloc.i0];
-                    (0..s)
-                        .map(msg_for(alloc.threshold, i0 as u64, alloc.q0 as u64))
-                        .collect()
-                };
-                CoordinatorStep::Messages(msgs)
-            }
+            1 => CoordinatorStep::Messages(threshold_round(
+                &replies,
+                self.cfg.t,
+                self.cfg.rho,
+                self.cfg.encoding,
+            )),
             2 => {
-                self.result = Some(self.solve_final(replies));
+                self.result = Some(solve_summaries(&self.cfg, self.dim, replies));
                 CoordinatorStep::Finish
             }
             r => panic!("median coordinator has no round {r}"),
@@ -433,108 +394,57 @@ impl Coordinator for MedianCoordinator {
     }
 }
 
-impl MedianCoordinator {
-    /// Round 2: merge the summaries into one weighted instance and run the
-    /// Theorem 3.1 solver with the `(1+ε)t` budget. Sites that dropped
-    /// out contribute nothing — their points are simply absent from the
-    /// merged instance.
-    fn solve_final(&mut self, replies: Vec<Option<Bytes>>) -> DistributedSolution {
-        let enc = self.cfg.encoding;
-        let msgs: Vec<PreclusterMsg> = replies
-            .into_iter()
-            .flatten()
-            .map(|b| PreclusterMsg::decode_with(enc, b))
-            .collect();
-        let dim = msgs
-            .iter()
-            .find(|m| !m.centers.is_empty() || !m.outliers.is_empty())
-            .map(|m| m.centers.dim())
-            .unwrap_or(self.dim);
-        let mut merged = PointSet::new(dim);
-        let mut weighted = WeightedSet::new();
-        let mut shipped: u64 = 0;
-        for m in &msgs {
-            shipped += m.t_i;
-            let off = merged.extend_from(&m.centers);
-            for (j, &w) in m.weights.iter().enumerate() {
-                weighted.push(off + j, w);
-            }
-            let off = merged.extend_from(&m.outliers);
-            for j in 0..m.outliers.len() {
-                weighted.push(off + j, 1.0);
-            }
-        }
-        if weighted.is_empty() {
-            return DistributedSolution {
-                centers: PointSet::new(dim),
-                coordinator_cost: 0.0,
-                excluded_weight: 0.0,
-                shipped_outliers: 0,
-            };
-        }
-        // Budget at the coordinator: t (ε-relaxed inside the solver). In
-        // the counts-only variant the t_i locally ignored points were never
-        // shipped, hence the (2+ε+δ)t total of Theorem 3.8.
-        let mut ls = self.cfg.ls;
-        ls.threads = self.cfg.threads;
-        let params = BicriteriaParams {
-            eps: self.cfg.eps,
-            lambda_iters: self.cfg.lambda_iters,
-            ls,
+/// The coordinator's final solve: round 2 of Algorithm 1, and the only
+/// round of the one-round protocol. Merges the summaries into one
+/// weighted instance and runs the Theorem 3.1 solver with the `(1+ε)t`
+/// budget (`t`, ε-relaxed inside the solver). In the counts-only variant
+/// the `t_i` locally ignored points were never shipped, hence the
+/// `(2+ε+δ)t` total of Theorem 3.8. Sites that dropped out contribute
+/// nothing: their points are simply absent from the merged instance.
+pub(crate) fn solve_summaries(
+    cfg: &MedianConfig,
+    dim: usize,
+    replies: Vec<Option<Bytes>>,
+) -> DistributedSolution {
+    let (merged, weighted, shipped) = merge_summaries(replies, cfg.encoding, dim);
+    if weighted.is_empty() {
+        return DistributedSolution {
+            centers: PointSet::new(dim),
+            coordinator_cost: 0.0,
+            excluded_weight: 0.0,
+            shipped_outliers: 0,
         };
-        let solve = |relax: bool| {
-            if self.cfg.means {
-                let m = SquaredMetric::new(EuclideanMetric::new(&merged));
-                if relax {
-                    median_bicriteria_relaxed_centers(
-                        &m,
-                        &weighted,
-                        self.cfg.k,
-                        self.cfg.t as f64,
-                        Objective::Median,
-                        params,
-                    )
-                } else {
-                    median_bicriteria(
-                        &m,
-                        &weighted,
-                        self.cfg.k,
-                        self.cfg.t as f64,
-                        Objective::Median,
-                        params,
-                    )
-                }
-            } else {
-                let m = EuclideanMetric::new(&merged);
-                if relax {
-                    median_bicriteria_relaxed_centers(
-                        &m,
-                        &weighted,
-                        self.cfg.k,
-                        self.cfg.t as f64,
-                        Objective::Median,
-                        params,
-                    )
-                } else {
-                    median_bicriteria(
-                        &m,
-                        &weighted,
-                        self.cfg.k,
-                        self.cfg.t as f64,
-                        Objective::Median,
-                        params,
-                    )
-                }
-            }
-        };
-        let sol = solve(self.cfg.relax_centers);
-        DistributedSolution {
-            centers: merged.subset(&sol.centers),
-            coordinator_cost: sol.cost,
-            excluded_weight: sol.outlier_weight(),
-            shipped_outliers: shipped,
-        }
     }
+    let sol = if cfg.means {
+        let m = SquaredMetric::new(EuclideanMetric::new(&merged));
+        coordinator_solve(&m, &weighted, cfg)
+    } else {
+        coordinator_solve(&EuclideanMetric::new(&merged), &weighted, cfg)
+    };
+    DistributedSolution {
+        centers: merged.subset(&sol.centers),
+        coordinator_cost: sol.cost,
+        excluded_weight: sol.outlier_weight(),
+        shipped_outliers: shipped,
+    }
+}
+
+/// The Theorem 3.1 solve of [`solve_summaries`], in the form
+/// [`MedianConfig::relax_centers`] picks.
+fn coordinator_solve<M: Metric>(m: &M, w: &WeightedSet, cfg: &MedianConfig) -> Solution {
+    let mut ls = cfg.ls;
+    ls.threads = cfg.threads;
+    let params = BicriteriaParams {
+        eps: cfg.eps,
+        lambda_iters: cfg.lambda_iters,
+        ls,
+    };
+    let solve = if cfg.relax_centers {
+        median_bicriteria_relaxed_centers::<M>
+    } else {
+        median_bicriteria::<M>
+    };
+    solve(m, w, cfg.k, cfg.t as f64, Objective::Median, params)
 }
 
 /// Runs the full distributed `(k,(1+ε)t)`-median/means protocol over the

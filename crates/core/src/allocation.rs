@@ -11,6 +11,8 @@
 
 use crate::hull::ConvexProfile;
 use crate::wire::ThresholdMsg;
+use bytes::Bytes;
+use dpc_codec::Encoding;
 
 /// Result of the allocation step.
 #[derive(Clone, Debug)]
@@ -79,6 +81,56 @@ pub fn allocate_outliers(profiles: &[ConvexProfile], t: usize, rho: f64) -> Allo
     }
 }
 
+/// The coordinator's threshold round of Algorithm 1 (lines 7–11), over
+/// the sites that answered: decodes each responder's profile (framed with
+/// `encoding`), water-fills `ρt` over them with [`allocate_outliers`], and
+/// returns one framed [`ThresholdMsg`] per site, `None` slots included.
+///
+/// This is how every protocol degrades under dropout (Lemma 3.3 over the
+/// responders). A site that missed the profile round contributes no
+/// profile. Filtering keeps site order, so the stable `(ℓ, i, q)`
+/// tie-break over responder indices orders the marginals exactly as over
+/// the original ids; the message just names `i₀` by its *original* id,
+/// which is what sites compare against. With `t = 0` or no responders
+/// there is nothing to split: the threshold is `∞` with `i₀ = u64::MAX`,
+/// so no marginal wins and every site keeps `t_i = 0`.
+pub fn threshold_round(
+    replies: &[Option<Bytes>],
+    t: usize,
+    rho: f64,
+    encoding: Encoding,
+) -> Vec<Bytes> {
+    let (responders, profiles): (Vec<usize>, Vec<ConvexProfile>) = replies
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            let b = r.as_ref()?;
+            Some((i, ConvexProfile::decode_with(encoding, b.clone())))
+        })
+        .unzip();
+    let (threshold, i0, q0) = if profiles.is_empty() || t == 0 {
+        (f64::INFINITY, u64::MAX, 0)
+    } else {
+        let alloc = allocate_outliers(&profiles, t, rho);
+        (
+            alloc.threshold,
+            responders[alloc.i0] as u64,
+            alloc.q0 as u64,
+        )
+    };
+    (0..replies.len() as u64)
+        .map(|i| {
+            ThresholdMsg {
+                threshold,
+                i0,
+                q0,
+                exceptional: i == i0,
+            }
+            .encode_with(encoding)
+        })
+        .collect()
+}
+
 /// Site-side dual of [`allocate_outliers`]: derives `t_i` from the
 /// broadcast threshold (Algorithm 1, lines 12–13).
 ///
@@ -86,9 +138,11 @@ pub fn allocate_outliers(profiles: &[ConvexProfile], t: usize, rho: f64) -> Allo
 /// at or after `q₀`; every other site takes the largest `q` whose marginal
 /// ranks at or before the threshold element in the coordinator's stable
 /// order (ties broken lexicographically by `(i, q)`, matching Equation
-/// (4)). Every protocol deriving budgets from a [`ThresholdMsg`] — the
-/// batch Algorithm 1 and the streaming sync alike — must use this one
-/// rule, or `Σ t_i` drifts from the allocation's rank.
+/// (4)). Every protocol deriving budgets from a [`ThresholdMsg`] uses
+/// this one rule, or `Σ t_i` would drift from the allocation's rank:
+/// the median/means and center sites of Algorithms 1–2, the uncertain
+/// sites of Algorithms 3–4 (`dpc_uncertain`) and the continuous sync
+/// sites (`dpc_stream`).
 pub fn site_budget_from_threshold(
     profile: &ConvexProfile,
     site_id: usize,

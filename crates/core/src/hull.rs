@@ -11,6 +11,8 @@
 //! observation), but the hull is within the grid's approximation factor of
 //! them.
 
+use bytes::Bytes;
+use dpc_codec::Encoding;
 use dpc_metric::{WireReader, WireWriter};
 
 /// The geometric grid `I` for outlier counts: `{⌊ρ^r⌋} ∪ {0, t}`, sorted and
@@ -97,6 +99,24 @@ impl ConvexProfile {
         }
     }
 
+    /// Algorithm 2's cumulative insertion-radius profile: `F(q) =
+    /// Σ_{q<r≤t} ℓ(r)` with marginal `ℓ(r) = radii[skip + r − 1]` (0 once
+    /// the radii run out), sampled on the geometric grid `I` for `(t, ρ)`
+    /// and hulled. `radii` are Gonzalez insertion radii, non-increasing,
+    /// and `skip` is the number of selections kept as centers, so `ℓ(r)`
+    /// is the radius of the `(skip + r)`-th selection.
+    pub fn cumulative_radii(radii: &[f64], skip: usize, t: usize, rho: f64) -> Self {
+        let mut cum = vec![0.0f64; t + 1];
+        for q in (0..t).rev() {
+            cum[q] = cum[q + 1] + radii.get(skip + q).copied().unwrap_or(0.0);
+        }
+        let pts: Vec<(usize, f64)> = geometric_grid(t, rho.max(1.0 + 1e-9))
+            .into_iter()
+            .map(|q| (q, cum[q]))
+            .collect();
+        Self::lower_hull(&pts)
+    }
+
     /// Largest point of the domain (`t`).
     pub fn max_q(&self) -> usize {
         *self.qs.last().expect("non-empty hull")
@@ -171,6 +191,22 @@ impl ConvexProfile {
             fs.push(r.get_f64());
         }
         ConvexProfile { qs, fs }
+    }
+
+    /// Serializes the hull inside a codec frame ([`Encoding::Raw`]
+    /// produces [`Self::encode`]'s bytes unframed). The payload is
+    /// `(count, cost)` pairs with no coordinate spans, so every encoding
+    /// keeps it bit-exact.
+    pub fn encode_with(&self, encoding: Encoding) -> Bytes {
+        let mut w = WireWriter::new();
+        self.encode(&mut w);
+        dpc_codec::frame(encoding, w, &[])
+    }
+
+    /// Deserializes a hull produced by [`Self::encode_with`] with the
+    /// same encoding.
+    pub fn decode_with(encoding: Encoding, buf: Bytes) -> Self {
+        Self::decode(&mut WireReader::new(dpc_codec::unframe(encoding, buf, &[])))
     }
 }
 

@@ -9,7 +9,11 @@
 //! * [`allocation`] — the water-filling outlier allocation: the coordinator
 //!   stably sorts all marginals `ℓ(i,q) = f_i(q−1) − f_i(q)` in decreasing
 //!   lexicographic-tie-broken order and thresholds at rank `ρt`
-//!   (Algorithm 1, lines 7–14; optimality is Lemma 3.3);
+//!   (Algorithm 1, lines 7–14; optimality is Lemma 3.3). It holds the
+//!   steps every protocol shares: [`threshold_round`], the coordinator's
+//!   round over the sites that answered (the one place dropout re-runs
+//!   Lemma 3.3), and [`site_budget_from_threshold`], the site's `t_i`
+//!   rule (lines 12–13);
 //! * [`algo_median`] — **Algorithm 1**: distributed `(k,(1+ε)t)`-median and
 //!   means in 2 rounds with `O˜((sk+t)B)` communication (Theorem 3.6), plus
 //!   the `ρ = 1+δ` counts-only variant of **Theorem 3.8**;
@@ -40,7 +44,7 @@ pub mod wire;
 
 pub use algo_center::{run_distributed_center, CenterConfig};
 pub use algo_median::{run_distributed_median, DeltaVariant, MedianConfig};
-pub use allocation::{allocate_outliers, site_budget_from_threshold, Allocation};
+pub use allocation::{allocate_outliers, site_budget_from_threshold, threshold_round, Allocation};
 pub use evaluate::{
     evaluate_on_full_data, evaluate_on_full_data_recorded, evaluate_on_full_data_with, merge_shards,
 };

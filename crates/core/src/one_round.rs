@@ -7,19 +7,16 @@
 //! site ships its `k + t` Gonzalez prefix), which Theorem 4.3 improves on;
 //! it doubles as the experimental baseline for E4/E11.
 
-use crate::algo_center::CenterConfig;
-use crate::algo_median::MedianConfig;
+use crate::algo_center::{self, prefix_msg, CenterConfig};
+use crate::algo_median::{self, local_evaluate, precluster_msg, site_grid_solve, MedianConfig};
 use crate::wire::{DistributedSolution, PreclusterMsg};
 use bytes::Bytes;
-use dpc_cluster::{
-    charikar_center, gonzalez_with, median_bicriteria, BicriteriaParams, CenterParams, Solution,
-};
+use dpc_cluster::gonzalez_with;
+use dpc_codec::Encoding;
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
-use dpc_metric::{
-    EuclideanMetric, NearestAssigner, Objective, PointSet, SquaredMetric, WeightedSet, WireWriter,
-};
+use dpc_metric::{EuclideanMetric, PointSet, WireWriter};
 
 /// Site for the 1-round median/means protocol: one shot, full hedge.
 struct OneRoundMedianSite<'a> {
@@ -33,63 +30,28 @@ impl Site for OneRoundMedianSite<'_> {
         assert_eq!(round, 0, "one-round site called twice");
         let n = self.data.len();
         if n == 0 {
-            return PreclusterMsg {
-                centers: PointSet::new(self.data.dim()),
-                weights: Vec::new(),
-                outliers: PointSet::new(self.data.dim()),
-                t_i: 0,
-            }
-            .encode_with(self.cfg.encoding);
+            return PreclusterMsg::empty(self.data.dim()).encode_with(self.cfg.encoding);
         }
         let t_local = self.cfg.t.min(n);
-        let mut params = BicriteriaParams {
-            eps: 0.0,
-            lambda_iters: self.cfg.lambda_iters,
-            ls: self.cfg.ls,
-        };
-        params.ls.seed = params.ls.seed.wrapping_add(self.site_id as u64);
-        params.ls.threads = self.cfg.threads;
-        let w = WeightedSet::unit(n);
-        let sol = if self.cfg.means {
-            let m = SquaredMetric::new(EuclideanMetric::new(self.data));
-            let s = median_bicriteria(
-                &m,
-                &w,
-                2 * self.cfg.k,
-                t_local as f64,
-                Objective::Median,
-                params,
-            );
-            Solution::evaluate_with(
-                &m,
-                &w,
-                s.centers,
-                t_local as f64,
-                Objective::Median,
-                self.cfg.threads,
-            )
-        } else {
-            let m = EuclideanMetric::new(self.data);
-            let s = median_bicriteria(
-                &m,
-                &w,
-                2 * self.cfg.k,
-                t_local as f64,
-                Objective::Median,
-                params,
-            );
-            Solution::evaluate_with(
-                &m,
-                &w,
-                s.centers,
-                t_local as f64,
-                Objective::Median,
-                self.cfg.threads,
-            )
-        };
-        crate::algo_median::precluster_msg(self.data, &sol, true, t_local)
-            .encode_with(self.cfg.encoding)
+        let budget = [t_local as f64];
+        let local = site_grid_solve(self.data, self.site_id, &self.cfg, &budget);
+        let centers = local.into_iter().next().expect("one solution").centers;
+        let sol = local_evaluate(
+            self.data,
+            self.cfg.means,
+            centers,
+            budget[0],
+            self.cfg.threads,
+        );
+        precluster_msg(self.data, &sol, true, t_local).encode_with(self.cfg.encoding)
     }
+}
+
+/// The one round's kick: an empty payload that still travels inside a
+/// codec frame, so the driver can read a raw length out of every
+/// delivered payload.
+fn empty_kick(encoding: Encoding) -> CoordinatorStep {
+    CoordinatorStep::Broadcast(dpc_codec::frame(encoding, WireWriter::new(), &[]))
 }
 
 /// Coordinator for the 1-round median/means protocol.
@@ -104,85 +66,11 @@ impl Coordinator for OneRoundMedianCoordinator {
 
     fn step(&mut self, round: usize, replies: Vec<Option<Bytes>>) -> CoordinatorStep {
         match round {
-            // The empty kick still travels inside a codec frame so the
-            // driver can read a raw length out of every delivered payload.
-            0 => CoordinatorStep::Broadcast(dpc_codec::frame(
-                self.cfg.encoding,
-                WireWriter::new(),
-                &[],
-            )),
+            0 => empty_kick(self.cfg.encoding),
+            // One-round degradation is trivial: the final solve merges
+            // whatever summaries arrived.
             1 => {
-                // One-round degradation is trivial: merge whatever
-                // summaries arrived.
-                let enc = self.cfg.encoding;
-                let msgs: Vec<PreclusterMsg> = replies
-                    .into_iter()
-                    .flatten()
-                    .map(|b| PreclusterMsg::decode_with(enc, b))
-                    .collect();
-                let dim = msgs
-                    .iter()
-                    .find(|m| !m.centers.is_empty() || !m.outliers.is_empty())
-                    .map(|m| m.centers.dim())
-                    .unwrap_or(self.dim);
-                let mut merged = PointSet::new(dim);
-                let mut weighted = WeightedSet::new();
-                let mut shipped = 0u64;
-                for m in &msgs {
-                    shipped += m.t_i;
-                    let off = merged.extend_from(&m.centers);
-                    for (j, &w) in m.weights.iter().enumerate() {
-                        weighted.push(off + j, w);
-                    }
-                    let off = merged.extend_from(&m.outliers);
-                    for j in 0..m.outliers.len() {
-                        weighted.push(off + j, 1.0);
-                    }
-                }
-                let result = if weighted.is_empty() {
-                    DistributedSolution {
-                        centers: PointSet::new(dim),
-                        coordinator_cost: 0.0,
-                        excluded_weight: 0.0,
-                        shipped_outliers: 0,
-                    }
-                } else {
-                    let mut ls = self.cfg.ls;
-                    ls.threads = self.cfg.threads;
-                    let params = BicriteriaParams {
-                        eps: self.cfg.eps,
-                        lambda_iters: self.cfg.lambda_iters,
-                        ls,
-                    };
-                    let sol = if self.cfg.means {
-                        let m = SquaredMetric::new(EuclideanMetric::new(&merged));
-                        median_bicriteria(
-                            &m,
-                            &weighted,
-                            self.cfg.k,
-                            self.cfg.t as f64,
-                            Objective::Median,
-                            params,
-                        )
-                    } else {
-                        let m = EuclideanMetric::new(&merged);
-                        median_bicriteria(
-                            &m,
-                            &weighted,
-                            self.cfg.k,
-                            self.cfg.t as f64,
-                            Objective::Median,
-                            params,
-                        )
-                    };
-                    DistributedSolution {
-                        centers: merged.subset(&sol.centers),
-                        coordinator_cost: sol.cost,
-                        excluded_weight: sol.outlier_weight(),
-                        shipped_outliers: shipped,
-                    }
-                };
-                self.result = Some(result);
+                self.result = Some(algo_median::solve_summaries(&self.cfg, self.dim, replies));
                 CoordinatorStep::Finish
             }
             r => panic!("one-round coordinator has no round {r}"),
@@ -239,31 +127,14 @@ impl Site for OneRoundCenterSite<'_> {
         assert_eq!(round, 0, "one-round site called twice");
         let n = self.data.len();
         if n == 0 {
-            return PreclusterMsg {
-                centers: PointSet::new(self.data.dim()),
-                weights: Vec::new(),
-                outliers: PointSet::new(self.data.dim()),
-                t_i: 0,
-            }
-            .encode_with(self.cfg.encoding);
+            return PreclusterMsg::empty(self.data.dim()).encode_with(self.cfg.encoding);
         }
         let m = EuclideanMetric::new(self.data);
         let ids: Vec<usize> = (0..n).collect();
         let prefix_len = (self.cfg.k + self.cfg.t).min(n);
         let ord = gonzalez_with(&m, &ids, prefix_len, 0, self.cfg.threads);
-        let chosen = &ord.order[..];
-        let assigned = NearestAssigner::with_threads(&m, self.cfg.threads).assign(&ids, chosen);
-        let mut weights = vec![0.0f64; chosen.len()];
-        for &pos in &assigned.pos {
-            weights[pos] += 1.0;
-        }
-        PreclusterMsg {
-            centers: self.data.subset(chosen),
-            weights,
-            outliers: PointSet::new(self.data.dim()),
-            t_i: self.cfg.t as u64,
-        }
-        .encode_with(self.cfg.encoding)
+        prefix_msg(self.data, &ord.order, self.cfg.t, self.cfg.threads)
+            .encode_with(self.cfg.encoding)
     }
 }
 
@@ -279,58 +150,9 @@ impl Coordinator for OneRoundCenterCoordinator {
 
     fn step(&mut self, round: usize, replies: Vec<Option<Bytes>>) -> CoordinatorStep {
         match round {
-            0 => CoordinatorStep::Broadcast(dpc_codec::frame(
-                self.cfg.encoding,
-                WireWriter::new(),
-                &[],
-            )),
+            0 => empty_kick(self.cfg.encoding),
             1 => {
-                let enc = self.cfg.encoding;
-                let msgs: Vec<PreclusterMsg> = replies
-                    .into_iter()
-                    .flatten()
-                    .map(|b| PreclusterMsg::decode_with(enc, b))
-                    .collect();
-                let dim = msgs
-                    .iter()
-                    .find(|m| !m.centers.is_empty())
-                    .map(|m| m.centers.dim())
-                    .unwrap_or(self.dim);
-                let mut merged = PointSet::new(dim);
-                let mut weighted = WeightedSet::new();
-                for m in &msgs {
-                    let off = merged.extend_from(&m.centers);
-                    for (j, &w) in m.weights.iter().enumerate() {
-                        weighted.push(off + j, w);
-                    }
-                }
-                let result = if weighted.is_empty() {
-                    DistributedSolution {
-                        centers: PointSet::new(dim),
-                        coordinator_cost: 0.0,
-                        excluded_weight: 0.0,
-                        shipped_outliers: 0,
-                    }
-                } else {
-                    let metric = EuclideanMetric::new(&merged);
-                    let sol = charikar_center(
-                        &metric,
-                        &weighted,
-                        self.cfg.k,
-                        self.cfg.t as f64,
-                        CenterParams {
-                            threads: self.cfg.threads,
-                            ..self.cfg.charikar
-                        },
-                    );
-                    DistributedSolution {
-                        centers: merged.subset(&sol.centers),
-                        coordinator_cost: sol.cost,
-                        excluded_weight: sol.outlier_weight(),
-                        shipped_outliers: msgs.iter().map(|m| m.t_i).sum(),
-                    }
-                };
-                self.result = Some(result);
+                self.result = Some(algo_center::solve_summaries(&self.cfg, self.dim, replies));
                 CoordinatorStep::Finish
             }
             r => panic!("one-round coordinator has no round {r}"),
@@ -379,6 +201,7 @@ mod tests {
     use crate::algo_center::run_distributed_center;
     use crate::algo_median::run_distributed_median;
     use crate::evaluate::evaluate_on_full_data;
+    use dpc_metric::Objective;
 
     fn shards(s: usize, outliers: usize) -> Vec<PointSet> {
         (0..s)

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use dpc_codec::Encoding;
-use dpc_metric::{PointSet, WireReader, WireWriter};
+use dpc_metric::{PointSet, WeightedSet, WireReader, WireWriter};
 
 /// A preclustering summary sent from a site to the coordinator in the final
 /// round: weighted centers plus (optionally) the locally ignored points.
@@ -26,6 +26,16 @@ pub struct PreclusterMsg {
 }
 
 impl PreclusterMsg {
+    /// The summary of a site with no points: nothing to ship, `t_i = 0`.
+    pub fn empty(dim: usize) -> Self {
+        Self {
+            centers: PointSet::new(dim),
+            weights: Vec::new(),
+            outliers: PointSet::new(dim),
+            t_i: 0,
+        }
+    }
+
     fn write(&self) -> WireWriter {
         let mut w = WireWriter::new();
         w.put_varint(self.centers.dim() as u64);
@@ -91,6 +101,33 @@ impl PreclusterMsg {
     }
 }
 
+/// Decodes the preclustering summaries that arrived and merges them into
+/// one weighted instance over `R^dim`: every center at its weight, every
+/// shipped outlier at weight 1. Also returns `Σ t_i` over the summaries.
+/// A site that dropped out (a `None` reply) contributes nothing.
+pub fn merge_summaries(
+    replies: Vec<Option<Bytes>>,
+    encoding: Encoding,
+    dim: usize,
+) -> (PointSet, WeightedSet, u64) {
+    let mut pts = PointSet::new(dim);
+    let mut weighted = WeightedSet::new();
+    let mut shipped = 0;
+    for b in replies.into_iter().flatten() {
+        let m = PreclusterMsg::decode_with(encoding, b);
+        shipped += m.t_i;
+        let off = pts.extend_from(&m.centers);
+        for (j, &w) in m.weights.iter().enumerate() {
+            weighted.push(off + j, w);
+        }
+        let off = pts.extend_from(&m.outliers);
+        for j in 0..m.outliers.len() {
+            weighted.push(off + j, 1.0);
+        }
+    }
+    (pts, weighted, shipped)
+}
+
 /// The threshold message the coordinator sends each site after the
 /// allocation step (`ℓ(i₀,q₀)`, `i₀`, `q₀`, plus "you are the exceptional
 /// site" flag).
@@ -107,25 +144,24 @@ pub struct ThresholdMsg {
 }
 
 impl ThresholdMsg {
-    /// Serializes the message.
-    pub fn encode(&self) -> Bytes {
+    fn write(&self) -> WireWriter {
         let mut w = WireWriter::new();
         w.put_f64(self.threshold);
         w.put_varint(self.i0);
         w.put_varint(self.q0);
         w.put_varint(u64::from(self.exceptional));
-        w.finish()
+        w
+    }
+
+    /// Serializes the message.
+    pub fn encode(&self) -> Bytes {
+        self.write().finish()
     }
 
     /// Serializes the message inside a codec frame. The payload carries
     /// no coordinate spans, so every encoding keeps it bit-exact.
     pub fn encode_with(&self, encoding: Encoding) -> Bytes {
-        let mut w = WireWriter::new();
-        w.put_f64(self.threshold);
-        w.put_varint(self.i0);
-        w.put_varint(self.q0);
-        w.put_varint(u64::from(self.exceptional));
-        dpc_codec::frame(encoding, w, &[])
+        dpc_codec::frame(encoding, self.write(), &[])
     }
 
     /// Deserializes a message produced by [`Self::encode_with`] with the
@@ -228,13 +264,7 @@ mod tests {
 
     #[test]
     fn empty_precluster() {
-        let msg = PreclusterMsg {
-            centers: PointSet::new(3),
-            weights: vec![],
-            outliers: PointSet::new(3),
-            t_i: 0,
-        };
-        let back = PreclusterMsg::decode(msg.encode());
+        let back = PreclusterMsg::decode(PreclusterMsg::empty(3).encode());
         assert_eq!(back.centers.len(), 0);
         assert_eq!(back.outliers.len(), 0);
     }

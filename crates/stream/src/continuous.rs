@@ -7,9 +7,14 @@
 //! weighted re-run of Algorithm 1 over the live summary instances —
 //! round 0 ships each site's lower convex hull of
 //! `{(q, C_sol(S_i, 2k, q))}` over the geometric grid, the coordinator
-//! water-fills the outlier budget ([`dpc_core::allocate_outliers`]) and
-//! returns the threshold marginal, and round 1 ships `2k` weighted
-//! centers plus the site's `t_i` outlier entries. Every byte crosses the
+//! runs Algorithm 1's threshold round ([`dpc_core::threshold_round`],
+//! the same water-filling over responders as the batch protocols), and
+//! each site derives its `t_i` by the shared rule
+//! ([`dpc_core::site_budget_from_threshold`]) and ships `2k` weighted
+//! centers plus its `t_i` outlier entries. Only the local solve (over a
+//! weighted summary, not a raw shard) and the upload
+//! ([`SummaryMsg`], with weighted outliers and a reference-coding
+//! dictionary) are the sync's own. Every byte crosses the
 //! wire and is charged through [`CommStats`], so the communication cost
 //! of *keeping the clustering current* is measured per sync, exactly
 //! like the one-shot protocols. The sync executes on the same
@@ -31,7 +36,7 @@ use dpc_coordinator::{
     TransportKind,
 };
 use dpc_core::wire::ThresholdMsg;
-use dpc_core::{allocate_outliers, geometric_grid, site_budget_from_threshold, ConvexProfile};
+use dpc_core::{geometric_grid, site_budget_from_threshold, threshold_round, ConvexProfile};
 use dpc_metric::{EuclideanMetric, Objective, PointSet, SquaredMetric, WeightedSet, WireWriter};
 use dpc_obs::{Counter, Event, RecorderHandle};
 use std::sync::{Arc, Mutex};
@@ -294,6 +299,11 @@ impl ContinuousCluster {
         for s in &mut self.sites {
             s.flush();
         }
+        // Each sync gets an independently-seeded copy of the fault plan:
+        // dropout in one sync must not doom a site for the fleet's
+        // remaining lifetime.
+        let options = self.sync_options(self.cfg.faults.derive(self.history.len() as u64));
+        let site_cfg = self.site_config(&options);
         let instances: Vec<(PointSet, WeightedSet)> =
             self.sites.iter().map(StreamEngine::live_instance).collect();
         let mut sites: Vec<Box<dyn Site + '_>> = instances
@@ -304,7 +314,7 @@ impl ContinuousCluster {
                     pts,
                     w,
                     i,
-                    self.cfg.clone(),
+                    site_cfg.clone(),
                     Arc::clone(&self.prev_summaries[i]),
                 )) as Box<dyn Site + '_>
             })
@@ -323,11 +333,7 @@ impl ContinuousCluster {
             dicts,
             result: None,
         };
-        // Each sync gets an independently-seeded copy of the fault plan:
-        // dropout in one sync must not doom a site for the fleet's
-        // remaining lifetime.
-        let faults = self.cfg.faults.derive(self.history.len() as u64);
-        let out = run_protocol(&mut sites, coordinator, self.sync_options(faults));
+        let out = run_protocol(&mut sites, coordinator, options);
         let (centers, cost, excluded_weight) = out.output;
         if self.recorder.enabled() {
             self.recorder.record(Event::SyncEnd {
@@ -363,11 +369,22 @@ impl ContinuousCluster {
                 .shards(shards)
         }
     }
+
+    /// The sync sites' configuration under `options`: the batch jobs'
+    /// kernel budget rule ([`RunOptions::site_threads`]), serial when
+    /// shards run sites at once and the whole `stream.threads` when one
+    /// shard runs them in turn. The coordinator keeps the whole budget.
+    fn site_config(&self, options: &RunOptions) -> ContinuousConfig {
+        let mut cfg = self.cfg.clone();
+        cfg.stream.threads = options.site_threads(self.sites.len(), cfg.stream.threads);
+        cfg
+    }
 }
 
-/// Site-side state of the weighted sync protocol (mirrors
-/// `dpc_core::algo_median::MedianSite`, but over a weighted summary
-/// instance instead of a raw shard).
+/// Site-side state of the weighted sync protocol: Algorithm 1's site
+/// over a weighted summary instance instead of a raw shard. It shares
+/// the hull and the `t_i` rule with the batch sites; its grid solve and
+/// its [`SummaryMsg`] upload are its own.
 struct SummarySite<'a> {
     pts: &'a PointSet,
     w: &'a WeightedSet,
@@ -452,10 +469,9 @@ impl<'a> SummarySite<'a> {
             .map(|(&q, sol)| (q, sol.cost))
             .collect();
         let profile = ConvexProfile::lower_hull(&pts);
-        let mut w = WireWriter::new();
-        profile.encode(&mut w);
+        let bytes = profile.encode_with(self.cfg.encoding);
         self.profile = Some(profile);
-        dpc_codec::frame(self.cfg.encoding, w, &[])
+        bytes
     }
 
     /// Round 1: derive `t_i` (the shared Algorithm 1 line 12–13 rule),
@@ -510,51 +526,12 @@ impl Coordinator for SyncCoordinator {
     fn step(&mut self, round: usize, replies: Vec<Option<Bytes>>) -> CoordinatorStep {
         match round {
             0 => CoordinatorStep::Broadcast(self.cfg.encode()),
-            1 => {
-                // Degrade exactly like the batch protocol
-                // (`MedianCoordinator::step`): water-fill the outlier
-                // budget over the sites that answered, remapping the
-                // allocation's responder index back to the original site
-                // id before broadcasting.
-                let s = replies.len();
-                let responders: Vec<usize> = replies
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|_| i))
-                    .collect();
-                let profiles: Vec<ConvexProfile> = replies
-                    .iter()
-                    .flatten()
-                    .map(|b| {
-                        let payload = dpc_codec::unframe(self.cfg.encoding, b.clone(), &[]);
-                        let mut r = dpc_metric::WireReader::new(payload);
-                        ConvexProfile::decode(&mut r)
-                    })
-                    .collect();
-                let t = self.cfg.stream.t;
-                let enc = self.cfg.encoding;
-                let msg_for = move |threshold: f64, i0: u64, q0: u64| {
-                    move |i: usize| {
-                        ThresholdMsg {
-                            threshold,
-                            i0,
-                            q0,
-                            exceptional: i as u64 == i0,
-                        }
-                        .encode_with(enc)
-                    }
-                };
-                let msgs = if profiles.is_empty() || t == 0 {
-                    (0..s).map(msg_for(f64::INFINITY, u64::MAX, 0)).collect()
-                } else {
-                    let alloc = allocate_outliers(&profiles, t, self.cfg.rho);
-                    let i0 = responders[alloc.i0];
-                    (0..s)
-                        .map(msg_for(alloc.threshold, i0 as u64, alloc.q0 as u64))
-                        .collect()
-                };
-                CoordinatorStep::Messages(msgs)
-            }
+            1 => CoordinatorStep::Messages(threshold_round(
+                &replies,
+                self.cfg.stream.t,
+                self.cfg.rho,
+                self.cfg.encoding,
+            )),
             2 => {
                 self.result = Some(self.solve_final(replies));
                 CoordinatorStep::Finish
@@ -842,20 +819,23 @@ mod tests {
 
     #[test]
     fn sync_shards_follow_the_thread_budget() {
-        // The batch jobs' rule: `threads` shards when parallel, else one.
+        // The batch jobs' rule: `threads` shards when parallel, else one;
+        // each site solves serially when shards run sites at once, with
+        // the whole budget when one shard runs them in turn.
         let shards = |parallel: bool, threads: usize| {
             let cfg = ContinuousConfig {
                 stream: StreamConfig::new(2, 1).threads(threads),
                 parallel,
                 ..ContinuousConfig::new(2, 1)
             };
-            ContinuousCluster::new(2, 8, cfg)
-                .sync_options(FaultPlan::none())
-                .shards
+            let fleet = ContinuousCluster::new(2, 8, cfg);
+            let options = fleet.sync_options(FaultPlan::none());
+            let site_threads = fleet.site_config(&options).stream.threads.get();
+            (options.shards, site_threads)
         };
-        assert_eq!(shards(true, 3), Some(3));
-        assert_eq!(shards(true, 1), Some(1));
-        assert_eq!(shards(false, 4), Some(1));
+        assert_eq!(shards(true, 3), (Some(3), 1));
+        assert_eq!(shards(true, 1), (Some(1), 1));
+        assert_eq!(shards(false, 4), (Some(1), 4));
     }
 
     #[test]

@@ -33,8 +33,9 @@ use dpc_cluster::{charikar_center, gonzalez_with, CenterParams};
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
-use dpc_core::allocation::allocate_outliers;
-use dpc_core::hull::{geometric_grid, ConvexProfile};
+use dpc_core::allocation::{allocate_outliers, site_budget_from_threshold};
+use dpc_core::hull::ConvexProfile;
+use dpc_core::wire::ThresholdMsg;
 use dpc_metric::{MatrixMetric, Metric, PointSet, WeightedSet, WireReader, WireWriter};
 
 /// Configuration for Algorithm 4.
@@ -151,7 +152,6 @@ impl<'a> CenterGSite<'a> {
             vec![0.0]
         };
         let n = self.data.len();
-        let grid = geometric_grid(self.cfg.t, self.cfg.rho.max(1.0 + 1e-9));
         let mut w = WireWriter::new();
         w.put_varint(self.taus.len() as u64);
         if n > 0 {
@@ -186,20 +186,12 @@ impl<'a> CenterGSite<'a> {
             let ids: Vec<usize> = (0..n).collect();
             let prefix = (2 * self.cfg.k + self.cfg.t + 1).min(n);
             let ord = gonzalez_with(&m6, &ids, prefix, 0, self.cfg.threads);
-            // Cumulative-radius profile on the geometric grid.
-            let t = self.cfg.t;
-            let mut cum = vec![0.0f64; t + 1];
-            for q in (0..t).rev() {
-                let idx = 2 * self.cfg.k + q;
-                let marg = if idx < ord.radii.len() {
-                    ord.radii[idx]
-                } else {
-                    0.0
-                };
-                cum[q] = cum[q + 1] + marg;
-            }
-            let pts: Vec<(usize, f64)> = grid.iter().map(|&q| (q, cum[q])).collect();
-            let profile = ConvexProfile::lower_hull(&pts);
+            let profile = ConvexProfile::cumulative_radii(
+                &ord.radii,
+                2 * self.cfg.k,
+                self.cfg.t,
+                self.cfg.rho,
+            );
             profile.encode(&mut w);
             self.states.push(TauState {
                 order: ord.order,
@@ -213,10 +205,12 @@ impl<'a> CenterGSite<'a> {
     fn respond_threshold(&mut self, msg: &Bytes) -> Bytes {
         let mut r = WireReader::new(msg.clone());
         let tau_idx = r.get_varint() as usize;
-        let threshold = r.get_f64();
-        let i0 = r.get_varint();
-        let q0 = r.get_varint();
-        let exceptional = r.get_varint() != 0;
+        let thr = ThresholdMsg {
+            threshold: r.get_f64(),
+            i0: r.get_varint(),
+            q0: r.get_varint(),
+            exceptional: r.get_varint() != 0,
+        };
 
         let n = self.data.len();
         let mut w = WireWriter::new();
@@ -229,24 +223,7 @@ impl<'a> CenterGSite<'a> {
             return w.finish();
         }
         let state = &self.states[tau_idx.min(self.states.len() - 1)];
-        let ti = if exceptional {
-            state
-                .profile
-                .next_vertex_at_or_after((q0 as usize).min(self.cfg.t))
-        } else {
-            let mut ti = 0usize;
-            for q in 1..=self.cfg.t {
-                let m = state.profile.marginal(q);
-                let wins = m > threshold
-                    || (m == threshold && (self.site_id as u64, q as u64) <= (i0, q0));
-                if wins {
-                    ti = q;
-                } else {
-                    break;
-                }
-            }
-            ti
-        };
+        let ti = site_budget_from_threshold(&state.profile, self.site_id, self.cfg.t, &thr);
         let prefix = (2 * self.cfg.k + ti).min(state.order.len());
         let chosen = &state.order[..prefix];
         // Attach every node to its nearest prefix node under ρ_{6τ̂}

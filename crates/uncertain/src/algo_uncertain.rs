@@ -19,10 +19,11 @@ use dpc_cluster::{
     charikar_center, gonzalez_with, median_bicriteria, median_bicriteria_grid, BicriteriaParams,
     CenterParams, LocalSearchParams, Solution,
 };
+use dpc_codec::Encoding;
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
-use dpc_core::allocation::allocate_outliers;
+use dpc_core::allocation::{allocate_outliers, site_budget_from_threshold};
 use dpc_core::hull::{geometric_grid, ConvexProfile};
 use dpc_core::wire::ThresholdMsg;
 use dpc_metric::{
@@ -180,7 +181,6 @@ struct UncertainSite<'a> {
     demands: Option<WeightedSet>,
     sols: Vec<Solution>,
     gonzalez_order: Vec<usize>,
-    gonzalez_radii: Vec<f64>,
     profile: Option<ConvexProfile>,
 }
 
@@ -195,7 +195,6 @@ impl<'a> UncertainSite<'a> {
             demands: None,
             sols: Vec::new(),
             gonzalez_order: Vec::new(),
-            gonzalez_radii: Vec::new(),
             profile: None,
         }
     }
@@ -215,14 +214,12 @@ impl<'a> UncertainSite<'a> {
         self.grid = geometric_grid(self.cfg.t, self.cfg.rho.max(1.0 + 1e-9));
         if n == 0 {
             let profile = ConvexProfile::lower_hull(&[(0, 0.0)]);
-            let mut w = WireWriter::new();
-            profile.encode(&mut w);
+            let bytes = profile.encode_with(Encoding::Raw);
             self.profile = Some(profile);
-            return w.finish();
+            return bytes;
         }
         let (graph, demands) = CompressedGraph::from_nodes(self.data, self.cfg.squared());
-        let mut pts = Vec::with_capacity(self.grid.len());
-        match self.cfg.objective {
+        let profile = match self.cfg.objective {
             UObjective::Median | UObjective::Means => {
                 let mut ls = self.cfg.ls;
                 ls.seed = ls.seed.wrapping_add(self.site_id as u64);
@@ -250,12 +247,13 @@ impl<'a> UncertainSite<'a> {
                     outliers: Vec::new(),
                     assignment: vec![0; demands.len()],
                 });
-                pts.extend(
-                    self.grid
-                        .iter()
-                        .zip(&self.sols)
-                        .map(|(&q, sol)| (q, sol.cost)),
-                );
+                let pts: Vec<(usize, f64)> = self
+                    .grid
+                    .iter()
+                    .zip(&self.sols)
+                    .map(|(&q, sol)| (q, sol.cost))
+                    .collect();
+                ConvexProfile::lower_hull(&pts)
             }
             UObjective::CenterPp => {
                 // Gonzalez over the demand vertices (ids n..2n) under the
@@ -263,48 +261,21 @@ impl<'a> UncertainSite<'a> {
                 let demand_ids: Vec<usize> = (n..2 * n).collect();
                 let prefix = (2 * self.cfg.k + self.cfg.t + 1).min(n);
                 let ord = gonzalez_with(&graph, &demand_ids, prefix, 0, self.cfg.threads);
-                self.gonzalez_order = ord.order.clone();
-                self.gonzalez_radii = ord.radii.clone();
-                // Cumulative profile (same construction as Algorithm 2).
-                let t = self.cfg.t;
-                let mut cum = vec![0.0f64; t + 1];
-                for q in (0..t).rev() {
-                    let idx = 2 * self.cfg.k + q; // radius of the (2k+q+1)-th
-                    let marg = if idx < self.gonzalez_radii.len() {
-                        self.gonzalez_radii[idx]
-                    } else {
-                        0.0
-                    };
-                    cum[q] = cum[q + 1] + marg;
-                }
-                for &q in &self.grid {
-                    pts.push((q, cum[q]));
-                }
+                self.gonzalez_order = ord.order;
+                // Algorithm 2's cumulative profile, `2k` selections kept.
+                ConvexProfile::cumulative_radii(
+                    &ord.radii,
+                    2 * self.cfg.k,
+                    self.cfg.t,
+                    self.cfg.rho,
+                )
             }
-        }
-        let profile = ConvexProfile::lower_hull(&pts);
-        let mut w = WireWriter::new();
-        profile.encode(&mut w);
+        };
+        let bytes = profile.encode_with(Encoding::Raw);
         self.profile = Some(profile);
         self.graph = Some(graph);
         self.demands = Some(demands);
-        w.finish()
-    }
-
-    fn t_from_threshold(&self, thr: &ThresholdMsg) -> usize {
-        let prof = self.profile.as_ref().expect("profile built");
-        let mut ti = 0usize;
-        for q in 1..=self.cfg.t {
-            let m = prof.marginal(q);
-            let wins = m > thr.threshold
-                || (m == thr.threshold && (self.site_id as u64, q as u64) <= (thr.i0, thr.q0));
-            if wins {
-                ti = q;
-            } else {
-                break;
-            }
-        }
-        ti
+        bytes
     }
 
     fn respond_threshold(&mut self, msg: &Bytes) -> Bytes {
@@ -314,11 +285,7 @@ impl<'a> UncertainSite<'a> {
             return self.empty_msg();
         }
         let prof = self.profile.as_ref().expect("profile built");
-        let ti = if thr.exceptional {
-            prof.next_vertex_at_or_after((thr.q0 as usize).min(self.cfg.t))
-        } else {
-            self.t_from_threshold(&thr)
-        };
+        let ti = site_budget_from_threshold(prof, self.site_id, self.cfg.t, &thr);
         let graph = self.graph.as_ref().expect("graph built");
         match self.cfg.objective {
             UObjective::Median | UObjective::Means => {
@@ -440,10 +407,7 @@ impl Coordinator for UncertainCoordinator {
             1 => {
                 let profiles: Vec<ConvexProfile> = replies
                     .iter()
-                    .map(|b| {
-                        let mut r = WireReader::new(b.clone());
-                        ConvexProfile::decode(&mut r)
-                    })
+                    .map(|b| ConvexProfile::decode_with(Encoding::Raw, b.clone()))
                     .collect();
                 let alloc = allocate_outliers(&profiles, self.cfg.t, self.cfg.rho);
                 let msgs = (0..replies.len())

@@ -1,10 +1,10 @@
 //! The unified result type every job run produces.
 
 use crate::data::Dataset;
-use crate::json::{self, dur_to_ms, json_f64, usize_array, usize_vec, Json};
 use dpc_coordinator::CommStats;
 use dpc_core::evaluate_on_full_data;
 use dpc_metric::{Objective, PointSet};
+use dpc_obs::json::{self, dur_to_ms, json_f64, usize_array, usize_vec, Json};
 use dpc_obs::MetricsSummary;
 
 /// Version tag embedded in the artifact JSON; bump on schema breaks.

@@ -58,7 +58,6 @@ pub mod artifact;
 pub mod data;
 pub mod error;
 pub mod job;
-pub mod json;
 pub mod sweep;
 
 pub use artifact::{Artifact, RoundBreakdown, ARTIFACT_SCHEMA};

@@ -19,20 +19,23 @@
 //!   payload length to the right round and direction — the communication
 //!   columns of Tables 1–2 are reproduced from these counters, identically
 //!   on every backend.
-//! * **Transports** ([`Transport`]) carry the messages. Both backends
-//!   serve the sites from one shard pool: sites are dealt round-robin to
+//! * **The shard pool** carries the messages: the driver runs each
+//!   round on it directly. Sites are dealt round-robin to
 //!   [`RunOptions::shards`] workers, each running its group one site at
 //!   a time, so one process sustains thousands of sites with O(shards)
 //!   threads, and one shard runs every site on the caller's thread (the
-//!   deterministic test mode). The in-process [`TransportKind::Channel`]
-//!   backend hands each worker its messages through a mailbox; the
-//!   [`MuxTransport`] backend puts every site behind a loopback TCP
+//!   deterministic test mode). A shard's body is the backend, selected
+//!   by [`RunOptions::transport`]: the in-process
+//!   [`TransportKind::Channel`] worker calls its sites directly; the
+//!   [`TransportKind::Mux`] worker puts every site behind a loopback TCP
 //!   socket with length-prefixed frames, proving the wire formats
-//!   round-trip a real socket, and makes each shard a `poll(2)` site loop
-//!   plus a coordinator loop driving per-connection frame state machines
-//!   with vectored writes (the `poll` syscall comes from the thin
-//!   vendored `sys_poll` FFI wrapper, same no-registry discipline as the
-//!   rest of `vendor/`). Select one via [`RunOptions::transport`].
+//!   round-trip a real socket, and runs a `poll(2)` site loop plus a
+//!   coordinator loop driving per-connection frame state machines with
+//!   vectored writes (the `poll` syscall comes from the thin vendored
+//!   `sys_poll` FFI wrapper, same no-registry discipline as the rest of
+//!   `vendor/`). Protocol crates build their fleet with [`run_fleet`],
+//!   which also gives each site its kernel budget
+//!   ([`RunOptions::site_threads`]).
 //! * **The link model** ([`LinkModel`]) simulates per-message latency and
 //!   bandwidth, folded into [`RoundStats::network`], so the
 //!   communication-vs-time trade-off is a measurable, tunable axis: the
@@ -51,7 +54,7 @@
 //!   See the [`fault`] module docs for the exact attempt semantics.
 
 pub mod fault;
-pub mod mux;
+mod mux;
 mod pool;
 pub mod protocol;
 mod sockets;
@@ -59,9 +62,8 @@ pub mod stats;
 pub mod transport;
 
 pub use fault::{Attempt, FaultPlan};
-pub use mux::MuxTransport;
 pub use protocol::{
-    drive, run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
+    run_fleet, run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
 };
 pub use stats::{CommStats, RoundStats};
-pub use transport::{LinkModel, SiteReply, Transport, TransportKind};
+pub use transport::{LinkModel, TransportKind};

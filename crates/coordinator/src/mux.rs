@@ -36,20 +36,18 @@
 //! fault transcripts and `dpc.trace/v1` traces bit-identical across
 //! backends.
 //!
-//! Each exchange reports one [`Event::ShardPoll`] per shard and bumps
-//! [`Counter::PollWakeups`] with the coordinator loops' wakeups; both
-//! are wall-clock-scheduling artifacts and are excluded from the
-//! deterministic JSONL trace schema.
+//! Each shard reports its coordinator loop's wakeups per round, which
+//! the driver records as one `Event::ShardPoll` per shard plus
+//! `Counter::PollWakeups`; both are wall-clock-scheduling artifacts and
+//! are excluded from the deterministic JSONL trace schema.
 
-use crate::pool::{Shard, ShardDone, ShardPool};
+use crate::pool::{Shard, ShardDone, ShardPool, SiteReply};
 use crate::protocol::Site;
 use crate::sockets::{
     loopback_pairs, request_frame, serve_sites, site_reply, FrameReader, FrameWriter, SiteEnd,
     SHUTDOWN,
 };
-use crate::transport::{SiteReply, Transport};
 use bytes::Bytes;
-use dpc_obs::{Counter, Event, RecorderHandle};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::thread::Scope;
@@ -132,10 +130,12 @@ impl Conn {
 
 /// One shard's coordinator loop over the coordinator ends of its sites.
 /// Dropping it sends every site the shutdown frame.
-struct MuxShard(Vec<Conn>);
+pub(crate) struct MuxShard(Vec<Conn>);
 
 impl Shard for MuxShard {
     fn serve(&mut self, round: usize, msgs: Vec<Option<Bytes>>) -> ShardDone {
+        let tag = u32::try_from(round).expect("round fits the frame header");
+        assert_ne!(tag, SHUTDOWN, "round collides with the shutdown frame");
         let conns = &mut self.0;
         debug_assert_eq!(msgs.len(), conns.len());
         // Arm every participating connection and push each as far as the
@@ -145,7 +145,7 @@ impl Shard for MuxShard {
         let mut pending = 0usize;
         for (conn, msg) in conns.iter_mut().zip(msgs) {
             conn.phase = match msg {
-                Some(payload) => Phase::Write(request_frame(round as u32, payload)),
+                Some(payload) => Phase::Write(request_frame(tag, payload)),
                 None => Phase::Idle,
             };
             if !conn.advance() {
@@ -180,7 +180,7 @@ impl Shard for MuxShard {
                 _ => None,
             })
             .collect();
-        (replies, wakeups)
+        (replies, Some(wakeups))
     }
 }
 
@@ -192,68 +192,34 @@ impl Drop for MuxShard {
     }
 }
 
-/// The multiplexed event-loop backend. See the module docs.
-pub struct MuxTransport {
-    pool: ShardPool<MuxShard>,
-    recorder: RecorderHandle,
-}
-
-impl MuxTransport {
-    /// Connects one loopback socket pair per site and serves the fleet
-    /// from `shards` event-loop shards inside `scope`; `shards` must be
-    /// at least 1, and [`crate::run_protocol`] passes
-    /// [`crate::RunOptions::shard_count`]. Dropping the transport drops
-    /// the coordinator loops, which send every site the shutdown frame;
-    /// each site loop returns once all its connections have closed, and
-    /// `scope` joins them all.
-    pub fn start<'scope, 'env, 'data: 'env>(
-        scope: &'scope Scope<'scope, 'env>,
-        sites: &'env mut [Box<dyn Site + 'data>],
-        shards: usize,
-        recorder: RecorderHandle,
-    ) -> Self {
-        let n = sites.len();
-        let ends = sites.iter_mut().zip(loopback_pairs(n)).enumerate().map(
-            |(i, (site, (stream, site_stream)))| {
-                stream
-                    .set_nonblocking(true)
-                    .expect("switch coordinator-side socket to non-blocking");
-                let conn = Conn {
-                    stream,
-                    site: i,
-                    phase: Phase::Idle,
-                };
-                (conn, SiteEnd::new(site.as_mut(), site_stream))
-            },
-        );
-        let pool = ShardPool::start(scope, ends, shards, |group| {
-            let (conns, ends): (Vec<Conn>, Vec<SiteEnd<'env>>) = group.into_iter().unzip();
-            scope.spawn(move || serve_sites(ends));
-            MuxShard(conns)
-        });
-        Self { pool, recorder }
-    }
-}
-
-impl Transport for MuxTransport {
-    fn num_sites(&self) -> usize {
-        self.pool.sites
-    }
-
-    fn exchange(&mut self, round: usize, msgs: &[Option<Bytes>]) -> Vec<Option<SiteReply>> {
-        let tag = u32::try_from(round).expect("round fits the frame header");
-        assert_ne!(tag, SHUTDOWN, "round collides with the shutdown frame");
-        let (replies, wakeups) = self.pool.run_round(round, msgs);
-        if self.recorder.enabled() {
-            for (shard, &wakeups) in wakeups.iter().enumerate() {
-                self.recorder.record(Event::ShardPoll {
-                    round,
-                    shard,
-                    wakeups,
-                });
-                self.recorder.add(Counter::PollWakeups, wakeups);
-            }
-        }
-        replies
-    }
+/// Connects one loopback socket pair per site and serves the fleet from
+/// `shards` event-loop shards inside `scope` (`shards` at least 1;
+/// [`crate::run_protocol`] passes [`crate::RunOptions::shard_count`]).
+/// Dropping the pool drops the coordinator loops, which send every site
+/// the shutdown frame; each site loop returns once all its connections
+/// have closed, and `scope` joins them all.
+pub(crate) fn start<'scope, 'env, 'data: 'env>(
+    scope: &'scope Scope<'scope, 'env>,
+    sites: &'env mut [Box<dyn Site + 'data>],
+    shards: usize,
+) -> ShardPool<MuxShard> {
+    let n = sites.len();
+    let ends = sites.iter_mut().zip(loopback_pairs(n)).enumerate().map(
+        |(i, (site, (stream, site_stream)))| {
+            stream
+                .set_nonblocking(true)
+                .expect("switch coordinator-side socket to non-blocking");
+            let conn = Conn {
+                stream,
+                site: i,
+                phase: Phase::Idle,
+            };
+            (conn, SiteEnd::new(site.as_mut(), site_stream))
+        },
+    );
+    ShardPool::start(scope, ends, shards, |group| {
+        let (conns, ends): (Vec<Conn>, Vec<SiteEnd<'env>>) = group.into_iter().unzip();
+        scope.spawn(move || serve_sites(ends));
+        MuxShard(conns)
+    })
 }

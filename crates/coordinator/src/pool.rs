@@ -12,25 +12,35 @@
 //! What a shard does with its group is its [`Shard`] body. The
 //! in-process backend ([`crate::TransportKind::Channel`]) runs the
 //! group's sites in order ([`SiteGroup`]); the socket backend drives
-//! their connections from a `poll(2)` loop ([`crate::MuxTransport`]).
-//! Workers live in the run's [`std::thread::scope`]; dropping the pool
-//! closes their mailboxes, each worker drops its body on the way out,
-//! and the scope joins them.
+//! their connections from a `poll(2)` loop (`mux`). The protocol driver
+//! runs its rounds on the pool directly. Workers live in the run's
+//! [`std::thread::scope`]; dropping the pool closes their mailboxes,
+//! each worker drops its body on the way out, and the scope joins them.
 
 use crate::protocol::Site;
-use crate::transport::{SiteReply, Transport};
 use bytes::Bytes;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::Scope;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// One site's answer to a round: the reply payload plus the site-side
+/// measured compute time (backend metadata, never charged as bytes).
+#[derive(Clone, Debug)]
+pub(crate) struct SiteReply {
+    /// The reply message.
+    pub(crate) payload: Bytes,
+    /// Wall-clock time the site spent inside `Site::handle`.
+    pub(crate) compute: Duration,
+}
 
 /// One round's work for a shard: the round and its group's messages.
 type ShardWork = (usize, Vec<Option<Bytes>>);
 
 /// One round's answer from a shard: the replies in the group's local
 /// order, plus how many times the shard woke up waiting for its sites
-/// (the mux poll loop's wakeups; 0 in process).
-pub(crate) type ShardDone = (Vec<Option<SiteReply>>, u64);
+/// (the mux poll loop's wakeups; `None` in process, where nothing
+/// polls).
+pub(crate) type ShardDone = (Vec<Option<SiteReply>>, Option<u64>);
 
 /// What a shard does with its group of sites each round.
 pub(crate) trait Shard: Send {
@@ -103,7 +113,7 @@ impl<S: Shard> ShardPool<S> {
         &mut self,
         round: usize,
         msgs: &[Option<Bytes>],
-    ) -> (Vec<Option<SiteReply>>, Vec<u64>) {
+    ) -> (Vec<Option<SiteReply>>, Vec<Option<u64>>) {
         assert_eq!(msgs.len(), self.sites, "one message per site");
         let stride = self.workers.len() + 1;
         let group = |j: usize| msgs.iter().skip(j).step_by(stride).cloned().collect();
@@ -152,16 +162,6 @@ impl Shard for SiteGroup<'_, '_> {
                 })
             })
             .collect();
-        (replies, 0)
-    }
-}
-
-impl Transport for ShardPool<SiteGroup<'_, '_>> {
-    fn num_sites(&self) -> usize {
-        self.sites
-    }
-
-    fn exchange(&mut self, round: usize, msgs: &[Option<Bytes>]) -> Vec<Option<SiteReply>> {
-        self.run_round(round, msgs).0
+        (replies, None)
     }
 }

@@ -1,17 +1,18 @@
 //! The round-based protocol driver.
 //!
 //! Algorithms implement [`Site`] (per-site logic) and [`Coordinator`]
-//! (central logic); [`run_protocol`] picks a [`Transport`] backend from
-//! [`RunOptions`], then alternates coordinator and sites until the
-//! coordinator finishes, charging every payload byte, timing every
-//! compute phase, and folding the [`LinkModel`] into simulated network
-//! time.
+//! (central logic); [`run_protocol`] starts the shard pool of the
+//! backend [`RunOptions`] selects, then alternates coordinator and sites
+//! until the coordinator finishes, charging every payload byte, timing
+//! every compute phase, and folding the [`LinkModel`] into simulated
+//! network time. [`run_fleet`] builds a protocol's fleet, one site per
+//! input, and runs it.
 
 use crate::fault::{Attempt, FaultPlan};
-use crate::mux::MuxTransport;
-use crate::pool::{ShardPool, SiteGroup};
+use crate::mux;
+use crate::pool::{Shard, ShardPool, SiteGroup};
 use crate::stats::{CommStats, RoundStats};
-use crate::transport::{LinkModel, Transport, TransportKind};
+use crate::transport::{LinkModel, TransportKind};
 use bytes::Bytes;
 use dpc_codec::Encoding;
 use dpc_metric::ThreadBudget;
@@ -168,19 +169,14 @@ impl RunOptions {
             .clamp(1, sites.max(1))
     }
 
-    /// Whether `sites` sites run at once under these options: on more
-    /// than one shard (which implies more than one site). One shard runs
-    /// them one at a time, on either backend.
-    pub fn sites_run_concurrently(&self, sites: usize) -> bool {
-        self.shard_count(sites) > 1
-    }
-
     /// The kernel thread budget each of `sites` sites gets out of a job's
-    /// `budget`: serial when the sites run at once (their threads already
-    /// share the machine), the whole budget when they run one at a time.
-    /// The coordinator always keeps the whole budget.
+    /// `budget`: serial when the sites run at once, on more than one shard
+    /// (their threads already share the machine), the whole budget when
+    /// one shard runs them one at a time, on either backend. The
+    /// coordinator always keeps the whole budget. [`run_fleet`] applies
+    /// this rule to every protocol's sites.
     pub fn site_threads(&self, sites: usize, budget: ThreadBudget) -> ThreadBudget {
-        if self.sites_run_concurrently(sites) {
+        if self.shard_count(sites) > 1 {
             ThreadBudget::serial()
         } else {
             budget
@@ -200,7 +196,7 @@ pub struct ProtocolOutput<O> {
 ///
 /// Round `r` consists of: the coordinator consumes round `r-1` replies
 /// (none for `r = 0`) and emits round `r` messages — timed as round `r`
-/// coordinator compute — the transport delivers them, sites handle them
+/// coordinator compute — the shard pool delivers them, sites handle them
 /// (concurrently across shards, timed per site), and the replies feed
 /// round `r+1`. The final `Finish` decision is timed into the last
 /// executed round.
@@ -217,21 +213,39 @@ pub fn run_protocol<C: Coordinator>(
     std::thread::scope(|scope| match options.transport {
         TransportKind::Channel => {
             let sites = sites.iter_mut().map(|site| site.as_mut());
-            let mut transport = ShardPool::start(scope, sites, shards, SiteGroup);
-            drive(&mut transport, coordinator, options)
+            let pool = ShardPool::start(scope, sites, shards, SiteGroup);
+            drive(pool, coordinator, options)
         }
-        TransportKind::Mux => {
-            let recorder = options.recorder.clone();
-            let mut transport = MuxTransport::start(scope, sites, shards, recorder);
-            drive(&mut transport, coordinator, options)
-        }
+        TransportKind::Mux => drive(mux::start(scope, sites, shards), coordinator, options),
     })
 }
 
-/// The transport-agnostic driver loop.
+/// Runs a protocol over a fleet of one site per input: site `i` is
+/// `make_site(i, &inputs[i], threads)`, where `threads` is every site's
+/// share of the job's kernel `budget` under `options`
+/// ([`RunOptions::site_threads`]). The coordinator is built once the
+/// fleet is known to be non-empty, and keeps the whole budget.
 ///
-/// Public so external runtimes (or benches) can drive custom
-/// [`Transport`] implementations; most callers want [`run_protocol`].
+/// # Panics
+/// Panics if `inputs` is empty, and wherever [`run_protocol`] does.
+pub fn run_fleet<'a, T, S: Site + 'a, C: Coordinator>(
+    inputs: &'a [T],
+    budget: ThreadBudget,
+    options: RunOptions,
+    mut make_site: impl FnMut(usize, &'a T, ThreadBudget) -> S,
+    coordinator: impl FnOnce() -> C,
+) -> ProtocolOutput<C::Output> {
+    assert!(!inputs.is_empty(), "need at least one site");
+    let threads = options.site_threads(inputs.len(), budget);
+    let mut sites: Vec<Box<dyn Site + 'a>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, input)| Box::new(make_site(i, input, threads)) as Box<dyn Site + 'a>)
+        .collect();
+    run_protocol(&mut sites, coordinator(), options)
+}
+
+/// The driver loop over a started shard pool.
 ///
 /// Fault injection happens here, *before* each exchange: the
 /// [`FaultPlan`] decides which sites participate as a pure function of
@@ -240,12 +254,12 @@ pub fn run_protocol<C: Coordinator>(
 /// misses a round is failed for the rest of the execution (crash-stop):
 /// every protocol in this workspace derives round-`r` state from round
 /// `r-1` messages, so a late rejoin would answer from a stale round.
-pub fn drive<T: Transport + ?Sized, C: Coordinator>(
-    transport: &mut T,
+fn drive<S: Shard, C: Coordinator>(
+    mut pool: ShardPool<S>,
     mut coordinator: C,
     options: RunOptions,
 ) -> ProtocolOutput<C::Output> {
-    let s = transport.num_sites();
+    let s = pool.sites;
     let plan = &options.faults;
     let rec = &options.recorder;
     let on = rec.enabled();
@@ -296,6 +310,17 @@ pub fn drive<T: Transport + ?Sized, C: Coordinator>(
         let mut delivery: Vec<Option<Bytes>> = Vec::with_capacity(s);
         let mut waits: Vec<Duration> = vec![Duration::ZERO; s];
         let mut retries = 0usize;
+        let fault = |site: usize, attempt: u32, kind: FaultKind, wait: Duration| {
+            if on {
+                rec.record(Event::Fault {
+                    round,
+                    site,
+                    attempt: attempt as usize,
+                    kind,
+                    wait_ns: dur_to_ns(wait),
+                });
+            }
+        };
         if plan.is_none() {
             delivery.extend(msgs.iter().cloned().map(Some));
         } else {
@@ -315,28 +340,14 @@ pub fn drive<T: Transport + ?Sized, C: Coordinator>(
                                 // abandoned, the coordinator waited in vain.
                                 waits[i] += timeout;
                                 retries += 1;
-                                if on {
-                                    rec.record(Event::Fault {
-                                        round,
-                                        site: i,
-                                        attempt: attempt as usize,
-                                        kind: FaultKind::Straggler,
-                                        wait_ns: dur_to_ns(timeout),
-                                    });
-                                }
+                                fault(i, attempt, FaultKind::Straggler, timeout);
                             }
                             _ => {
                                 delivered = Some(delay);
-                                if on && delay > Duration::ZERO {
+                                if delay > Duration::ZERO {
                                     // Accepted late: a straggler within the
                                     // timeout.
-                                    rec.record(Event::Fault {
-                                        round,
-                                        site: i,
-                                        attempt: attempt as usize,
-                                        kind: FaultKind::Straggler,
-                                        wait_ns: dur_to_ns(delay),
-                                    });
+                                    fault(i, attempt, FaultKind::Straggler, delay);
                                 }
                                 break;
                             }
@@ -344,20 +355,10 @@ pub fn drive<T: Transport + ?Sized, C: Coordinator>(
                         Attempt::Failed => {
                             // With no timeout configured, detection is free
                             // (a perfect failure detector).
-                            let timeout = plan.timeout_for(attempt);
-                            if let Some(timeout) = timeout {
-                                waits[i] += timeout;
-                            }
+                            let timeout = plan.timeout_for(attempt).unwrap_or_default();
+                            waits[i] += timeout;
                             retries += 1;
-                            if on {
-                                rec.record(Event::Fault {
-                                    round,
-                                    site: i,
-                                    attempt: attempt as usize,
-                                    kind: FaultKind::Retry,
-                                    wait_ns: dur_to_ns(timeout.unwrap_or(Duration::ZERO)),
-                                });
-                            }
+                            fault(i, attempt, FaultKind::Retry, timeout);
                         }
                     }
                 }
@@ -367,26 +368,31 @@ pub fn drive<T: Transport + ?Sized, C: Coordinator>(
                         delivery.push(Some(msg.clone()));
                     }
                     None => {
+                        // The site misses the round (crash-stop from here
+                        // on); later rounds skip it silently.
                         alive[i] = false;
                         delivery.push(None);
-                        if on {
-                            // The site misses the round (crash-stop from
-                            // here on); later rounds skip it silently.
-                            rec.record(Event::Fault {
-                                round,
-                                site: i,
-                                attempt: plan.retries as usize,
-                                kind: FaultKind::Dropout,
-                                wait_ns: 0,
-                            });
-                        }
+                        fault(i, plan.retries, FaultKind::Dropout, Duration::ZERO);
                     }
                 }
             }
         }
 
-        let site_replies = transport.exchange(round, &delivery);
-        debug_assert_eq!(site_replies.len(), s);
+        let (site_replies, wakeups) = pool.run_round(round, &delivery);
+        // Wall-clock side channel: a shard that polls (mux) reports its
+        // loop's wakeups; an in-process shard reports none.
+        if on {
+            for (shard, wakeups) in wakeups.into_iter().enumerate() {
+                if let Some(wakeups) = wakeups {
+                    rec.record(Event::ShardPoll {
+                        round,
+                        shard,
+                        wakeups,
+                    });
+                    rec.add(Counter::PollWakeups, wakeups);
+                }
+            }
+        }
 
         // Byte accounting charges only what was actually delivered: a
         // dropped site moves zero bytes in both directions.
@@ -607,9 +613,39 @@ mod tests {
                 "{:?} shards={:?} sites={sites}",
                 options.transport, options.shards
             );
-            assert_eq!(options.sites_run_concurrently(sites), concurrent, "{case}");
             let want = if concurrent { serial } else { budget };
             assert_eq!(options.site_threads(sites, budget), want, "{case}");
+        }
+    }
+
+    #[test]
+    fn fleets_take_the_site_budget_and_keep_input_order() {
+        let budget = ThreadBudget::new(4);
+        for (options, want) in [
+            (RunOptions::new().shards(2), ThreadBudget::serial()),
+            (RunOptions::sequential(), budget),
+            (
+                RunOptions::new().transport(TransportKind::Mux).shards(2),
+                ThreadBudget::serial(),
+            ),
+        ] {
+            let mut given = Vec::new();
+            let out = run_fleet(
+                &[1u64, 2, 3, 4],
+                budget,
+                RunOptions {
+                    max_rounds: 8,
+                    ..options
+                },
+                |i, &value, threads| {
+                    assert_eq!(value, i as u64 + 1, "site {i} got another input");
+                    given.push(threads);
+                    ToySite { value }
+                },
+                || ToyCoordinator { factor: 3, sum: 0 },
+            );
+            assert_eq!(out.output, 3 * (1 + 2 + 3 + 4));
+            assert_eq!(given, vec![want; 4]);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Socket plumbing of the loopback backend ([`crate::MuxTransport`]):
+//! Socket plumbing of the loopback backend (`mux`):
 //! the wire frames, the frame reader and writer, the fleet builder, and
 //! the site event loop.
 //!
@@ -31,8 +31,8 @@
 //! a group of sites over their non-blocking sockets from one `poll(2)`
 //! loop, one loop per mux shard.
 
+use crate::pool::SiteReply;
 use crate::protocol::Site;
-use crate::transport::SiteReply;
 use bytes::Bytes;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};

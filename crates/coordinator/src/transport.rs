@@ -1,56 +1,13 @@
-//! The transport abstraction under the protocol driver.
+//! The backend switch and the link model under the protocol driver.
 //!
-//! A [`Transport`] moves one round's worth of messages between the
-//! coordinator and the sites and reports each site's measured compute
-//! time. The driver ([`crate::run_protocol`]) is transport-agnostic:
-//! byte accounting charges the *payload* length of every message, so all
-//! backends produce identical [`crate::CommStats`] charges for the same
-//! protocol — backend framing (socket length prefixes, channel envelopes)
-//! is deliberately not charged, because the paper's communication bounds
-//! are stated over message contents.
-//!
-//! Two backends exist, both serving the sites from one shard pool
-//! ([`crate::RunOptions::shards`] workers, sites dealt round-robin, each
-//! worker running its group one site at a time; one shard runs every
-//! site on the caller's thread):
-//!
-//! * [`TransportKind::Channel`] — in process: each worker gets its
-//!   group's messages through a mailbox and calls the sites directly.
-//! * [`crate::MuxTransport`] — each site behind a loopback TCP socket
-//!   speaking length-prefixed frames, proving the wire formats survive
-//!   a real socket. Each shard is a `poll(2)` site loop plus a
-//!   coordinator loop, so its thread count is O(shards) instead of
-//!   O(sites), from one shard up to thousands of sites in one process.
+//! Byte accounting charges the *payload* length of every message, so
+//! both backends produce identical [`crate::CommStats`] charges for the
+//! same protocol: backend framing (socket length prefixes) is not
+//! charged, because the paper's communication bounds are stated over
+//! message contents. Both backends serve the sites from the shard pool
+//! (see the crate docs); [`TransportKind`] picks the shard body.
 
-use bytes::Bytes;
 use std::time::Duration;
-
-/// One site's answer to a round: the reply payload plus the site-side
-/// measured compute time (transport metadata, never charged as bytes).
-#[derive(Clone, Debug)]
-pub struct SiteReply {
-    /// The reply message.
-    pub payload: Bytes,
-    /// Wall-clock time the site spent inside `Site::handle`.
-    pub compute: Duration,
-}
-
-/// A backend that can run one round of the star topology: deliver
-/// `msgs[i]` to site `i`, wait for every reply.
-///
-/// A `None` entry marks a site the driver's [`crate::FaultPlan`] failed
-/// this round: the backend must skip it entirely — no delivery, no site
-/// compute, and a `None` in the reply slot — so a dropped site looks
-/// identical on every backend.
-pub trait Transport {
-    /// Number of sites behind this transport.
-    fn num_sites(&self) -> usize;
-
-    /// Delivers `msgs[i]` to site `i` for `round` (skipping `None`
-    /// entries) and collects every participating site's reply, in site
-    /// order. `msgs.len()` must equal [`Self::num_sites`].
-    fn exchange(&mut self, round: usize, msgs: &[Option<Bytes>]) -> Vec<Option<SiteReply>>;
-}
 
 /// Which backend [`crate::run_protocol`] executes sites on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

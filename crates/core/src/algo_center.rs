@@ -29,9 +29,7 @@ use crate::wire::{merge_summaries, DistributedSolution, PreclusterMsg, Threshold
 use bytes::Bytes;
 use dpc_cluster::{charikar_center, gonzalez_with, CenterParams, GonzalezOrdering};
 use dpc_codec::Encoding;
-use dpc_coordinator::{
-    run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
-};
+use dpc_coordinator::{run_fleet, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site};
 use dpc_metric::{EuclideanMetric, NearestAssigner, PointSet, ThreadBudget, WireWriter};
 
 /// Configuration for the distributed `(k,t)`-center protocol.
@@ -259,24 +257,17 @@ pub fn run_distributed_center(
     cfg: CenterConfig,
     options: RunOptions,
 ) -> ProtocolOutput<DistributedSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let options = options.encoding(cfg.encoding);
-    let dim = shards[0].dim();
-    let site_cfg = CenterConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, ps)| Box::new(CenterSite::new(ps, i, site_cfg)) as Box<dyn Site + '_>)
-        .collect();
-    let coordinator = CenterCoordinator {
-        cfg,
-        dim,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options.encoding(cfg.encoding),
+        |i, ps, threads| CenterSite::new(ps, i, CenterConfig { threads, ..cfg }),
+        || CenterCoordinator {
+            cfg,
+            dim: shards[0].dim(),
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -34,9 +34,7 @@ use dpc_cluster::{
     LocalSearchParams, Solution,
 };
 use dpc_codec::Encoding;
-use dpc_coordinator::{
-    run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
-};
+use dpc_coordinator::{run_fleet, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site};
 use dpc_metric::{
     EuclideanMetric, Metric, Objective, PointSet, SquaredMetric, ThreadBudget, WeightedSet,
     WireWriter,
@@ -457,25 +455,18 @@ pub fn run_distributed_median(
     cfg: MedianConfig,
     options: RunOptions,
 ) -> ProtocolOutput<DistributedSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
     // The driver needs the encoding to account raw vs compressed bytes.
-    let options = options.encoding(cfg.encoding);
-    let dim = shards[0].dim();
-    let site_cfg = MedianConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, ps)| Box::new(MedianSite::new(ps, i, site_cfg)) as Box<dyn Site + '_>)
-        .collect();
-    let coordinator = MedianCoordinator {
-        cfg,
-        dim,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options.encoding(cfg.encoding),
+        |i, ps, threads| MedianSite::new(ps, i, MedianConfig { threads, ..cfg }),
+        || MedianCoordinator {
+            cfg,
+            dim: shards[0].dim(),
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -510,6 +501,14 @@ mod tests {
         assert!(cost < 50.0, "true cost {cost}");
         assert_eq!(out.stats.num_rounds(), 2); // the paper's 2 rounds
         assert!(sol.shipped_outliers <= 3 * 3); // Σ t_i ≤ ρt + t = 3t
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one site")]
+    fn empty_fleet_is_rejected() {
+        // The coordinator reads the first shard's dimension; that must
+        // not turn the empty-fleet message into an index panic.
+        let _ = run_distributed_median(&[], MedianConfig::new(2, 3), RunOptions::sequential());
     }
 
     #[test]

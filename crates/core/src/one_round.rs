@@ -13,9 +13,7 @@ use crate::wire::{DistributedSolution, PreclusterMsg};
 use bytes::Bytes;
 use dpc_cluster::gonzalez_with;
 use dpc_codec::Encoding;
-use dpc_coordinator::{
-    run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
-};
+use dpc_coordinator::{run_fleet, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site};
 use dpc_metric::{EuclideanMetric, PointSet, WireWriter};
 
 /// Site for the 1-round median/means protocol: one shot, full hedge.
@@ -89,30 +87,21 @@ pub fn run_one_round_median(
     cfg: MedianConfig,
     options: RunOptions,
 ) -> ProtocolOutput<DistributedSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let options = options.encoding(cfg.encoding);
-    let dim = shards[0].dim();
-    let site_cfg = MedianConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, ps)| {
-            Box::new(OneRoundMedianSite {
-                data: ps,
-                site_id: i,
-                cfg: site_cfg,
-            }) as Box<dyn Site + '_>
-        })
-        .collect();
-    let coordinator = OneRoundMedianCoordinator {
-        cfg,
-        dim,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options.encoding(cfg.encoding),
+        |i, ps, threads| OneRoundMedianSite {
+            data: ps,
+            site_id: i,
+            cfg: MedianConfig { threads, ..cfg },
+        },
+        || OneRoundMedianCoordinator {
+            cfg,
+            dim: shards[0].dim(),
+            result: None,
+        },
+    )
 }
 
 /// Site for the 1-round center protocol (the Malkomes et al. baseline):
@@ -171,28 +160,20 @@ pub fn run_one_round_center(
     cfg: CenterConfig,
     options: RunOptions,
 ) -> ProtocolOutput<DistributedSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let options = options.encoding(cfg.encoding);
-    let dim = shards[0].dim();
-    let site_cfg = CenterConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .map(|ps| {
-            Box::new(OneRoundCenterSite {
-                data: ps,
-                cfg: site_cfg,
-            }) as Box<dyn Site + '_>
-        })
-        .collect();
-    let coordinator = OneRoundCenterCoordinator {
-        cfg,
-        dim,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options.encoding(cfg.encoding),
+        |_, ps, threads| OneRoundCenterSite {
+            data: ps,
+            cfg: CenterConfig { threads, ..cfg },
+        },
+        || OneRoundCenterCoordinator {
+            cfg,
+            dim: shards[0].dim(),
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]

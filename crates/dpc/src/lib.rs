@@ -21,9 +21,10 @@
 //!   encodings (`raw`/`f32`/`rlz`) that trade wire bytes against
 //!   solution quality;
 //! * [`coordinator`] — the transport-abstracted coordinator-model
-//!   runtime: persistent in-process site workers or loopback TCP sockets
-//!   served by event-loop shards (mux), behind one `Transport` trait,
-//!   exact byte accounting, and a simulated link model;
+//!   runtime: a driver that runs each round on one shard pool of
+//!   in-process site workers or loopback TCP sockets served by
+//!   event-loop shards (mux), one fleet builder with the site kernel
+//!   budget rule, exact byte accounting, and a simulated link model;
 //! * [`core`] — Algorithms 1–2, the Theorem 3.8 δ-variant, 1-round
 //!   baselines, and the Theorem 3.10 subquadratic centralized algorithm;
 //! * [`uncertain`] — uncertain nodes, the compressed graph (Figure 1),

@@ -17,9 +17,9 @@
 //! dictionary) are the sync's own. Every byte crosses the
 //! wire and is charged through [`CommStats`], so the communication cost
 //! of *keeping the clustering current* is measured per sync, exactly
-//! like the one-shot protocols. The sync executes on the same
-//! transport-abstracted runtime as the batch protocols
-//! ([`dpc_coordinator::run_protocol`]): one [`TransportKind`] /
+//! like the one-shot protocols. The sync builds its fleet like the batch
+//! protocols ([`dpc_coordinator::run_fleet`], which also gives each site
+//! its kernel budget): one [`TransportKind`] /
 //! [`LinkModel`] switch moves both paths between in-process channels
 //! and the loopback-socket event-loop backend (mux), with identical byte
 //! accounting. Because sites summarize
@@ -32,12 +32,14 @@ use bytes::Bytes;
 use dpc_cluster::{BicriteriaParams, Solution};
 use dpc_codec::Encoding;
 use dpc_coordinator::{
-    run_protocol, CommStats, Coordinator, CoordinatorStep, FaultPlan, LinkModel, RunOptions, Site,
+    run_fleet, CommStats, Coordinator, CoordinatorStep, FaultPlan, LinkModel, RunOptions, Site,
     TransportKind,
 };
 use dpc_core::wire::ThresholdMsg;
 use dpc_core::{geometric_grid, site_budget_from_threshold, threshold_round, ConvexProfile};
-use dpc_metric::{EuclideanMetric, Objective, PointSet, SquaredMetric, WeightedSet, WireWriter};
+use dpc_metric::{
+    EuclideanMetric, Objective, PointSet, SquaredMetric, ThreadBudget, WeightedSet, WireWriter,
+};
 use dpc_obs::{Counter, Event, RecorderHandle};
 use std::sync::{Arc, Mutex};
 
@@ -303,22 +305,8 @@ impl ContinuousCluster {
         // dropout in one sync must not doom a site for the fleet's
         // remaining lifetime.
         let options = self.sync_options(self.cfg.faults.derive(self.history.len() as u64));
-        let site_cfg = self.site_config(&options);
         let instances: Vec<(PointSet, WeightedSet)> =
             self.sites.iter().map(StreamEngine::live_instance).collect();
-        let mut sites: Vec<Box<dyn Site + '_>> = instances
-            .iter()
-            .enumerate()
-            .map(|(i, (pts, w))| {
-                Box::new(SummarySite::new(
-                    pts,
-                    w,
-                    i,
-                    site_cfg.clone(),
-                    Arc::clone(&self.prev_summaries[i]),
-                )) as Box<dyn Site + '_>
-            })
-            .collect();
         // Snapshot the pre-sync dictionaries now: sites overwrite their
         // slots with this sync's uploads while the protocol runs, and
         // the coordinator must decode against the *previous* ones.
@@ -327,13 +315,18 @@ impl ContinuousCluster {
             .iter()
             .map(|s| s.lock().unwrap().clone().unwrap_or_default())
             .collect();
-        let coordinator = SyncCoordinator {
-            cfg: self.cfg.clone(),
-            dim: self.dim,
-            dicts,
-            result: None,
-        };
-        let out = run_protocol(&mut sites, coordinator, options);
+        let out = run_fleet(
+            &instances,
+            self.cfg.stream.threads,
+            options,
+            |i, instance, threads| self.summary_site(i, instance, threads),
+            || SyncCoordinator {
+                cfg: self.cfg.clone(),
+                dim: self.dim,
+                dicts,
+                result: None,
+            },
+        );
         let (centers, cost, excluded_weight) = out.output;
         if self.recorder.enabled() {
             self.recorder.record(Event::SyncEnd {
@@ -370,14 +363,17 @@ impl ContinuousCluster {
         }
     }
 
-    /// The sync sites' configuration under `options`: the batch jobs'
-    /// kernel budget rule ([`RunOptions::site_threads`]), serial when
-    /// shards run sites at once and the whole `stream.threads` when one
-    /// shard runs them in turn. The coordinator keeps the whole budget.
-    fn site_config(&self, options: &RunOptions) -> ContinuousConfig {
+    /// Sync site `i` over its live `instance`, solving with the kernel
+    /// budget `threads` the fleet gives it.
+    fn summary_site<'a>(
+        &self,
+        i: usize,
+        (pts, w): &'a (PointSet, WeightedSet),
+        threads: ThreadBudget,
+    ) -> SummarySite<'a> {
         let mut cfg = self.cfg.clone();
-        cfg.stream.threads = options.site_threads(self.sites.len(), cfg.stream.threads);
-        cfg
+        cfg.stream.threads = threads;
+        SummarySite::new(pts, w, i, cfg, Arc::clone(&self.prev_summaries[i]))
     }
 }
 
@@ -429,6 +425,15 @@ impl<'a> SummarySite<'a> {
         framed
     }
 
+    /// The grid solve's parameters: the engine's solver (with the site's
+    /// kernel budget), no outlier relaxation, and a per-site seed.
+    fn grid_params(&self) -> BicriteriaParams {
+        let mut params = self.cfg.stream.solver_params();
+        params.eps = 0.0;
+        params.ls.seed = params.ls.seed.wrapping_add(self.site_id as u64);
+        params
+    }
+
     fn evaluate(&self, centers: Vec<usize>, budget: f64) -> Solution {
         let obj = self.cfg.stream.objective;
         if obj == Objective::Means {
@@ -446,13 +451,7 @@ impl<'a> SummarySite<'a> {
         self.grid = geometric_grid(t, self.cfg.rho.max(1.0 + 1e-9));
         // An empty live summary needs no special case: both solvers
         // return an empty zero-cost solution per grid point.
-        let mut ls = self.cfg.stream.ls;
-        ls.seed = ls.seed.wrapping_add(self.site_id as u64);
-        let params = BicriteriaParams {
-            eps: 0.0,
-            ls,
-            ..self.cfg.stream.solver_params()
-        };
+        let params = self.grid_params();
         let budgets: Vec<f64> = self.grid.iter().map(|&q| q as f64).collect();
         self.sols = solve_weighted_grid(
             self.pts,
@@ -830,8 +829,12 @@ mod tests {
             };
             let fleet = ContinuousCluster::new(2, 8, cfg);
             let options = fleet.sync_options(FaultPlan::none());
-            let site_threads = fleet.site_config(&options).stream.threads.get();
-            (options.shards, site_threads)
+            let budget = options.site_threads(fleet.num_sites(), fleet.cfg.stream.threads);
+            let instance = fleet.sites[0].live_instance();
+            // The budget must reach the kernels the site's grid solve runs.
+            let params = fleet.summary_site(0, &instance, budget).grid_params();
+            assert_eq!(params.ls.threads, budget);
+            (options.shards, params.ls.threads.get())
         };
         assert_eq!(shards(true, 3), (Some(3), 1));
         assert_eq!(shards(true, 1), (Some(1), 1));

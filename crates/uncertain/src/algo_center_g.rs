@@ -30,9 +30,7 @@ use crate::node::{NodeSet, UncertainNode};
 use crate::truncated::{distance_range, tau_grid};
 use bytes::Bytes;
 use dpc_cluster::{charikar_center, gonzalez_with, CenterParams};
-use dpc_coordinator::{
-    run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
-};
+use dpc_coordinator::{run_fleet, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site};
 use dpc_core::allocation::{allocate_outliers, site_budget_from_threshold};
 use dpc_core::hull::ConvexProfile;
 use dpc_core::wire::ThresholdMsg;
@@ -530,24 +528,18 @@ pub fn run_center_g(
     cfg: CenterGConfig,
     options: RunOptions,
 ) -> ProtocolOutput<UncertainSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let dim = shards[0].ground.dim();
-    let site_cfg = CenterGConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, ns)| Box::new(CenterGSite::new(ns, i, site_cfg)) as Box<dyn Site + '_>)
-        .collect();
-    let coordinator = CenterGCoordinator {
-        cfg,
-        dim,
-        tau_base: 1.0,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options,
+        |i, ns, threads| CenterGSite::new(ns, i, CenterGConfig { threads, ..cfg }),
+        || CenterGCoordinator {
+            cfg,
+            dim: shards[0].ground.dim(),
+            tau_base: 1.0,
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -861,35 +853,28 @@ pub fn run_center_g_one_round(
     d_max: f64,
     options: RunOptions,
 ) -> ProtocolOutput<UncertainSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let dim = shards[0].ground.dim();
-    let site_cfg = CenterGConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .map(|ns| {
-            Box::new(OneRoundCenterGSite {
-                data: ns,
-                cfg: site_cfg,
-                d_min,
-                d_max,
-            }) as Box<dyn Site + '_>
-        })
-        .collect();
     let tau_base = if d_min > 0.0 && d_min.is_finite() {
         d_min / 18.0
     } else {
         1.0
     };
-    let coordinator = OneRoundCenterGCoordinator {
-        cfg,
-        dim,
-        tau_base,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options,
+        |_, ns, threads| OneRoundCenterGSite {
+            data: ns,
+            cfg: CenterGConfig { threads, ..cfg },
+            d_min,
+            d_max,
+        },
+        || OneRoundCenterGCoordinator {
+            cfg,
+            dim: shards[0].ground.dim(),
+            tau_base,
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -20,9 +20,7 @@ use dpc_cluster::{
     CenterParams, LocalSearchParams, Solution,
 };
 use dpc_codec::Encoding;
-use dpc_coordinator::{
-    run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
-};
+use dpc_coordinator::{run_fleet, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site};
 use dpc_core::allocation::{allocate_outliers, site_budget_from_threshold};
 use dpc_core::hull::{geometric_grid, ConvexProfile};
 use dpc_core::wire::ThresholdMsg;
@@ -509,23 +507,17 @@ pub fn run_uncertain_median(
     cfg: UncertainConfig,
     options: RunOptions,
 ) -> ProtocolOutput<UncertainSolution> {
-    assert!(!shards.is_empty(), "need at least one site");
-    let dim = shards[0].ground.dim();
-    let site_cfg = UncertainConfig {
-        threads: options.site_threads(shards.len(), cfg.threads),
-        ..cfg
-    };
-    let mut sites: Vec<Box<dyn Site + '_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, ns)| Box::new(UncertainSite::new(ns, i, site_cfg)) as Box<dyn Site + '_>)
-        .collect();
-    let coordinator = UncertainCoordinator {
-        cfg,
-        dim,
-        result: None,
-    };
-    run_protocol(&mut sites, coordinator, options)
+    run_fleet(
+        shards,
+        cfg.threads,
+        options,
+        |i, ns, threads| UncertainSite::new(ns, i, UncertainConfig { threads, ..cfg }),
+        || UncertainCoordinator {
+            cfg,
+            dim: shards[0].ground.dim(),
+            result: None,
+        },
+    )
 }
 
 #[cfg(test)]

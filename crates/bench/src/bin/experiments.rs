@@ -1147,7 +1147,7 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 
 /// T1 — the transport-layer record: end-to-end wall clock of the same
 /// 2-round median protocol on the in-process (channel) and
-/// loopback-socket event-loop (mux) backends as the fleet grows from 16
+/// socket-pair event-loop (mux) backends as the fleet grows from 16
 /// to 4096 sites, crossed with simulated link latency.
 ///
 /// Writes `BENCH_transport.json` at the repo root (the companion of
@@ -1161,7 +1161,7 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 fn t1_transport(threads_override: Option<usize>) {
     header(
         "T1",
-        "transport backends: in-process shards vs mux event loops over loopback sockets",
+        "transport backends: in-process shards vs mux event loops over socket pairs",
     );
     let threads = threads_override.unwrap_or(1);
     // Small summaries (k + t = 6 points per site) keep coordinator-side
@@ -1182,9 +1182,9 @@ fn t1_transport(threads_override: Option<usize>) {
         // At least 4 points per site so every shard can form a summary.
         let n = (sites * 4).max(4096);
         let data = Dataset::Shards(med_shards(sites, n, t, 18_000 + sites as u64));
-        // Best-of-3 even at 4096 sites: with abortive worker-side close
-        // (no TIME_WAIT churn between runs) a full spawn-run-teardown
-        // cycle stays near a second.
+        // Best-of-3 even at 4096 sites: a closed Unix socket pair frees
+        // its kernel state at once, so a full spawn-run-teardown cycle
+        // stays under a second and leaves nothing for the next run.
         let reps = 3;
         for &lat_ms in &[0u64, 1, 5] {
             let link = LinkModel::new(std::time::Duration::from_millis(lat_ms), 1e9);

@@ -94,7 +94,7 @@ transport options (distributed commands and stream --sync-every):
                              --threads shards, so thousands of sites fit
                              in one process: 'channel' calls them in
                              process; 'mux' runs each site behind a
-                             loopback socket with length-prefixed
+                             Unix socket pair with length-prefixed
                              frames, each shard a poll(2) site loop plus
                              a coordinator loop
   --encoding <enc>           wire codec for protocol messages (default

@@ -8,7 +8,7 @@
 //! wall clock — so a chaos run is reproducible bit for bit on every
 //! transport backend: the set of responders, the bytes charged, and the
 //! simulated network time are identical whether sites run inline, on
-//! worker threads, or behind loopback TCP sockets.
+//! worker threads, or behind Unix-domain sockets.
 //!
 //! # Semantics
 //!

@@ -27,13 +27,13 @@
 //!   deterministic test mode). A shard's body is the backend, selected
 //!   by [`RunOptions::transport`]: the in-process
 //!   [`TransportKind::Channel`] worker calls its sites directly; the
-//!   [`TransportKind::Mux`] worker puts every site behind a loopback TCP
-//!   socket with length-prefixed frames, proving the wire formats
-//!   round-trip a real socket, and runs a `poll(2)` site loop plus a
-//!   coordinator loop driving per-connection frame state machines with
-//!   vectored writes (the `poll` syscall comes from the thin vendored
-//!   `sys_poll` FFI wrapper, same no-registry discipline as the rest of
-//!   `vendor/`). Protocol crates build their fleet with [`run_fleet`],
+//!   [`TransportKind::Mux`] worker puts every site behind one end of a
+//!   Unix-domain socket pair with length-prefixed frames, proving the
+//!   wire formats round-trip a real socket, and runs a `poll(2)` site
+//!   loop plus a coordinator loop driving per-connection frame state
+//!   machines with vectored writes (the `poll` syscall comes from the
+//!   thin vendored `sys_poll` FFI wrapper, same no-registry discipline
+//!   as the rest of `vendor/`). Protocol crates build their fleet with [`run_fleet`],
 //!   which also gives each site its kernel budget
 //!   ([`RunOptions::site_threads`]).
 //! * **The link model** ([`LinkModel`]) simulates per-message latency and

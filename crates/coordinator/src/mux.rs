@@ -1,12 +1,13 @@
 //! Multiplexed event-loop backend: thousands of sites, O(shards)
 //! threads.
 //!
-//! Every site sits behind a real loopback socket speaking the
-//! length-prefixed frames documented in `sockets`, so every protocol
-//! message round-trips a socket boundary. A thread per site on each side
-//! of the socket would be fine at 16 sites and hopeless at the thousands
-//! the coordinator model is designed for, so this backend serves both
-//! halves from the crate's shard pool (`pool`). Sites are dealt
+//! Every site sits behind a real kernel socket (one end of a Unix-domain
+//! socket pair) speaking the length-prefixed frames documented in
+//! `sockets`, so every protocol message round-trips a socket boundary.
+//! A thread per site on each side of the socket would be fine at 16
+//! sites and hopeless at the thousands the coordinator model is designed
+//! for, so this backend serves both halves from the crate's shard pool
+//! (`pool`). Sites are dealt
 //! round-robin across the pool, and shard `j` serves its sites
 //! `j, j+stride, …` from two loops:
 //!
@@ -21,8 +22,8 @@
 //!   site ends: read the request, run the site, write the reply, for
 //!   every ready connection of one `poll(2)` wakeup.
 //!
-//! The fleet is built over one listener on the caller's thread, and
-//! shard 0's coordinator loop runs there too, so a run's thread count is
+//! The fleet's socket pairs are made on the caller's thread, and shard
+//! 0's coordinator loop runs there too, so a run's thread count is
 //! `2·shards − 1` however many sites there are, while the per-round byte
 //! traffic is bit-identical to the in-process backend at every shard
 //! count, one shard included.
@@ -44,12 +45,12 @@
 use crate::pool::{Shard, ShardDone, ShardPool, SiteReply};
 use crate::protocol::Site;
 use crate::sockets::{
-    loopback_pairs, request_frame, serve_sites, site_reply, FrameReader, FrameWriter, SiteEnd,
+    request_frame, serve_sites, site_reply, socket_pairs, FrameReader, FrameWriter, SiteEnd,
     SHUTDOWN,
 };
 use bytes::Bytes;
-use std::net::TcpStream;
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::thread::Scope;
 use std::time::Duration;
 use sys_poll::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -70,7 +71,7 @@ enum Phase {
 /// One coordinator-side connection owned by a shard: the non-blocking
 /// socket plus the frame in flight.
 struct Conn {
-    stream: TcpStream,
+    stream: UnixStream,
     /// Global site index (diagnostics only).
     site: usize,
     phase: Phase,
@@ -139,9 +140,8 @@ impl Shard for MuxShard {
         let conns = &mut self.0;
         debug_assert_eq!(msgs.len(), conns.len());
         // Arm every participating connection and push each as far as the
-        // socket buffers allow — with loopback sockets the whole request
-        // usually leaves here, and the poll loop below only waits for
-        // replies.
+        // socket buffers allow — a small request usually leaves here
+        // whole, and the poll loop below only waits for replies.
         let mut pending = 0usize;
         for (conn, msg) in conns.iter_mut().zip(msgs) {
             conn.phase = match msg {
@@ -192,7 +192,7 @@ impl Drop for MuxShard {
     }
 }
 
-/// Connects one loopback socket pair per site and serves the fleet from
+/// Connects one socket pair per site and serves the fleet from
 /// `shards` event-loop shards inside `scope` (`shards` at least 1;
 /// [`crate::run_protocol`] passes [`crate::RunOptions::shard_count`]).
 /// Dropping the pool drops the coordinator loops, which send every site
@@ -204,7 +204,7 @@ pub(crate) fn start<'scope, 'env, 'data: 'env>(
     shards: usize,
 ) -> ShardPool<MuxShard> {
     let n = sites.len();
-    let ends = sites.iter_mut().zip(loopback_pairs(n)).enumerate().map(
+    let ends = sites.iter_mut().zip(socket_pairs(n)).enumerate().map(
         |(i, (site, (stream, site_stream)))| {
             stream
                 .set_nonblocking(true)

@@ -1,9 +1,9 @@
-//! Socket plumbing of the loopback backend (`mux`):
+//! Socket plumbing of the mux backend:
 //! the wire frames, the frame reader and writer, the fleet builder, and
 //! the site event loop.
 //!
-//! The coordinator connects one loopback socket pair per site, and each
-//! pair speaks length-prefixed frames for the rest of the execution:
+//! The coordinator connects one Unix-domain socket pair per site, and
+//! each pair speaks length-prefixed frames for the rest of the execution:
 //!
 //! ```text
 //! coordinator -> site   [round: u32 LE][len: u32 LE][payload]
@@ -22,10 +22,9 @@
 //! [`FrameReader`] and one [`FrameWriter`], generic over the header
 //! size, serve both directions. They work on blocking and non-blocking
 //! sockets alike: on a non-blocking one they stop at `WouldBlock` and
-//! resume where they stopped. `TCP_NODELAY` is set on both ends, and
-//! every frame goes out as one vectored write carrying the header and
-//! the payload together, so a small protocol round costs one syscall in
-//! each direction instead of two.
+//! resume where they stopped. Every frame goes out as one vectored write
+//! carrying the header and the payload together, so a small protocol
+//! round costs one syscall in each direction instead of two.
 //!
 //! The site half of the backend is [`serve_sites`]: one thread serving
 //! a group of sites over their non-blocking sockets from one `poll(2)`
@@ -35,8 +34,8 @@ use crate::pool::SiteReply;
 use crate::protocol::Site;
 use bytes::Bytes;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 use sys_poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 
@@ -107,14 +106,20 @@ impl<const H: usize> FrameWriter<H> {
     }
 }
 
+/// How far past the bytes read so far a frame body is allocated, so a
+/// length prefix alone never costs more than this much memory.
+const BODY_STEP: usize = 64 << 10;
+
 /// One incoming frame: an `H`-byte header whose last four bytes are the
 /// payload length, then the payload, read into a vector of exactly that
-/// length (handed over whole, never copied). A reader reads one frame;
-/// the next frame takes a new reader.
+/// length (handed over whole, never copied). The vector grows as the
+/// payload arrives, at most [`BODY_STEP`] ahead of it. A reader reads one
+/// frame; the next frame takes a new reader.
 pub(crate) struct FrameReader<const H: usize> {
     header: [u8; H],
     header_read: usize,
     body: Vec<u8>,
+    body_len: usize,
     body_read: usize,
 }
 
@@ -124,6 +129,7 @@ impl<const H: usize> FrameReader<H> {
             header: [0; H],
             header_read: 0,
             body: Vec::new(),
+            body_len: 0,
             body_read: 0,
         }
     }
@@ -138,7 +144,20 @@ impl<const H: usize> FrameReader<H> {
         loop {
             let buf = if self.header_read < H {
                 &mut self.header[self.header_read..]
-            } else if self.body_read < self.body.len() {
+            } else if self.body_read < self.body_len {
+                if self.body_read == self.body.len() {
+                    let grown = self.body_len.min(self.body_read + BODY_STEP);
+                    // The first step is one zeroed allocation: allocating
+                    // it unzeroed and filling it placed heap chunks
+                    // differently and raised perfbench `sites4096-mux`
+                    // peak RSS by ~2 MB in over half of its runs.
+                    if self.body.is_empty() {
+                        self.body = vec![0; grown];
+                    } else {
+                        self.body.reserve_exact(grown - self.body_read);
+                        self.body.resize(grown, 0);
+                    }
+                }
                 &mut self.body[self.body_read..]
             } else {
                 return Ok(Some((self.header, std::mem::take(&mut self.body))));
@@ -149,7 +168,7 @@ impl<const H: usize> FrameReader<H> {
                     self.header_read += n;
                     if self.header_read == H {
                         let len = u32::from_le_bytes(self.header[H - 4..].try_into().unwrap());
-                        self.body = vec![0; len as usize];
+                        self.body_len = len as usize;
                     }
                 }
                 Ok(n) => self.body_read += n,
@@ -161,29 +180,15 @@ impl<const H: usize> FrameReader<H> {
     }
 }
 
-/// Connects `n` loopback socket pairs over one listener, on the calling
-/// thread. Each `connect` is followed by its `accept` before the next,
-/// so pair `i` is site `i`'s and the accept backlog never holds more
-/// than one connection. Returns `(coordinator end, site end)` pairs:
-/// `TCP_NODELAY` is set on both ends (rounds are strict request/reply
-/// exchanges, exactly the pattern Nagle's algorithm penalizes), and the
-/// site end is non-blocking, ready for [`serve_sites`].
-///
-/// The site end also closes abortively. It closes only after consuming
-/// the shutdown frame (both directions provably drained), and the RST
-/// spares both sockets 60 s of `TIME_WAIT`: at thousands of sites per
-/// run, a torn-down fleet would otherwise degrade every following run
-/// while the kernel's connection table drains.
-pub(crate) fn loopback_pairs(n: usize) -> Vec<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-    let addr = listener.local_addr().expect("listener has a local addr");
+/// Connects one Unix-domain socket pair per site: `(coordinator end,
+/// site end)`, pair `i` for site `i`, with the site end non-blocking and
+/// ready for [`serve_sites`]. AF_UNIX has no Nagle delay to switch off
+/// and no `TIME_WAIT` to skip, so a closed pair frees its kernel state
+/// at once.
+pub(crate) fn socket_pairs(n: usize) -> Vec<(UnixStream, UnixStream)> {
     (0..n)
         .map(|_| {
-            let coordinator = TcpStream::connect(addr).expect("connect to loopback listener");
-            let (site, _) = listener.accept().expect("accept site connection");
-            coordinator.set_nodelay(true).ok();
-            site.set_nodelay(true).ok();
-            sys_poll::set_abortive_close(site.as_raw_fd()).ok();
+            let (coordinator, site) = UnixStream::pair().expect("create a site socket pair");
             site.set_nonblocking(true)
                 .expect("switch site-side socket to non-blocking");
             (coordinator, site)
@@ -196,7 +201,7 @@ pub(crate) fn loopback_pairs(n: usize) -> Vec<(TcpStream, TcpStream)> {
 /// reads every reply before it sends the next round.
 pub(crate) struct SiteEnd<'a> {
     site: &'a mut dyn Site,
-    stream: TcpStream,
+    stream: UnixStream,
     phase: SitePhase,
 }
 
@@ -208,9 +213,9 @@ enum SitePhase {
 }
 
 impl<'a> SiteEnd<'a> {
-    /// `site` served over `stream`, the site end of a [`loopback_pairs`]
+    /// `site` served over `stream`, the site end of a [`socket_pairs`]
     /// pair.
-    pub(crate) fn new(site: &'a mut dyn Site, stream: TcpStream) -> Self {
+    pub(crate) fn new(site: &'a mut dyn Site, stream: UnixStream) -> Self {
         Self {
             site,
             stream,
@@ -264,8 +269,7 @@ impl<'a> SiteEnd<'a> {
 /// on all of them; each ready connection runs its state machine
 /// (request header, request body, `Site::handle`, reply) until its
 /// socket would block. Sites in one loop run one at a time. A finished
-/// connection's socket closes at once (abortively, see
-/// [`loopback_pairs`]) and leaves the poll set.
+/// connection's socket closes at once and leaves the poll set.
 pub(crate) fn serve_sites(ends: Vec<SiteEnd<'_>>) {
     let mut fds: Vec<PollFd> = ends
         .iter()
@@ -388,5 +392,37 @@ mod tests {
             }
         };
         assert_eq!(eof.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn big_frames_stop_at_a_full_socket_and_complete_once_drained() {
+        let (mut coordinator, mut site) = UnixStream::pair().unwrap();
+        coordinator.set_nonblocking(true).unwrap();
+        site.set_nonblocking(true).unwrap();
+        let body: Vec<u8> = (0..256u32 << 10).map(|i| (i % 251) as u8).collect();
+        let mut writer = request_frame(7, Bytes::from(body.clone()));
+        // The peer reads nothing yet, and 256 KiB overflows the socket's
+        // send buffer.
+        assert!(!writer.advance(&mut coordinator).unwrap());
+        let mut reader = FrameReader::<8>::new();
+        let (header, got) = loop {
+            writer.advance(&mut coordinator).unwrap();
+            if let Some(frame) = reader.advance(&mut site).unwrap() {
+                break frame;
+            }
+        };
+        assert!(writer.advance(&mut coordinator).unwrap());
+        assert_eq!(u32::from_le_bytes(header[..4].try_into().unwrap()), 7);
+        assert_eq!(got, body);
+    }
+
+    #[test]
+    fn a_length_prefix_alone_allocates_one_step() {
+        let mut wire = 0u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = FrameReader::<8>::new();
+        let err = reader.advance(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(reader.body.capacity() <= BODY_STEP);
     }
 }

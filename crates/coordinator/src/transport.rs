@@ -17,7 +17,7 @@ pub enum TransportKind {
     /// site runs on the caller's thread).
     #[default]
     Channel,
-    /// Each site behind a loopback TCP socket with length-prefixed
+    /// Each site behind a Unix-domain socket pair with length-prefixed
     /// frames, over a fixed pool of event-loop shards: each
     /// shard serves its sites from one site loop and drives their
     /// coordinator ends from one coordinator loop, both `poll(2)`

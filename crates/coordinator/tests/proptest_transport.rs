@@ -168,8 +168,9 @@ fn large_frames_cross_the_socket_intact() {
     );
     // The non-blocking mux state machines must deliver the same bytes
     // across WouldBlock mid-frame. Three sites on one shard put every
-    // site on one site loop, and 4 MiB frames (the largest loopback send
-    // buffer Linux grants by default) make that loop park connections
+    // site on one site loop, and 4 MiB frames (about twenty times a
+    // Unix-domain socket's default send buffer, `net.core.wmem_default`,
+    // 212 992 B on a stock Linux host) make that loop park connections
     // mid-request and mid-reply while others are ready.
     let plan3 = vec![vec![vec![0xA5u8; 4 << 20]; 3]];
     let (base_out, base_stats) = run_plan(&plan3, 3, RunOptions::sequential());

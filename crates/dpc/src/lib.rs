@@ -22,7 +22,7 @@
 //!   solution quality;
 //! * [`coordinator`] — the transport-abstracted coordinator-model
 //!   runtime: a driver that runs each round on one shard pool of
-//!   in-process site workers or loopback TCP sockets served by
+//!   in-process site workers or Unix-domain socket pairs served by
 //!   event-loop shards (mux), one fleet builder with the site kernel
 //!   budget rule, exact byte accounting, and a simulated link model;
 //! * [`core`] — Algorithms 1–2, the Theorem 3.8 δ-variant, 1-round

@@ -1,7 +1,7 @@
 //! Cross-backend equivalence of the real protocols: every distributed
 //! algorithm in the workspace must produce the same solution and
 //! byte-identical per-round charges whether its messages ride the
-//! in-process shard workers or real loopback TCP sockets served by
+//! in-process shard workers or real Unix-domain socket pairs served by
 //! the multiplexed event-loop backend.
 
 use dpc::coordinator::CommStats;

@@ -1035,6 +1035,8 @@ fn b1_kernels(threads_override: Option<usize>) {
 /// pass with its tiles shared out over the budget regardless of the
 /// work floor — the crossover these rows show is where
 /// `TILE_PAR_MIN_PAIRS` sits. All three must agree bit for bit.
+/// `skip_rate` is the share of the `pairs` whose distance the tiled
+/// pass's triangle bound skipped.
 fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<String> {
     use dpc::cluster::swap_deltas;
     use dpc::metric::{EuclideanMetric, NearestAssigner, ThreadBudget};
@@ -1083,10 +1085,12 @@ fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<Str
                 out
             };
             let tiled =
-                |threads| swap_deltas(&m, &points, &state, CENTERS, penalty, &cands, threads);
+                |threads| swap_deltas(&m, &points, &state, &centers, penalty, &cands, threads);
             let want = per_candidate();
-            assert_eq!(tiled(ThreadBudget::serial()), want, "tiled serial differs");
-            assert_eq!(tiled(budget), want, "tiled threaded differs");
+            let (serial, skipped) = tiled(ThreadBudget::serial());
+            assert_eq!(serial, want, "tiled serial differs");
+            assert_eq!(tiled(budget), (want, skipped), "tiled threaded differs");
+            let skip_rate = skipped as f64 / (n * CANDIDATES) as f64;
             // Five interleaved best-of-3 rounds: at n = 300 a row takes a
             // fraction of a millisecond, and one preempted round must not
             // decide the crossover.
@@ -1103,7 +1107,7 @@ fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<Str
                 }));
             }
             println!(
-                "{:>5} {:>16} {:>12.3} {:>12.3} {:>14.3} {:>8.2}x {:>8.2}x  (n {})",
+                "{:>5} {:>16} {:>12.3} {:>12.3} {:>14.3} {:>8.2}x {:>8.2}x  (n {}, skip {:.3})",
                 dim,
                 "swap_delta",
                 scalar,
@@ -1111,13 +1115,14 @@ fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<Str
                 thr,
                 scalar / bulk,
                 scalar / thr,
-                n
+                n,
+                skip_rate
             );
             rows.push(format!(
                 concat!(
                     "{{\"dim\":{},\"kernel\":\"swap_delta\",\"n\":{},\"candidates\":{},",
                     "\"pairs\":{},\"scalar_ms\":{:.3},\"bulk_ms\":{:.3},\"bulk_threads_ms\":{:.3},",
-                    "\"speedup_bulk\":{:.3},\"speedup_threads\":{:.3}}}"
+                    "\"speedup_bulk\":{:.3},\"speedup_threads\":{:.3},\"skip_rate\":{:.4}}}"
                 ),
                 dim,
                 n,
@@ -1127,7 +1132,8 @@ fn swap_delta_rows(budget: dpc::metric::ThreadBudget, dims: &[usize]) -> Vec<Str
                 bulk,
                 thr,
                 scalar / bulk,
-                scalar / thr
+                scalar / thr,
+                skip_rate
             ));
         }
     }

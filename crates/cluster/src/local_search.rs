@@ -27,6 +27,21 @@
 //! one at a time. The tiles are shared out over the thread budget only
 //! when the iteration's entry × candidate count reaches
 //! [`TILE_PAR_MIN_PAIRS`]; smaller searches stay on the calling thread.
+//!
+//! Most (entry, candidate) distances cannot matter: once a candidate lies
+//! at `dx ≥ min(d2, λ)` from an entry, that entry adds exactly `+0` to
+//! the candidate's `a` term and `w·(min(d2, λ) − min(d1, λ))`, free of
+//! `dx`, to its `b` term. Scoring orders the candidates by their own
+//! nearest center, so a tile's anchors sit near one center, and bounds
+//! each entry's distance to the whole tile from below by
+//! [`Metric::triangle_lower_bound`] over the entry's nearest center
+//! (Elkan, ICML 2003). Where the bound, deflated by a rounding margin,
+//! clears `min(d2, λ)`, the entry skips the tile's distances and adds
+//! those `dx`-free terms in its turn, so every sum runs over the same
+//! values in the same entry order and the deltas stay bit for bit those
+//! of the full pass. The anchor–center distances behind the bound also
+//! serve as the tile's distances to the entries at the centers. A metric
+//! without a bound can skip only at `λ = 0`, where every `dx` qualifies.
 
 use crate::solution::Solution;
 use dpc_metric::{
@@ -148,8 +163,10 @@ fn seed_centers<M: Metric>(
 const ENTRY_BLOCK: usize = 256;
 
 /// Swap-delta terms of every candidate entry in `cands` against `state`,
-/// the nearest/second-nearest state of `k` centers. Candidate `j` fills
-/// `out[j·(k+1)..(j+1)·(k+1)]` with `[a, b[0], …, b[k−1]]`, where
+/// the nearest/second-nearest state of `centers` (`state.d1[e]` must be
+/// the distance from entry `e` to `centers[state.c1[e]]`). Candidate `j`
+/// fills `out[j·(k+1)..(j+1)·(k+1)]`, `k = centers.len()`, with
+/// `[a, b[0], …, b[k−1]]`, where
 ///
 /// ```text
 ///   a     = Σ_e w_e (min(dx, d1, λ) − min(d1, λ))
@@ -157,78 +174,198 @@ const ENTRY_BLOCK: usize = 256;
 /// ```
 ///
 /// so swapping candidate `j` in for the center at slot `ci` changes the
-/// penalized cost by `a + b[ci]`. Candidates are scored [`DIST_TILE`] at
-/// a time, one distance pass per block of entries for the whole tile;
-/// each sum runs in entry order, so the terms are bit-identical to
-/// scoring one candidate at a time. Beyond one thread the tiles are
-/// shared out under one `thread::scope` — [`penalty_local_search`] asks
-/// for that only above [`TILE_PAR_MIN_PAIRS`].
+/// penalized cost by `a + b[ci]`. Returned beside the terms: the number
+/// of (entry, candidate) pairs whose distance the triangle bound skipped.
+///
+/// The candidates are scored in the order of their own nearest center,
+/// [`DIST_TILE`] at a time, one distance pass per block of entries for
+/// the whole tile; the terms land at each candidate's original index.
+/// For each center, a tile takes the range `[lo, hi]` of its anchors'
+/// distances to that center. An entry at `d1` from its nearest center
+/// `c1` lies at least `lb = triangle_lower_bound(dn, d1)` from every
+/// anchor of the tile, where `dn = clamp(d1, lo, hi)` over `c1`'s range.
+/// The entry skips the tile when
+///
+/// ```text
+///   lb − 1e-9·(dn + d1) ≥ min(d2, λ)·(1 + 1e-9)
+/// ```
+///
+/// The margin over-covers the few ulps by which the computed `d1`, the
+/// anchor–center distances and `dx` may each stray, so a skipped pair's
+/// computed `dx` is never below `min(d2, λ)`. For such a pair
+/// `min(dx, d1, λ)` and `min(d2, dx, λ)` are exactly `min(d1, λ)` and
+/// `min(d2, λ)`: the `a` term is `+0` and the `b` term needs no `dx`.
+/// A skipped entry adds that `b` term to every lane in its turn, so each
+/// sum still runs over the same values in entry order and the terms are
+/// bit for bit those of scoring one candidate at a time over every entry.
+/// An entry at a center takes its distances from the anchor–center pass
+/// (the same pairs, so the same values); only the other kept entries go
+/// through [`Metric::dist_tile_into`].
+/// Beyond one thread the tiles are shared out under one `thread::scope`
+/// — [`penalty_local_search`] asks for that only above
+/// [`TILE_PAR_MIN_PAIRS`].
 pub fn swap_deltas<M: Metric>(
     metric: &M,
     points: &WeightedSet,
     state: &Assignment2C,
-    k: usize,
+    centers: &[usize],
     penalty: f64,
     cands: &[usize],
     threads: ThreadBudget,
-) -> Vec<f64> {
-    let mut out = vec![0.0; cands.len() * (k + 1)];
+) -> (Vec<f64>, usize) {
+    let width = centers.len() + 1;
+    let mut order: Vec<usize> = (0..cands.len()).collect();
+    order.sort_by_key(|&j| state.c1[cands[j]]);
+    let sorted: Vec<usize> = order.iter().map(|&j| cands[j]).collect();
+    let mut scored = vec![0.0; cands.len() * width];
     let workers = threads.get().min(cands.len().div_ceil(DIST_TILE));
-    if workers <= 1 {
-        score_tiles(metric, points, state, k, penalty, cands, &mut out);
-        return out;
+    let skipped = if workers <= 1 {
+        score_tiles(
+            metric,
+            points,
+            state,
+            centers,
+            penalty,
+            &sorted,
+            &mut scored,
+        )
+    } else {
+        let span = cands.len().div_ceil(DIST_TILE).div_ceil(workers) * DIST_TILE;
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = sorted
+                .chunks(span)
+                .zip(scored.chunks_mut(span * width))
+                .map(|(cs, os)| {
+                    scope
+                        .spawn(move || score_tiles(metric, points, state, centers, penalty, cs, os))
+                })
+                .collect();
+            runs.into_iter()
+                .map(|r| r.join().expect("swap scoring worker panicked"))
+                .sum()
+        })
+    };
+    let mut out = vec![0.0; cands.len() * width];
+    for (&j, t) in order.iter().zip(scored.chunks_exact(width)) {
+        out[j * width..(j + 1) * width].copy_from_slice(t);
     }
-    let span = cands.len().div_ceil(DIST_TILE).div_ceil(workers) * DIST_TILE;
-    std::thread::scope(|scope| {
-        for (cs, os) in cands.chunks(span).zip(out.chunks_mut(span * (k + 1))) {
-            scope.spawn(move || score_tiles(metric, points, state, k, penalty, cs, os));
-        }
-    });
-    out
+    (out, skipped)
 }
 
-/// The serial body of [`swap_deltas`] over one run of candidates.
+/// How [`score_tiles`] treats one entry against one tile.
+#[derive(Clone, Copy, PartialEq)]
+enum Pass {
+    /// Distances computed by the tile kernel.
+    Compute,
+    /// The entry is a center: distances from the anchor–center pass.
+    AtCenter,
+    /// Ruled out by the bound, or weightless: no distances.
+    Skip,
+}
+
+/// The serial body of [`swap_deltas`] over one run of candidates;
+/// returns the pairs it skipped.
 fn score_tiles<M: Metric>(
     metric: &M,
     points: &WeightedSet,
     state: &Assignment2C,
-    k: usize,
+    centers: &[usize],
     penalty: f64,
     cands: &[usize],
     out: &mut [f64],
-) {
+) -> usize {
     let ids = points.ids();
     let weights = points.weights();
+    let k = centers.len();
+    // Every anchor's distance to every center, in one pass, `DIST_TILE`
+    // anchors per tile (the last tile padded): `tc[j·k + c]` in a tile's
+    // slice `tc` is anchor `j` to center `c`. It gives the tile's ranges,
+    // and it is the tile's distances to the entries at the centers, which
+    // the pass below therefore never recomputes.
+    let anchors_all: Vec<usize> = cands.iter().map(|&c| ids[c]).collect();
+    let mut to_centers = vec![0.0f64; cands.len().next_multiple_of(DIST_TILE) * k];
+    metric.dist_tile_into(&anchors_all, centers, &mut to_centers[..cands.len() * k]);
     let mut dx = vec![0.0f64; DIST_TILE * ENTRY_BLOCK.min(ids.len())];
-    let mut anchors = Vec::with_capacity(DIST_TILE);
+    let mut range = vec![(0.0f64, 0.0f64); k];
+    let (mut kept, mut pass) = ([0usize; ENTRY_BLOCK], [Pass::Compute; ENTRY_BLOCK]);
     let mut b = vec![[0.0f64; DIST_TILE]; k];
-    for (tile, terms) in cands
+    let mut skipped = 0;
+    for ((anchors, tc), terms) in anchors_all
         .chunks(DIST_TILE)
+        .zip(to_centers.chunks_exact(DIST_TILE * k))
         .zip(out.chunks_mut(DIST_TILE * (k + 1)))
     {
-        anchors.clear();
-        anchors.extend(tile.iter().map(|&c| ids[c]));
+        let width = anchors.len();
+        range.fill((f64::INFINITY, 0.0));
+        for row in tc[..width * k].chunks_exact(k) {
+            for (r, &d) in range.iter_mut().zip(row) {
+                if d < r.0 {
+                    r.0 = d;
+                }
+                if d > r.1 {
+                    r.1 = d;
+                }
+            }
+        }
         // One accumulator per candidate, side by side; lanes past the
         // tile's width sum stale distances and are never read back.
         let mut a = [0.0f64; DIST_TILE];
         b.fill([0.0; DIST_TILE]);
         for start in (0..ids.len()).step_by(ENTRY_BLOCK) {
-            let block = &ids[start..(start + ENTRY_BLOCK).min(ids.len())];
-            let len = block.len();
-            metric.dist_tile_into(&anchors, block, &mut dx[..tile.len() * len]);
-            for (o, e) in (start..start + len).enumerate() {
+            let len = ENTRY_BLOCK.min(ids.len() - start);
+            // Choose each entry's pass; the compute list grows without
+            // a branch.
+            let mut nk = 0;
+            for (p, e) in (start..start + len).enumerate() {
+                let (d1, d2, c1) = (state.d1[e], state.d2[e], state.c1[e]);
+                let (lo, hi) = range[c1];
+                let dn = d1.max(lo).min(hi);
+                let lb = metric.triangle_lower_bound(dn, d1) - 1e-9 * (dn + d1);
+                pass[p] = if lb >= d2.min(penalty) * (1.0 + 1e-9) || weights[e] == 0.0 {
+                    Pass::Skip
+                } else if ids[e] == centers[c1] {
+                    Pass::AtCenter
+                } else {
+                    Pass::Compute
+                };
+                kept[nk] = ids[e];
+                nk += (pass[p] == Pass::Compute) as usize;
+            }
+            if nk > 0 {
+                metric.dist_tile_into(anchors, &kept[..nk], &mut dx[..width * nk]);
+            }
+            let mut o = 0;
+            for (p, e) in (start..start + len).enumerate() {
                 let w = weights[e];
-                if w == 0.0 {
-                    continue;
-                }
-                let (d1, d2) = (state.d1[e], state.d2[e]);
-                let old = d1.min(penalty);
-                let bc = &mut b[state.c1[e]];
+                let c1 = state.c1[e];
+                // min(x, d1, λ) and min(d2, x, λ) as min(x, near) and
+                // min(x, cut): the same operands, so the same values.
+                let (near, cut) = (state.d1[e].min(penalty), state.d2[e].min(penalty));
+                let (src, at, stride) = match pass[p] {
+                    Pass::Skip => {
+                        if w != 0.0 {
+                            // Every anchor lies at dx ≥ cut: `a` gains +0
+                            // and each lane of `b` the same term.
+                            let t = w * (cut - near);
+                            for v in b[c1].iter_mut() {
+                                *v += t;
+                            }
+                            skipped += width;
+                        }
+                        continue;
+                    }
+                    Pass::AtCenter => (tc, c1, k),
+                    Pass::Compute => {
+                        o += 1;
+                        (&dx[..], o - 1, nk)
+                    }
+                };
+                let bc = &mut b[c1];
                 for j in 0..DIST_TILE {
-                    let x = dx[j * len + o];
-                    let with_x = x.min(d1).min(penalty);
-                    a[j] += w * (with_x - old);
-                    bc[j] += w * (d2.min(x).min(penalty) - with_x);
+                    let x = src[j * stride + at];
+                    let with_x = x.min(near);
+                    a[j] += w * (with_x - near);
+                    bc[j] += w * (x.min(cut) - with_x);
                 }
             }
         }
@@ -239,6 +376,7 @@ fn score_tiles<M: Metric>(
             }
         }
     }
+    skipped
 }
 
 /// Runs the penalized single-swap local search.
@@ -291,7 +429,7 @@ pub fn penalty_local_search<M: Metric>(
         } else {
             ThreadBudget::serial()
         };
-        let terms = swap_deltas(metric, points, &state, kk, penalty, &cands, threads);
+        let (terms, _) = swap_deltas(metric, points, &state, &centers, penalty, &cands, threads);
         let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
         for (&cand, t) in cands.iter().zip(terms.chunks_exact(kk + 1)) {
             for (ci, &bc) in t[1..].iter().enumerate() {

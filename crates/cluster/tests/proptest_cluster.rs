@@ -441,21 +441,25 @@ fn reference_swap_terms<M: Metric>(
     out
 }
 
+/// Checks the search and its scoring pass against the references at
+/// thread budgets 1 and 3 (`base` supplies every other parameter);
+/// returns the pairs the scoring pass's triangle bound skipped.
 fn assert_local_search_matches_reference<M: Metric>(
     metric: &M,
     points: &WeightedSet,
     k: usize,
     penalty: f64,
-    seed: u64,
-) {
+    base: LocalSearchParams,
+) -> usize {
+    let seed = base.seed;
+    let mut skipped = 0;
     let bits = |o: &[(usize, f64)]| -> Vec<(usize, u64)> {
         o.iter().map(|&(e, w)| (e, w.to_bits())).collect()
     };
     for threads in [1, 3] {
         let params = LocalSearchParams {
-            seed,
             threads: ThreadBudget::new(threads),
-            ..LocalSearchParams::default()
+            ..base
         };
         let want = reference_local_search(metric, points, k, penalty, params);
         let got = penalty_local_search(metric, points, k, penalty, params);
@@ -479,11 +483,11 @@ fn assert_local_search_matches_reference<M: Metric>(
         let cands: Vec<usize> = (0..2 * DIST_TILE + 3)
             .map(|c| (c * 7 + seed as usize) % n)
             .collect();
-        let terms = swap_deltas(
+        let (terms, skips) = swap_deltas(
             metric,
             points,
             &state,
-            centers.len(),
+            &centers,
             penalty,
             &cands,
             ThreadBudget::new(threads),
@@ -492,7 +496,39 @@ fn assert_local_search_matches_reference<M: Metric>(
             reference_swap_terms(metric, points, &state, centers.len(), penalty, &cands);
         let tb = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(tb(&terms), tb(&want_terms), "swap terms at {at}");
+        skipped += skips;
     }
+    skipped
+}
+
+/// Real-valued dim-16 blobs `60` apart (entry `e` of the first `p`
+/// lies in blob `e % clusters`, uniform noise of half-width 2), then
+/// `n − p` entries repeating earlier ids, so coincident entries occur.
+/// `weights` picks unit, fractional or some-zero weights.
+fn blob_instance(n: usize, clusters: usize, weights: usize, seed: u64) -> (PointSet, WeightedSet) {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let p = n * 7 / 8;
+    let rows: Vec<Vec<f64>> = (0..p)
+        .map(|i| {
+            (0..16)
+                .map(|d| {
+                    let center = if d == i % clusters { 60.0 } else { 0.0 };
+                    center + rng.gen_range(-2.0..2.0)
+                })
+                .collect()
+        })
+        .collect();
+    let ids: Vec<usize> = (0..p).chain((0..n - p).map(|i| i * 3 % p)).collect();
+    let w = (0..n)
+        .map(|e| match weights {
+            0 => 1.0,
+            1 => rng.gen_range(0.1..4.0),
+            _ => f64::from(e as u32 % 3),
+        })
+        .collect();
+    (PointSet::from_rows(&rows), WeightedSet::from_parts(ids, w))
 }
 
 /// The serial farthest-first traversal with the relax and the farthest
@@ -777,16 +813,17 @@ proptest! {
         let k = (1 + extra_k * n / 2).min(n + extra_k);
         let penalty = if finite_penalty { 2.5 } else { f64::INFINITY };
         let e = EuclideanMetric::new(&ps);
+        let params = LocalSearchParams { seed, ..LocalSearchParams::default() };
         match shape {
-            0 => assert_local_search_matches_reference(&e, &points, k, penalty, seed),
-            1 => assert_local_search_matches_reference(&SquaredMetric::new(e), &points, k, penalty, seed),
+            0 => assert_local_search_matches_reference(&e, &points, k, penalty, params),
+            1 => assert_local_search_matches_reference(&SquaredMetric::new(e), &points, k, penalty, params),
             _ => {
                 let m = MatrixMetric::from_fn(n, |i, j| {
                     ps.point(i).iter().zip(ps.point(j)).map(|(a, b)| (a - b).abs()).sum()
                 });
-                assert_local_search_matches_reference(&m, &points, k, penalty, seed);
+                assert_local_search_matches_reference(&m, &points, k, penalty, params)
             }
-        }
+        };
     }
 
     #[test]
@@ -809,6 +846,56 @@ proptest! {
         let sol = exact_best(&m, &w, 1, 0.0, Objective::Median, 100_000);
         for c in 0..ps.len() {
             prop_assert!(sol.cost <= median_cost(&m, &[c], 0) + 1e-9);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    #[test]
+    fn bounded_swap_scoring_matches_reference_on_blobs(
+        n in 257usize..600,
+        clusters in 2usize..5,
+        weights in 0usize..3, // unit, fractional, some zero
+        k in 1usize..5,
+        lambda in 0usize..3, // ∞, a within-blob pairwise distance, 0
+        squared in any::<bool>(),
+        seed in 0u64..1024,
+    ) {
+        // Past one 256-entry block, so some blocks are pruned only in
+        // part; k = 1 leaves d2 = ∞. The within-blob λ is the distance
+        // from the scoring check's first candidate (entry `seed % n`) to
+        // an entry of its own blob, taken from the tile kernel, so that
+        // candidate meets `dx == λ` exactly.
+        let (ps, points) = blob_instance(n, clusters, weights, seed);
+        let e = EuclideanMetric::new(&ps);
+        let sq = SquaredMetric::new(e);
+        let (a, p) = (points.ids()[seed as usize % n], ps.len());
+        let b = if a + clusters < p { a + clusters } else { a - clusters };
+        let mut own = [0.0];
+        let penalty = match (lambda, squared) {
+            (0, _) => f64::INFINITY,
+            (1, false) => {
+                e.dist_tile_into(&[a], &[b], &mut own);
+                own[0]
+            }
+            (1, true) => {
+                sq.dist_tile_into(&[a], &[b], &mut own);
+                own[0]
+            }
+            _ => 0.0,
+        };
+        let params = LocalSearchParams { seed, max_iters: 12, ..LocalSearchParams::default() };
+        let skipped = if squared {
+            assert_local_search_matches_reference(&sq, &points, k, penalty, params)
+        } else {
+            assert_local_search_matches_reference(&e, &points, k, penalty, params)
+        };
+        // A finite λ lies within a blob (or is 0), far below the 60-unit
+        // spacing: the bound must rule out the other blobs' tiles.
+        if penalty.is_finite() {
+            prop_assert!(skipped > 0, "bound skipped nothing at λ = {}", penalty);
         }
     }
 }

@@ -14,7 +14,9 @@
 
 use crate::allocation::allocate_outliers;
 use crate::hull::{geometric_grid, ConvexProfile};
-use dpc_cluster::{median_bicriteria, BicriteriaParams, LocalSearchParams, Solution};
+use dpc_cluster::{
+    median_bicriteria, median_bicriteria_grid, BicriteriaParams, LocalSearchParams, Solution,
+};
 use dpc_metric::{
     CenterBlock, EuclideanMetric, Objective, PointSet, SquaredMetric, ThreadBudget, WeightedSet,
 };
@@ -106,7 +108,7 @@ fn solve_rec(
     params: &SubquadraticParams,
 ) -> PointSet {
     let n = points.len();
-    if level == 0 || n <= params.base_threshold.max(4 * k + 2 * t) {
+    if solves_directly(n, k, t, level, params) {
         return base_solve(points, k, t, params);
     }
 
@@ -134,6 +136,13 @@ fn solve_rec(
         Objective::Median
     };
     for piece in &pieces {
+        // The budgets this piece solves directly share one grid solve,
+        // exactly as a site's do; each answer is the one its own base
+        // solve would give.
+        let direct =
+            |q: usize| q < piece.len() && solves_directly(piece.len(), 2 * k, q, level - 1, params);
+        let direct_qs: Vec<usize> = grid.iter().copied().filter(|&q| direct(q)).collect();
+        let mut direct_sols = base_solve_grid(piece, 2 * k, &direct_qs, params).into_iter();
         let mut sols = Vec::with_capacity(grid.len());
         let mut prof_pts = Vec::with_capacity(grid.len());
         for &q in &grid {
@@ -142,7 +151,11 @@ fn solve_rec(
                 sols.push(piece.subset(&[0]));
                 continue;
             }
-            let centers = solve_rec(piece, 2 * k, q, level - 1, params);
+            let centers = if direct(q) {
+                direct_sols.next().expect("one solution per direct budget")
+            } else {
+                solve_rec(piece, 2 * k, q, level - 1, params)
+            };
             let (cost, _) = eval_coords(piece, &centers, q, objective, params.threads);
             prof_pts.push((q, cost));
             sols.push(centers);
@@ -204,8 +217,36 @@ fn solve_rec(
     merged.subset(&sol.centers)
 }
 
+/// Whether [`solve_rec`] solves `n` points at this level with the base
+/// solver rather than recursing.
+fn solves_directly(
+    n: usize,
+    k: usize,
+    t: usize,
+    level: usize,
+    params: &SubquadraticParams,
+) -> bool {
+    level == 0 || n <= params.base_threshold.max(4 * k + 2 * t)
+}
+
 /// Direct quadratic solve, returning center coordinates.
 fn base_solve(points: &PointSet, k: usize, t: usize, params: &SubquadraticParams) -> PointSet {
+    base_solve_grid(points, k, &[t], params)
+        .pop()
+        .expect("one solution per budget")
+}
+
+/// [`base_solve`] at every budget of `budgets`, in order, through one
+/// [`median_bicriteria_grid`] call.
+fn base_solve_grid(
+    points: &PointSet,
+    k: usize,
+    budgets: &[usize],
+    params: &SubquadraticParams,
+) -> Vec<PointSet> {
+    if budgets.is_empty() {
+        return Vec::new();
+    }
     let w = WeightedSet::unit(points.len());
     let mut ls = params.ls;
     ls.threads = params.threads;
@@ -214,14 +255,15 @@ fn base_solve(points: &PointSet, k: usize, t: usize, params: &SubquadraticParams
         lambda_iters: params.lambda_iters,
         ls,
     };
-    let sol: Solution = if params.means {
+    let budgets: Vec<f64> = budgets.iter().map(|&t| t as f64).collect();
+    let sols: Vec<Solution> = if params.means {
         let m = SquaredMetric::new(EuclideanMetric::new(points));
-        median_bicriteria(&m, &w, k, t as f64, Objective::Median, bparams)
+        median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, bparams)
     } else {
         let m = EuclideanMetric::new(points);
-        median_bicriteria(&m, &w, k, t as f64, Objective::Median, bparams)
+        median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, bparams)
     };
-    points.subset(&sol.centers)
+    sols.iter().map(|sol| points.subset(&sol.centers)).collect()
 }
 
 /// Evaluates coordinate centers on `points` with an integral exclusion

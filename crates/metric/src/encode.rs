@@ -201,21 +201,19 @@ impl WireReader {
     }
 
     /// Reads a length-prefixed list of doubles.
+    ///
+    /// # Panics
+    /// Panics on underflow, like [`WireReader::get_f64`]. The up-front
+    /// allocation is capped at the doubles the message still holds, so a
+    /// corrupt count panics on the short read instead of aborting the
+    /// process in the allocator.
     pub fn get_f64_slice(&mut self) -> Vec<f64> {
         let n = self.get_varint() as usize;
-        (0..n).map(|_| self.get_f64()).collect()
-    }
-
-    /// Reads a length-prefixed list of doubles into `out` (reusing its
-    /// allocation) and returns the element count.
-    pub fn read_f64_slice_into(&mut self, out: &mut Vec<f64>) -> usize {
-        let n = self.get_varint() as usize;
-        out.clear();
-        out.reserve(n);
+        let mut out = Vec::with_capacity(n.min(self.remaining() / 8));
         for _ in 0..n {
             out.push(self.get_f64());
         }
-        n
+        out
     }
 }
 
@@ -295,25 +293,31 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_slice_count_panics_on_the_short_read() {
+        // A count of 2⁴⁰ doubles over 16 bytes of payload: sized from the
+        // count, the vector would abort the process in the allocator.
+        let mut w = WireWriter::new();
+        w.put_varint(1 << 40);
+        w.put_f64(1.0);
+        w.put_f64(2.0);
+        let buf = w.finish();
+        let got = std::panic::catch_unwind(move || WireReader::new(buf).get_f64_slice());
+        assert!(got.is_err(), "a short slice must panic");
+    }
+
+    #[test]
     fn into_variants_reuse_one_buffer() {
         let points = [vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
         let mut w = WireWriter::new();
         for p in &points {
             w.put_point(p);
         }
-        w.put_f64_slice(&[7.0, 8.0]);
-        w.put_f64_slice(&[]);
         let mut r = WireReader::new(w.finish());
         let mut buf = Vec::new();
         for p in &points {
             r.read_point_into(3, &mut buf);
             assert_eq!(&buf, p);
         }
-        // The slice reader clears stale contents and reports the count.
-        assert_eq!(r.read_f64_slice_into(&mut buf), 2);
-        assert_eq!(buf, vec![7.0, 8.0]);
-        assert_eq!(r.read_f64_slice_into(&mut buf), 0);
-        assert!(buf.is_empty());
         assert_eq!(r.remaining(), 0);
     }
 }

@@ -510,9 +510,11 @@ pub const DIST_TILE: usize = 8;
 /// `thread::scope` per iteration costs more than the tiles it would
 /// share out. Calibrated on the `swap_delta` rows of `BENCH_kernels.json`
 /// (2-vCPU host, 48 candidates): at n = 300 (14 400 pairs) two threads
-/// lose to serial tiles at dim 4; at n = 2048 (98 304 pairs) they are
-/// never slower, and 1.5–2x faster from dim 8 up. A finer sweep at dims
-/// 4–16 put break-even between 34 000 and 67 000 pairs.
+/// lose to serial tiles at dims 4–32; at n = 2048 (98 304 pairs) they
+/// are 1.2–1.6x faster, and ~1.9x at n = 16 384. Re-checked once the
+/// triangle bound skipped about two thirds of those pairs and the serial
+/// pass got 2–3x cheaper: a sweep at dims 4–32 still had threads ahead
+/// from 98 304 pairs up.
 pub const TILE_PAR_MIN_PAIRS: usize = 65_536;
 
 /// Exact squared distances from several anchors to scattered ids:

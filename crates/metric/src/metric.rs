@@ -41,6 +41,19 @@ use crate::points::{sq_dist, PointSet};
 /// collision where two distinct squared values round to the same square
 /// root, in which case the squared comparison (the tighter one) decides.
 /// `crates/metric/tests/proptest_kernels.rs` pins the contracts.
+///
+/// # Triangle bounds
+///
+/// [`Metric::triangle_lower_bound`] lets a caller prove `dist(a, b)` large
+/// from two distances it already holds, without computing it. Only
+/// metrics that satisfy the triangle inequality on the values they return
+/// promise a bound: [`EuclideanMetric`] (the reverse triangle inequality)
+/// and [`SquaredMetric`] (the square of its inner metric's bound on the
+/// roots). [`MatrixMetric`] accepts any symmetric non-negative matrix, so
+/// its entries need not obey the triangle inequality at all, and
+/// [`TruncatedMetric`](crate::truncated::TruncatedMetric)'s
+/// `max{d − τ, 0}` is not a metric (only a weak triangle inequality
+/// holds); both keep the default `0.0`, which bounds nothing.
 pub trait Metric: Sync {
     /// Number of points the oracle covers (valid indices are `0..len()`).
     fn len(&self) -> usize;
@@ -251,6 +264,14 @@ pub trait Metric: Sync {
     fn relax_norms(&self, _ids: &[usize]) -> Vec<f64> {
         Vec::new()
     }
+
+    /// Lower bound on `dist(a, b)` from `d_ac = dist(a, c)` and
+    /// `d_bc = dist(b, c)` for any third point `c`, in exact arithmetic:
+    /// callers deflate it by a margin covering the rounding of their
+    /// inputs. `0.0` (the default) means no bound.
+    fn triangle_lower_bound(&self, _d_ac: f64, _d_bc: f64) -> f64 {
+        0.0
+    }
 }
 
 impl<M: Metric + ?Sized> Metric for &M {
@@ -324,6 +345,9 @@ impl<M: Metric + ?Sized> Metric for &M {
     }
     fn relax_norms(&self, ids: &[usize]) -> Vec<f64> {
         (**self).relax_norms(ids)
+    }
+    fn triangle_lower_bound(&self, d_ac: f64, d_bc: f64) -> f64 {
+        (**self).triangle_lower_bound(d_ac, d_bc)
     }
 }
 
@@ -555,6 +579,12 @@ impl Metric for EuclideanMetric<'_> {
             }
         }
     }
+
+    /// The reverse triangle inequality `d(a, b) ≥ |d(a, c) − d(b, c)|`.
+    #[inline]
+    fn triangle_lower_bound(&self, d_ac: f64, d_bc: f64) -> f64 {
+        (d_ac - d_bc).abs()
+    }
 }
 
 /// Squares an inner metric; the distance function of the `(k,t)`-means
@@ -641,6 +671,14 @@ impl<M: Metric> Metric for SquaredMetric<M> {
             *a *= *a;
             *b *= *b;
         }
+    }
+
+    /// The inner metric's bound on the roots, squared: `d ≥ r ≥ 0` gives
+    /// `d² ≥ r²`.
+    #[inline]
+    fn triangle_lower_bound(&self, d_ac: f64, d_bc: f64) -> f64 {
+        let r = self.inner.triangle_lower_bound(d_ac.sqrt(), d_bc.sqrt());
+        r * r
     }
 }
 
@@ -851,6 +889,64 @@ mod tests {
         let (idx, d) = x.nearest(0).unwrap();
         assert_eq!(idx, 1);
         assert!((d - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn triangle_bounds_never_exceed_the_computed_distance() {
+        // Random dim-16 triples over several scales, half of them nearly
+        // collinear (b on the segment or ray from a through c, jittered)
+        // so the bound is tight and rounding decides. Deflated by the
+        // margin the local search uses, the bound stays at or below the
+        // distance the metric computes.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut rows = Vec::new();
+        for t in 0..400 {
+            let scale = [1e-6, 1.0, 1e3, 1e8][t % 4];
+            let a: Vec<f64> = (0..16).map(|_| scale * (next() - 0.5)).collect();
+            let c: Vec<f64> = (0..16).map(|_| scale * (next() - 0.5)).collect();
+            let s = 3.0 * next() - 1.0;
+            let jitter = if t % 2 == 0 { 1e-12 } else { 0.3 };
+            let b: Vec<f64> = a
+                .iter()
+                .zip(&c)
+                .map(|(&x, &y)| x + s * (y - x) + jitter * scale * (next() - 0.5))
+                .collect();
+            rows.extend([a, b, c]);
+        }
+        let ps = PointSet::from_rows(&rows);
+        let e = EuclideanMetric::new(&ps);
+        let sq = SquaredMetric::new(e);
+        fn check<M: Metric>(m: &M, triples: usize) {
+            for t in 0..triples {
+                let (a, b, c) = (3 * t, 3 * t + 1, 3 * t + 2);
+                let (d_ac, d_bc) = (m.dist(a, c), m.dist(b, c));
+                let lb = m.triangle_lower_bound(d_ac, d_bc);
+                assert!(
+                    lb - 1e-9 * (d_ac + d_bc) <= m.dist(a, b),
+                    "bound {lb} over distance {} at triple {t}",
+                    m.dist(a, b)
+                );
+            }
+        }
+        check(&e, 400);
+        check(&sq, 400);
+        // Neither matrix nor truncated distances promise a bound.
+        let mm = MatrixMetric::from_fn(3, |i, j| (i * j + 1) as f64);
+        let tr = crate::truncated::TruncatedMetric::new(e, 0.5);
+        for _ in 0..100 {
+            let (x, y) = (1e3 * next(), 1e3 * next());
+            assert_eq!(mm.triangle_lower_bound(x, y), 0.0);
+            assert_eq!(tr.triangle_lower_bound(x, y), 0.0);
+        }
+        let forwarded = <&EuclideanMetric as Metric>::triangle_lower_bound(&&e, 5.0, 2.0);
+        assert_eq!(forwarded, 3.0);
+        assert_eq!(sq.triangle_lower_bound(25.0, 4.0), 9.0);
     }
 
     #[test]
